@@ -1,0 +1,33 @@
+"""Wave-front tracking for steady supersonic flow past slender wedges.
+
+Layered as: characteristic fields (:mod:`~hyperwedge.euler`), elementary
+wave curves (:mod:`~hyperwedge.curves`), interior and boundary Riemann
+solvers (:mod:`~hyperwedge.riemann`), the front-tracking engine
+(:mod:`~hyperwedge.tracking`), interaction/stability functionals
+(:mod:`~hyperwedge.functionals`), and experiment drivers plus a CLI
+(:mod:`~hyperwedge.experiments`, :mod:`~hyperwedge.cli`).
+"""
+
+from .euler import (
+    CONTACT_FAMILIES,
+    FAMILIES,
+    GENUINE_FAMILIES,
+    NP_FAMILY,
+    DomainError,
+    GasParams,
+    State,
+    bc_residual,
+    bernoulli,
+    eigenvalue,
+    eigenvalues,
+    eigenvector,
+    entropy_pair,
+    flow_slope,
+    fluxes,
+    grad_eigenvalue,
+    mass_flux_factor,
+    normalization_coefficient,
+    sound_speed,
+)
+
+__version__ = "0.1.0"

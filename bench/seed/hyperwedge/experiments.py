@@ -1,0 +1,525 @@
+"""Experiment harness: rate sweeps, coefficient tables, stability runs.
+
+Three experiment drivers built on the solver stack:
+
+* ``run_special_solution`` — a two-state jump whose zero-limit solution
+  is a single compressive acoustic front; both systems' exact
+  self-similar solutions are compared in L1 and the strength-correction
+  coefficients are extracted alongside the closed forms they approach;
+
+* ``run_convergence`` — full wedge-flow runs at a grid of scaling
+  parameters, each compared at a fixed station against the zero-limit
+  run, with an ordinary-least-squares log-log rate fit;
+
+* ``run_stability`` — paired runs with perturbed inflow data and/or a
+  perturbed wall, reporting output-to-input L1 ratios.
+
+Sweep points execute concurrently and are aggregated by parameter key,
+so completion order never affects results or CSV bytes.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, fields, replace
+
+import numpy as np
+from scipy.integrate import quad
+from scipy.optimize import brentq
+
+from .curves import wave_curve
+from .euler import GasParams, State
+from .functionals import l1_distance
+from .riemann import RiemannSolution, sample_riemann_fan, solve_riemann
+from .tracking import (
+    BoundaryPolyline,
+    EngineConfig,
+    InitialData,
+    Trajectory,
+    approximate_boundary,
+    run,
+)
+
+__all__ = [
+    "ConfigError",
+    "ExperimentConfig",
+    "RateFit",
+    "CoefficientRow",
+    "SpecialReport",
+    "StabilityRow",
+    "StabilityReport",
+    "special_pair",
+    "fan_l1_distance",
+    "run_special_solution",
+    "run_convergence",
+    "run_stability",
+    "write_rate_csv",
+    "write_coeffs_csv",
+    "write_stability_csv",
+]
+
+
+class ConfigError(ValueError):
+    """Raised for malformed or out-of-range experiment configuration."""
+
+
+# ---------------------------------------------------------------------------
+# configuration
+# ---------------------------------------------------------------------------
+
+_SCENARIOS = ("special", "wedge", "riemann-pair", "stability")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One experiment: scenario, gas, scaling grid, engine knobs, outputs.
+
+    ``tau_grid`` is the scaling-parameter sweep; the zero-limit system is
+    always run/solved in addition where a comparison needs it.  Scenario
+    parameters not used by the selected scenario are ignored.
+    """
+
+    scenario: str
+    gamma: float = 1.4
+    a_inf: float = 2.0
+    tau_grid: tuple = (0.1, 0.05, 0.025)
+    engine: EngineConfig = field(default_factory=EngineConfig)
+    eps: float = 1.0e-3
+    wedge_angle: float = 0.01
+    data_amplitude: float = 1.0e-3
+    data_perturbation: float = 1.0e-3
+    boundary_perturbation: float = 1.0e-3
+    x_station: float = 1.0
+
+    def __post_init__(self):
+        if self.scenario not in _SCENARIOS:
+            raise ConfigError(
+                f"unknown scenario {self.scenario!r}; expected one of {_SCENARIOS}")
+        for tau in self.tau_grid:
+            if not 0.0 < tau < self.a_inf:
+                raise ConfigError(
+                    f"tau grid value {tau} outside (0, a_inf={self.a_inf})")
+        for name in ("eps", "data_amplitude", "data_perturbation",
+                     "boundary_perturbation"):
+            val = getattr(self, name)
+            if not 0.0 <= val <= 0.05:
+                raise ConfigError(f"{name}={val} outside the trust region")
+        if not 0.0 < self.x_station <= self.engine.x_end:
+            raise ConfigError(
+                f"x_station={self.x_station} outside (0, x_end={self.engine.x_end}]")
+
+    @classmethod
+    def from_json(cls, path: str) -> "ExperimentConfig":
+        """Load a config from a JSON object with snake_case field names.
+
+        Unknown keys (top-level or inside ``engine``) are an error, so a
+        typo cannot silently fall back to a default.
+        """
+        with open(path) as fh:
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
+        known = {f.name for f in fields(cls)}
+        unknown = set(raw) - known
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if "engine" in raw:
+            eng_known = {f.name for f in fields(EngineConfig)}
+            eng_unknown = set(raw["engine"]) - eng_known
+            if eng_unknown:
+                raise ConfigError(f"unknown engine keys: {sorted(eng_unknown)}")
+            raw = dict(raw, engine=EngineConfig(**raw["engine"]))
+        if "tau_grid" in raw:
+            raw = dict(raw, tau_grid=tuple(float(t) for t in raw["tau_grid"]))
+        try:
+            return cls(**raw)
+        except TypeError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def gas(self, tau: float) -> GasParams:
+        return GasParams(gamma=self.gamma, a_inf=self.a_inf, tau=tau)
+
+
+# ---------------------------------------------------------------------------
+# result containers
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RateFit:
+    """A fitted error-versus-scaling law E ~ exp(intercept) * tau^slope."""
+
+    taus: tuple
+    errors: tuple
+    slope: float
+    intercept: float
+    coefficients: tuple  # E / (eps * x * tau^2) per grid point
+
+    @classmethod
+    def from_errors(cls, taus, errors, eps: float, x: float) -> "RateFit":
+        taus = tuple(float(t) for t in taus)
+        errors = tuple(float(e) for e in errors)
+        if len(taus) < 3:
+            raise ConfigError(f"rate fit needs >= 3 grid points, got {len(taus)}")
+        if min(errors) <= 0.0:
+            raise ConfigError("rate fit needs positive errors")
+        slope, intercept = np.polyfit(np.log(taus), np.log(errors), 1)
+        coeffs = tuple(e / (eps * x * t * t) for t, e in zip(taus, errors))
+        return cls(taus, errors, float(slope), float(intercept), coeffs)
+
+
+@dataclass(frozen=True)
+class CoefficientRow:
+    name: str
+    measured: float
+    closed_form: float
+
+    @property
+    def rel_err(self) -> float:
+        # absolute error for coefficients whose closed form is zero
+        scale = abs(self.closed_form) if self.closed_form != 0.0 else 1.0
+        return abs(self.measured - self.closed_form) / scale
+
+
+@dataclass(frozen=True)
+class SpecialReport:
+    fit: RateFit
+    coefficients: tuple  # CoefficientRow, measured at coeff_tau
+    coeff_tau: float
+    sigma_a1: float
+
+
+@dataclass(frozen=True)
+class StabilityRow:
+    case: str
+    input_delta: float
+    output_delta: float
+
+    @property
+    def ratio(self) -> float:
+        return self.output_delta / self.input_delta if self.input_delta else 0.0
+
+
+@dataclass(frozen=True)
+class StabilityReport:
+    rows: tuple
+    max_ratio: float
+
+
+# ---------------------------------------------------------------------------
+# special-solution scenario
+# ---------------------------------------------------------------------------
+
+def special_pair(eps: float, gas0: GasParams):
+    """Two-state data whose zero-limit solution is one compressive front.
+
+    The lower state carries a transverse slope ``eps``; the upper state
+    sits on the exact backward wave curve through it, pinned by the
+    density jump ``a_inf * eps``.  Returns ``(U_b, U_a, sigma)`` with
+    ``sigma`` the pinning strength (negative: compression).
+    """
+    if gas0.tau != 0.0:
+        raise ValueError("special_pair pins the jump in the zero-limit system")
+    U_b = State(1.0, 0.0, eps, gas0.p_background)
+    if eps == 0.0:
+        return U_b, U_b, 0.0
+    target = 1.0 + gas0.a_inf * eps
+    guess = -(gas0.gamma + 1.0) / 2.0 * eps
+
+    def density_miss(sig):
+        return wave_curve(U_b, 1, sig, gas0).rho - target
+
+    sigma = brentq(density_miss, 3.0 * guess, 0.3 * guess, xtol=1.0e-16)
+    return U_b, wave_curve(U_b, 1, sigma, gas0), float(sigma)
+
+
+def _fan_breakpoints(sol: RiemannSolution):
+    pts = []
+    for j in (1, 2, 3, 4):
+        lo, hi = sol.speed_span(j)
+        pts.extend([float(lo), float(hi)])
+    return pts
+
+
+def _inside_fan(sol: RiemannSolution, zeta: float) -> bool:
+    for j in (1, 4):
+        lo, hi = sol.speed_span(j)
+        if lo < hi and lo <= zeta <= hi:
+            return True
+    return False
+
+
+def fan_l1_distance(solA: RiemannSolution, gasA: GasParams,
+                    solB: RiemannSolution, gasB: GasParams,
+                    U_b: State, x: float = 1.0) -> float:
+    """Exact L1 distance at station `x` between two self-similar solutions.
+
+    Both solutions start from the same lower state.  Constant-by-constant
+    intervals are summed exactly; intervals meeting a rarefaction fan are
+    integrated per component with a sign-change split so the absolute
+    value never hides cancellation.
+    """
+    pts = sorted(set(_fan_breakpoints(solA) + _fan_breakpoints(solB)))
+    grid = [pts[0] - 0.5, *pts, pts[-1] + 0.5]
+    total = 0.0
+    for zl, zr in zip(grid, grid[1:]):
+        if zr - zl < 1.0e-300:
+            continue
+        zm = 0.5 * (zl + zr)
+        if not (_inside_fan(solA, zm) or _inside_fan(solB, zm)):
+            dU = (sample_riemann_fan(solA, U_b, zm, gasA)
+                  - sample_riemann_fan(solB, U_b, zm, gasB))
+            total += float(np.abs(dU).sum()) * (zr - zl)
+            continue
+        shrink = 1.0e-12 * (zr - zl)
+        zlo, zhi = zl + shrink, zr - shrink
+        for comp in range(4):
+            def diff(z):
+                return (sample_riemann_fan(solA, U_b, z, gasA).as_array()[comp]
+                        - sample_riemann_fan(solB, U_b, z, gasB).as_array()[comp])
+            cuts = [zlo]
+            flo, fhi = diff(zlo), diff(zhi)
+            if flo * fhi < 0.0:
+                cuts.append(brentq(diff, zlo, zhi, xtol=1.0e-15))
+            cuts.append(zhi)
+            for a_, b_ in zip(cuts, cuts[1:]):
+                val, _ = quad(lambda z: abs(diff(z)), a_, b_,
+                              epsabs=1.0e-17, epsrel=1.0e-12, limit=200)
+                total += val
+    return total * x
+
+
+def run_special_solution(cfg: ExperimentConfig) -> SpecialReport:
+    """Exact two-system comparison for the pinned two-state jump.
+
+    For each grid value, the jump is re-solved in the scaled system and
+    compared against the zero-limit fan in L1 at ``x_station``; strength
+    corrections are normalised by ``sigma * tau^2``.  Coefficients are
+    reported at the grid point nearest 0.05 together with the closed
+    forms they are tested against.
+    """
+    if cfg.scenario != "special":
+        raise ConfigError(f"scenario {cfg.scenario!r} is not 'special'")
+    gas0 = cfg.gas(0.0)
+    U_b, U_a, _sigma_pin = special_pair(cfg.eps, gas0)
+    sol0 = solve_riemann(U_b, U_a, gas0)
+    sigma_a1 = float(sol0.strengths[0])
+
+    def one_tau(tau: float):
+        gas = cfg.gas(tau)
+        sol = solve_riemann(U_b, U_a, gas)
+        E = fan_l1_distance(sol, gas, sol0, gas0, U_b, cfg.x_station)
+        betas = np.asarray(sol.strengths, dtype=float)
+        return {"E": E, "betas": betas}
+
+    with ThreadPoolExecutor(max_workers=min(4, len(cfg.tau_grid))) as pool:
+        results = dict(zip(cfg.tau_grid, pool.map(one_tau, cfg.tau_grid)))
+
+    taus = tuple(sorted(cfg.tau_grid, reverse=True))
+    errors = tuple(results[t]["E"] for t in taus)
+    fit = RateFit.from_errors(taus, errors, cfg.eps, cfg.x_station)
+
+    coeff_tau = min(taus, key=lambda t: abs(t - 0.05))
+    betas = results[coeff_tau]["betas"]
+    t2 = coeff_tau * coeff_tau
+    a = cfg.a_inf
+    gm = cfg.gamma
+    deltas = (betas - np.array([sigma_a1, 0.0, 0.0, 0.0])) / (sigma_a1 * t2)
+    e_coeff = results[coeff_tau]["E"] / (cfg.eps * cfg.x_station * t2)
+    rows = (
+        CoefficientRow("sigma_a1_over_eps", sigma_a1 / cfg.eps, -(gm + 1.0) / 2.0),
+        CoefficientRow("beta1_correction", float(deltas[0]), 7.0 / (4.0 * a * a)),
+        CoefficientRow("beta2_correction", float(deltas[1]), 0.0),
+        CoefficientRow("beta3_correction", float(deltas[2]),
+                       -4.0 * (a + 1.0) / ((gm + 1.0) * a)),
+        CoefficientRow("beta4_correction", float(deltas[3]), 1.0 / (4.0 * a * a)),
+        CoefficientRow("E_coefficient", float(e_coeff),
+                       (9.0 * a**3 + 10.0 * a**2 + 9.0 * a + 6.0) / (4.0 * a**4)),
+    )
+    return SpecialReport(fit, rows, coeff_tau, sigma_a1)
+
+
+# ---------------------------------------------------------------------------
+# wedge convergence scenario
+# ---------------------------------------------------------------------------
+
+def _wedge_boundary(cfg: ExperimentConfig) -> BoundaryPolyline:
+    slope = -math.tan(cfg.wedge_angle)
+    return approximate_boundary(lambda x: slope * x, cfg.engine.h,
+                                x_max=2.0 * cfg.engine.x_end)
+
+
+def _stepped_data(amplitude: float, gas: GasParams, seed: int,
+                  n_steps: int = 3) -> InitialData:
+    """Deterministic piecewise-constant inflow perturbation of `n_steps` jumps.
+
+    Depends only on (amplitude, seed), never on the scaling parameter,
+    so every member of a sweep sees identical physical data.
+    """
+    rng = np.random.default_rng(seed)
+    Ub = gas.background()
+    states = [Ub]
+    for _ in range(n_steps):
+        d = rng.uniform(-amplitude, amplitude, 4)
+        prev = states[-1]
+        states.append(State(prev.rho * (1.0 + d[0]), prev.u + d[1],
+                            prev.v + d[2], prev.p * (1.0 + d[3])))
+    breaks = np.sort(rng.uniform(-1.4, -0.2, n_steps))
+    return InitialData(breaks, tuple(states))
+
+
+def _comparison_strip(boundary: BoundaryPolyline, x: float, lam_hat: float):
+    g = boundary.g_at(x)
+    return (g - 2.0 * lam_hat * x - 1.0, g)
+
+
+def run_convergence(cfg: ExperimentConfig) -> RateFit:
+    """Wedge-flow error sweep against the zero-limit run.
+
+    Runs the tracker once per grid value plus once for the zero limit,
+    all from identical data over the same sampled wedge, and measures
+    the station-``x_station`` L1 gap over the strip where either
+    solution can differ from the background.
+    """
+    if cfg.scenario != "wedge":
+        raise ConfigError(f"scenario {cfg.scenario!r} is not 'wedge'")
+    boundary = _wedge_boundary(cfg)
+
+    def one_run(tau: float) -> Trajectory:
+        gas = cfg.gas(tau)
+        data = _stepped_data(cfg.data_amplitude, gas, cfg.engine.seed)
+        return run(data, boundary, cfg.engine, gas)
+
+    taus = tuple(sorted(cfg.tau_grid, reverse=True))
+    jobs = (0.0, *taus)
+    with ThreadPoolExecutor(max_workers=min(4, len(jobs))) as pool:
+        trajs = dict(zip(jobs, pool.map(one_run, jobs)))
+
+    base = trajs[0.0]
+    strip = _comparison_strip(boundary, cfg.x_station,
+                              max(t.lambda_hat for t in trajs.values()))
+    ref = base.slice_at(cfg.x_station)
+    errors = tuple(
+        l1_distance(trajs[t].slice_at(cfg.x_station), ref, strip) for t in taus)
+    return RateFit.from_errors(taus, errors, cfg.data_amplitude, cfg.x_station)
+
+
+# ---------------------------------------------------------------------------
+# stability scenario
+# ---------------------------------------------------------------------------
+
+def _shifted_corner_wall(cfg: ExperimentConfig, dtheta: float) -> BoundaryPolyline:
+    """Wedge wall whose slope turns by an extra `dtheta` at mid-domain."""
+    x_c = 0.5 * cfg.engine.x_end
+    base = -math.tan(cfg.wedge_angle)
+    extra = -math.tan(cfg.wedge_angle + dtheta)
+
+    def g(x):
+        if x <= x_c:
+            return base * x
+        return base * x_c + extra * (x - x_c)
+
+    return approximate_boundary(g, cfg.engine.h, x_max=2.0 * cfg.engine.x_end)
+
+
+def _perturbed_data(data: InitialData, delta: float) -> InitialData:
+    """Shift every inflow state's transverse slope by `delta`."""
+    return InitialData(data.breaks,
+                       tuple(replace(s, v=s.v + delta) for s in data.states))
+
+
+def _data_l1_gap(dataU: InitialData, dataV: InitialData) -> float:
+    if not np.array_equal(dataU.breaks, dataV.breaks):
+        raise ValueError("paired data must share jump positions")
+    edges = [-1.6, *map(float, dataU.breaks), 0.0]
+    total = 0.0
+    for (a, b), su, sv in zip(zip(edges, edges[1:]), dataU.states, dataV.states):
+        total += float(np.abs(su - sv).sum()) * (b - a)
+    return total
+
+
+def _wall_slope_l1_gap(bU: BoundaryPolyline, bV: BoundaryPolyline,
+                       x_hi: float) -> float:
+    pts = sorted({0.0, x_hi, *(float(x) for x in bU.xs if 0.0 < float(x) < x_hi),
+                  *(float(x) for x in bV.xs if 0.0 < float(x) < x_hi)})
+    total = 0.0
+    for a, b in zip(pts, pts[1:]):
+        xm = 0.5 * (a + b)
+        total += abs(math.tan(bU.theta_at(xm)) - math.tan(bV.theta_at(xm))) * (b - a)
+    return total
+
+
+def run_stability(cfg: ExperimentConfig) -> StabilityReport:
+    """Paired-run L1 amplification for data-only, wall-only, and joint cases.
+
+    Each case perturbs the baseline by the configured magnitudes, runs
+    both trackers at the largest grid scaling, and reports the worst
+    station ratio output-gap / input-gap, stations sampled at quarters
+    of the domain.
+    """
+    if cfg.scenario != "stability":
+        raise ConfigError(f"scenario {cfg.scenario!r} is not 'stability'")
+    tau = cfg.tau_grid[0]
+    gas = cfg.gas(tau)
+    base_wall = _wedge_boundary(cfg)
+    base_data = _stepped_data(cfg.data_amplitude, gas, cfg.engine.seed)
+    base_traj = run(base_data, base_wall, cfg.engine, gas)
+    lam_hat = base_traj.lambda_hat
+    stations = [cfg.engine.x_end * f for f in (0.25, 0.5, 0.75, 1.0)]
+
+    cases = {
+        "data": (_perturbed_data(base_data, cfg.data_perturbation), base_wall),
+        "boundary": (base_data, _shifted_corner_wall(cfg, cfg.boundary_perturbation)),
+        "both": (_perturbed_data(base_data, cfg.data_perturbation),
+                 _shifted_corner_wall(cfg, cfg.boundary_perturbation)),
+    }
+
+    def one_case(item):
+        name, (data, wall) = item
+        traj = run(data, wall, cfg.engine, gas)
+        input_delta = (_data_l1_gap(base_data, data)
+                       + _wall_slope_l1_gap(base_wall, wall, 2.0 * cfg.engine.x_end))
+        out = 0.0
+        for x in stations:
+            strip = _comparison_strip(base_wall, x, lam_hat)
+            lo = min(strip[0], wall.g_at(x) - 2.0 * lam_hat * x - 1.0)
+            hi = min(base_wall.g_at(x), wall.g_at(x))
+            out = max(out, l1_distance(base_traj.slice_at(x),
+                                       traj.slice_at(x), (lo, hi)))
+        return name, StabilityRow(name, float(input_delta), float(out))
+
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        rows = dict(pool.map(one_case, cases.items()))
+    ordered = tuple(rows[name] for name in ("data", "boundary", "both"))
+    return StabilityReport(ordered, max(r.ratio for r in ordered))
+
+
+# ---------------------------------------------------------------------------
+# CSV emission
+# ---------------------------------------------------------------------------
+
+def write_rate_csv(fit: RateFit, path: str) -> None:
+    with open(path, "w") as fh:
+        fh.write("tau,E,E_over_eps_x_tau2\n")
+        for tau, err, coeff in zip(fit.taus, fit.errors, fit.coefficients):
+            fh.write(f"{tau!r},{err!r},{coeff!r}\n")
+
+
+def write_coeffs_csv(rows, path: str) -> None:
+    with open(path, "w") as fh:
+        fh.write("name,measured,closed_form,rel_err\n")
+        for row in rows:
+            fh.write(f"{row.name},{row.measured!r},{row.closed_form!r},"
+                     f"{row.rel_err!r}\n")
+
+
+def write_stability_csv(report: StabilityReport, path: str) -> None:
+    with open(path, "w") as fh:
+        fh.write("case,input_delta,output_delta,ratio\n")
+        for row in report.rows:
+            fh.write(f"{row.case},{row.input_delta!r},{row.output_delta!r},"
+                     f"{row.ratio!r}\n")

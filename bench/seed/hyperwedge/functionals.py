@@ -1,0 +1,523 @@
+"""Decrease and stability functionals over front-tracking slices.
+
+Two families of diagnostics:
+
+* a weighted total-strength functional ``G = V + K*Q`` over one slice,
+  with per-family weights on strengths, a weight on the untriggered wall
+  corners ahead, and the usual quadratic interaction potential ``Q`` over
+  approaching pairs; it decreases at every event, by a fixed fraction of
+  the event's interaction measure;
+
+* a weighted L1-type distance between two slices (possibly over walls
+  that differ), measured through a jump decomposition of the pointwise
+  state difference, with level-dependent weights that anticipate which
+  fronts will cross each level, plus a wall-mismatch tail downstream.
+
+Weight constants are derived from measured background coefficients
+(boundary reflection gains, strength/state equivalence) with a fixed
+safety factor, and frozen per gas-parameter set.
+"""
+
+from __future__ import annotations
+
+import bisect
+import io
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .curves import compose_wave_curves
+from .euler import (
+    GENUINE_FAMILIES,
+    NP_FAMILY,
+    GasParams,
+    State,
+    entropy_pair,
+    flow_slope,
+)
+from .riemann import (
+    boundary_hugoniot_q1,
+    boundary_response,
+    hugoniot_decompose,
+    solve_riemann,
+)
+from .tracking import (
+    BoundaryPolyline,
+    SolutionSlice,
+    Trajectory,
+    pair_potential,
+)
+
+__all__ = [
+    "GlimmWeights",
+    "glimm_functional",
+    "glimm_parts",
+    "LyapunovWeights",
+    "LyapunovValue",
+    "lyapunov_functional",
+    "l1_distance",
+    "bv_total_variation",
+    "flow_slope_trace",
+    "entropy_production_check",
+    "FunctionalTrace",
+    "glimm_trace",
+]
+
+_SAFETY = 1.5  # weights sit at this multiple of their lower bounds
+
+
+# ---------------------------------------------------------------------------
+# slice interaction potential
+# ---------------------------------------------------------------------------
+
+def interaction_potential(fronts) -> float:
+    """Quadratic potential: sum of |sigma sigma'| over approaching pairs.
+
+    A lower front approaches an upper one when its family index is
+    larger, when the families coincide and at least one strength is
+    negative, or when the lower front is the non-physical carrier and the
+    upper one physical.  List order is the y-order (ties resolved by
+    construction).
+    """
+    total = 0.0
+    for a in range(len(fronts)):
+        for b in range(a + 1, len(fronts)):
+            total += pair_potential(fronts[a], fronts[b])
+    return total
+
+
+# ---------------------------------------------------------------------------
+# weighted strength functional
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GlimmWeights:
+    """Weights for the slice functional ``V + K*Q``.
+
+    ``k2..k4`` weight the family strengths (family 1 and the carrier
+    strengths enter with weight one), ``kc`` weights the untriggered
+    corner turning angles ahead of the slice, and ``k`` the interaction
+    potential.  ``boundary_gain``, ``reflection`` and ``c_equiv`` record
+    the measured background coefficients the bounds came from.
+    """
+
+    k2: float
+    k3: float
+    k4: float
+    kc: float
+    k: float
+    boundary_gain: float
+    reflection: tuple
+    c_equiv: float
+
+    @classmethod
+    def from_background(cls, gas: GasParams, safety: float = _SAFETY) -> "GlimmWeights":
+        """Derive weights from measured coefficients at `safety` x bounds.
+
+        Lower bounds: the corner weight must dominate the corner-to-wave
+        conversion gain plus 1/2; each reflecting family's weight must
+        dominate its wall reflection gain plus 1/4; the potential weight
+        must dominate four times the strength/state equivalence constant
+        times the largest family weight, plus one.
+        """
+        br = boundary_response(gas)
+        gain = abs(br["boundary_gain"])
+        refl = tuple(abs(br["reflection"][fam]) for fam in (2, 3, 4))
+        c21 = strength_equivalence_constant(gas)
+        ks = [safety * max(r + 0.25, 1.0) for r in refl]
+        kc = safety * max(gain + 0.5, 1.0)
+        k = safety * (4.0 * c21 * max(ks) + 1.0)
+        return cls(ks[0], ks[1], ks[2], kc, k, gain, refl, c21)
+
+    def family_weight(self, family: int) -> float:
+        return {1: 1.0, 2: self.k2, 3: self.k3, 4: self.k4, NP_FAMILY: 1.0}[family]
+
+
+def strength_equivalence_constant(gas: GasParams, n_samples: int = 48,
+                                  scale: float = 0.02, seed: int = 2024) -> float:
+    """Measured two-sided constant between strength vectors and state gaps.
+
+    Samples strength vectors in the trust region, composes them from the
+    background, and returns the worst ratio (either direction) between
+    the summed absolute strengths and the Euclidean state gap.
+    """
+    rng = np.random.default_rng(seed)
+    Ub = gas.background()
+    worst = 1.0
+    for _ in range(n_samples):
+        sig = rng.uniform(-scale, scale, 4)
+        gap = float(np.linalg.norm(compose_wave_curves(Ub, sig, gas) - Ub))
+        tot = float(np.abs(sig).sum())
+        if gap > 0.0:
+            worst = max(worst, tot / gap, gap / tot)
+    return worst
+
+
+def glimm_parts(slice_: SolutionSlice, boundary: BoundaryPolyline,
+                w: GlimmWeights) -> dict:
+    """Weighted strength, corner tail, and potential of one slice."""
+    v = 0.0
+    for f in slice_.fronts:
+        v += w.family_weight(f.family) * abs(f.sigma)
+    vc = float(sum(abs(float(boundary.omegas[k]))
+                   for k in range(1, boundary.k_star + 1)
+                   if boundary.xs[k] > slice_.x))
+    q = interaction_potential(slice_.fronts)
+    return {"v": v, "v_corner": vc, "q": q}
+
+
+def glimm_functional(slice_: SolutionSlice, boundary: BoundaryPolyline,
+                     w: GlimmWeights) -> float:
+    """Value of ``V + kc*V_corner + k*Q`` on one slice.
+
+    Constant between events; drops at every event by at least one eighth
+    of the event's interaction measure (strength product, absorbed
+    strength, or corner angle).
+    """
+    p = glimm_parts(slice_, boundary, w)
+    return p["v"] + w.kc * p["v_corner"] + w.k * p["q"]
+
+
+# ---------------------------------------------------------------------------
+# pairwise stability functional
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LyapunovWeights:
+    """Weights for the two-slice distance functional.
+
+    ``w2..w4`` scale the jump-decomposition components (component 1 has
+    weight one); ``kappa1..kappa3`` build the level weights from crossing
+    fronts, slice potentials, and fast-family strengths; ``kappa_c`` and
+    ``kappa_cp`` add the corner tails of the two walls; ``kappa_g``
+    scales the wall-mismatch integral.  ``kb_jump`` records the measured
+    magnitude of the wall jump-reflection coefficient that sized ``w4``.
+    """
+
+    w2: float
+    w3: float
+    w4: float
+    kappa1: float
+    kappa2: float
+    kappa3: float
+    kappa_c: float
+    kappa_cp: float
+    kappa_g: float
+    kb_jump: float
+
+    @classmethod
+    def from_background(cls, gas: GasParams, kappa: float = 10.0,
+                        safety: float = _SAFETY) -> "LyapunovWeights":
+        """Size ``w4`` so wall dissipation wins in the worst weight case.
+
+        At the wall the component-4 deficit converts into a component-1
+        deficit at the jump-reflection gain; the transport coefficient
+        ``|kb|*W1*(0-lam1) + w4*W4*(0-lam4)`` must be negative even when
+        the level weights are least favourable (W1 at its cap 2, W4 at
+        its floor 1).  The critical ``w4`` is found by bisection and
+        inflated by the safety factor.
+        """
+        Ub = gas.background()
+        eps = 1.0e-6
+        kb = abs(boundary_hugoniot_q1(0.0, 0.0, eps, 0.0, 0.0, Ub, gas)
+                 - boundary_hugoniot_q1(0.0, 0.0, -eps, 0.0, 0.0, Ub, gas)) / (2.0 * eps)
+        from .euler import eigenvalue
+        lam1 = eigenvalue(Ub, gas, 1)
+        lam4 = eigenvalue(Ub, gas, 4)
+
+        def worst_coeff(w4):
+            return kb * 2.0 * (0.0 - lam1) + w4 * 1.0 * (0.0 - lam4)
+
+        lo, hi = 1.0e-3, 1.0e3
+        if worst_coeff(hi) >= 0.0:
+            raise RuntimeError("wall dissipation cannot be made negative")
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if worst_coeff(mid) >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        w4 = safety * hi
+        return cls(1.0, 1.0, w4, kappa, kappa, kappa, kappa, kappa,
+                   kappa * w4, kb)
+
+    def component_weight(self, j: int) -> float:
+        return {1: 1.0, 2: self.w2, 3: self.w3, 4: self.w4}[j]
+
+
+@dataclass(frozen=True)
+class LyapunovValue:
+    """Interior integral, wall-mismatch tail, and their sum."""
+
+    interior: float
+    boundary_tail: float
+
+    @property
+    def total(self) -> float:
+        return self.interior + self.boundary_tail
+
+
+def _corner_tail(boundary: BoundaryPolyline, x: float) -> float:
+    return float(sum(abs(float(boundary.omegas[k]))
+                     for k in range(1, boundary.k_star + 1)
+                     if boundary.xs[k] > x))
+
+
+def _crossing_count_weights(fronts_below, fronts_above, q, kappa1):
+    """kappa1 * A_j for all four components at one level.
+
+    ``A_j`` counts the strengths of fronts that will cross the level:
+    faster families below it, slower families above it, and same-family
+    fronts on the side selected by the sign of the j-th deficit
+    component (negative: own-family fronts of the first slice above and
+    of the second below; positive: mirrored).
+    """
+    out = np.zeros(4)
+    for j in range(1, 5):
+        a = 0.0
+        for f, _which in fronts_below:
+            if f.family != NP_FAMILY and f.family > j:
+                a += abs(f.sigma)
+        for f, _which in fronts_above:
+            if f.family != NP_FAMILY and f.family < j:
+                a += abs(f.sigma)
+        if q[j - 1] < 0.0:
+            a += sum(abs(f.sigma) for f, which in fronts_above
+                     if which == 0 and f.family == j)
+            a += sum(abs(f.sigma) for f, which in fronts_below
+                     if which == 1 and f.family == j)
+        elif q[j - 1] > 0.0:
+            a += sum(abs(f.sigma) for f, which in fronts_below
+                     if which == 0 and f.family == j)
+            a += sum(abs(f.sigma) for f, which in fronts_above
+                     if which == 1 and f.family == j)
+        out[j - 1] = kappa1 * a
+    return out
+
+
+def lyapunov_functional(sliceU: SolutionSlice, sliceV: SolutionSlice,
+                        boundaryU: BoundaryPolyline, boundaryV: BoundaryPolyline,
+                        w: LyapunovWeights, gas: GasParams,
+                        x_horizon: float) -> LyapunovValue:
+    """Weighted distance between two slices at the same station.
+
+    The pointwise state difference below the lower of the two walls is
+    decomposed into four jump strengths; each component is integrated in
+    y with a weight ``W_j`` in (1, 2) built from the fronts that will
+    cross the level, both slices' interaction potentials, the fast-family
+    strengths, and the corner tails of both walls.  The wall-mismatch
+    tail integrates the difference of the two wall slopes from the
+    station to `x_horizon`.
+    """
+    x = sliceU.x
+    if abs(sliceV.x - x) > 1.0e-12 * (1.0 + abs(x)):
+        raise ValueError(f"slices at different stations: {sliceU.x} vs {sliceV.x}")
+    g_low = min(boundaryU.g_at(x), boundaryV.g_at(x))
+
+    tagged = ([(f, 0) for f in sliceU.fronts] + [(f, 1) for f in sliceV.fronts])
+    tagged = [(f, which, f.y_at(x)) for f, which in tagged]
+    tagged.sort(key=lambda t: t[2])
+
+    cut = [t[2] for t in tagged if t[2] < g_low]
+    y_min = (min(cut) if cut else g_low) - 1.0
+    edges = [y_min] + cut + [g_low]
+
+    qU = interaction_potential(sliceU.fronts)
+    qV = interaction_potential(sliceV.fronts)
+    s4 = sum(abs(f.sigma) for f in sliceU.fronts
+             if f.family == 4) + sum(abs(f.sigma) for f in sliceV.fronts
+                                     if f.family == 4)
+    base_weight = (1.0 + w.kappa2 * (qU + qV) + w.kappa3 * s4
+                   + w.kappa_c * _corner_tail(boundaryU, x)
+                   + w.kappa_cp * _corner_tail(boundaryV, x))
+
+    ysU = [f.y_at(x) for f in sliceU.fronts]
+    ysV = [f.y_at(x) for f in sliceV.fronts]
+
+    interior = 0.0
+    for a, b in zip(edges, edges[1:]):
+        if b - a <= 0.0:
+            continue
+        ym = 0.5 * (a + b)
+        su = sliceU.states[bisect.bisect_right(ysU, ym)]
+        sv = sliceV.states[bisect.bisect_right(ysV, ym)]
+        if su is sv or (su.rho == sv.rho and su.u == sv.u
+                        and su.v == sv.v and su.p == sv.p):
+            continue
+        q = hugoniot_decompose(su, sv, gas)
+        below = [(f, which) for f, which, y in tagged if y < ym]
+        above = [(f, which) for f, which, y in tagged if y > ym]
+        Wj = base_weight + _crossing_count_weights(below, above, q, w.kappa1)
+        for j in range(1, 5):
+            interior += abs(q[j - 1]) * w.component_weight(j) * Wj[j - 1] * (b - a)
+
+    tail = _wall_mismatch(boundaryU, boundaryV, x, x_horizon)
+    return LyapunovValue(interior, w.kappa_g * tail)
+
+
+def _wall_mismatch(bU: BoundaryPolyline, bV: BoundaryPolyline,
+                   x0: float, x1: float) -> float:
+    """Integral of |tan(thetaU) - tan(thetaV)| over [x0, x1], exact."""
+    if x1 <= x0:
+        return 0.0
+    pts = {x0, x1}
+    for b in (bU, bV):
+        pts.update(float(x) for x in b.xs if x0 < float(x) < x1)
+    grid = sorted(pts)
+    total = 0.0
+    for a, b in zip(grid, grid[1:]):
+        xm = 0.5 * (a + b)
+        total += abs(math.tan(bU.theta_at(xm)) - math.tan(bV.theta_at(xm))) * (b - a)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# plain metrics
+# ---------------------------------------------------------------------------
+
+def l1_distance(sliceU: SolutionSlice, sliceV: SolutionSlice, domain) -> float:
+    """Exact L1 distance of two piecewise-constant slices over (lo, hi).
+
+    The integrand is the sum of componentwise absolute differences; the
+    integral is a finite sum over the merged breakpoints.
+    """
+    lo, hi = float(domain[0]), float(domain[1])
+    if hi <= lo:
+        return 0.0
+    x = sliceU.x
+    ysU = [f.y_at(x) for f in sliceU.fronts]
+    ysV = [f.y_at(sliceV.x) for f in sliceV.fronts]
+    edges = sorted({lo, hi, *(y for y in ysU + ysV if lo < y < hi)})
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        ym = 0.5 * (a + b)
+        su = sliceU.states[bisect.bisect_right(ysU, ym)]
+        sv = sliceV.states[bisect.bisect_right(ysV, ym)]
+        total += float(np.abs(su - sv).sum()) * (b - a)
+    return total
+
+
+def bv_total_variation(slice_: SolutionSlice, quantity: str = "state",
+                       gas: GasParams | None = None) -> float:
+    """Total variation in y of a slice quantity.
+
+    ``state``: sum over fronts of the 1-norm of the state jump;
+    ``flow_slope``: jumps of v/(1+tau^2 u) (needs `gas`);
+    ``pressure``: jumps of p.
+    """
+    total = 0.0
+    for f in slice_.fronts:
+        if quantity == "state":
+            total += float(np.abs(f.above - f.below).sum())
+        elif quantity == "flow_slope":
+            if gas is None:
+                raise ValueError("flow_slope variation needs gas parameters")
+            total += abs(flow_slope(f.above, gas) - flow_slope(f.below, gas))
+        elif quantity == "pressure":
+            total += abs(f.above.p - f.below.p)
+        else:
+            raise ValueError(f"unknown quantity {quantity!r}")
+    return total
+
+
+def flow_slope_trace(traj: Trajectory, Y, x_range) -> dict:
+    """Trace of (flow slope, pressure) along a curve y = Y(x).
+
+    The trace is piecewise constant in x, changing where fronts cross the
+    curve or at events; crossings are located by bisection inside each
+    inter-event slab.  Returns the exact L1 norms in x and the total
+    variations of both trace components over `x_range`.
+    """
+    x_lo, x_hi = float(x_range[0]), float(x_range[1])
+    gas = traj.gas
+    cuts = {x_lo, x_hi}
+    stations = [s.x for s in traj.slices]
+    for sx in stations:
+        if x_lo < sx < x_hi:
+            cuts.add(sx)
+    for sl in traj.slices:
+        nxt = next((s for s in stations if s > sl.x), traj.cfg.x_end)
+        a, b = max(sl.x, x_lo), min(nxt, x_hi)
+        if b <= a:
+            continue
+        for f in sl.fronts:
+            fa = f.y_at(a) - Y(a)
+            fb = f.y_at(b) - Y(b)
+            if fa == 0.0 or fa * fb < 0.0:
+                lo_, hi_ = a, b
+                for _ in range(80):
+                    mid = 0.5 * (lo_ + hi_)
+                    if (f.y_at(lo_) - Y(lo_)) * (f.y_at(mid) - Y(mid)) <= 0.0:
+                        hi_ = mid
+                    else:
+                        lo_ = mid
+                cuts.add(0.5 * (lo_ + hi_))
+    grid = sorted(cuts)
+    slopes, press, widths = [], [], []
+    for a, b in zip(grid, grid[1:]):
+        xm = 0.5 * (a + b)
+        sl = traj.slice_at(min(xm, traj.cfg.x_end))
+        ys = sl.ys()
+        k = int(np.searchsorted(ys, Y(xm), side="left"))
+        st = sl.states[k]
+        slopes.append(flow_slope(st, gas))
+        press.append(st.p)
+        widths.append(b - a)
+    l1_slope = float(sum(abs(s) * dx for s, dx in zip(slopes, widths)))
+    l1_press = float(sum(abs(p) * dx for p, dx in zip(press, widths)))
+    bv_slope = float(sum(abs(b - a) for a, b in zip(slopes, slopes[1:])))
+    bv_press = float(sum(abs(b - a) for a, b in zip(press, press[1:])))
+    return {"l1_slope": l1_slope, "l1_pressure": l1_press,
+            "bv_slope": bv_slope, "bv_pressure": bv_press}
+
+
+def entropy_production_check(slice_: SolutionSlice, gas: GasParams) -> list:
+    """Per-front entropy production ``s*[eta_x] - [eta_y]`` (above - below).
+
+    Admissible physical fronts produce nonpositive values (strictly
+    negative for shocks, zero for contacts, negative and second order in
+    strength for rarefaction pieces with their trailing-edge slope).
+    Non-physical carriers are not jumps of the model and get ``nan``.
+    """
+    out = []
+    for f in slice_.fronts:
+        if f.family == NP_FAMILY:
+            out.append(float("nan"))
+            continue
+        exb, eyb = entropy_pair(f.below, gas)
+        exa, eya = entropy_pair(f.above, gas)
+        out.append(f.speed * (exa - exb) - (eya - eyb))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# traces
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FunctionalTrace:
+    """Sampled functional values along a run, one row per event."""
+
+    xs: tuple
+    values: tuple
+    kinds: tuple
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        buf.write("x,value,event_kind\n")
+        for x, v, k in zip(self.xs, self.values, self.kinds):
+            buf.write(f"{float(x)!r},{float(v)!r},{k}\n")
+        return buf.getvalue()
+
+
+def glimm_trace(traj: Trajectory, w: GlimmWeights) -> FunctionalTrace:
+    """Functional value after initialisation and after every event."""
+    xs = [traj.slices[0].x]
+    vals = [glimm_functional(traj.slices[0], traj.boundary, w)]
+    kinds = ["initial"]
+    for sl, rec in zip(traj.slices[1:], traj.records):
+        xs.append(rec.x)
+        vals.append(glimm_functional(sl, traj.boundary, w))
+        kinds.append(rec.kind)
+    return FunctionalTrace(tuple(xs), tuple(vals), tuple(kinds))

@@ -1,0 +1,300 @@
+"""Interior and boundary Riemann solvers built on the wave curves.
+
+An interior solve connects a lower state to an upper state through four
+elementary waves (plus three middle states); a boundary solve connects a
+state under the wall to the wall's slip condition through a single
+family-1 wave.  Both are small Newton iterations on wave strengths,
+started from zero (interior) or from the linearised boundary response.
+
+All solves are local: states must lie within a componentwise trust
+radius of the background, strengths within the wave-curve trust radius.
+Convergence is judged purely on residuals; the tolerances here set the
+floor for every jump-condition and slip-condition residual quoted by the
+tracking engine above.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .curves import (
+    CurveError,
+    compose_wave_curves,
+    damped_newton,
+    fan_state,
+    hugoniot_compose,
+    shock_speed,
+    wave_curve,
+)
+from .euler import (
+    CONTACT_FAMILIES,
+    GENUINE_FAMILIES,
+    GasParams,
+    State,
+    bc_residual,
+    eigenvalue,
+    eigenvector_matrix,
+    flow_slope,
+)
+
+__all__ = [
+    "SolverError",
+    "TRUST_RADIUS",
+    "RiemannSolution",
+    "solve_riemann",
+    "solve_boundary_riemann",
+    "reflect_at_boundary",
+    "hugoniot_decompose",
+    "boundary_hugoniot_q1",
+    "sample_riemann_fan",
+    "boundary_response",
+]
+
+#: componentwise trust radius around the background state for all solves
+TRUST_RADIUS = 0.05
+
+
+class SolverError(RuntimeError):
+    """Riemann solve failed or was requested outside its trust region."""
+
+
+def _check_trust(U: State, gas: GasParams, label: str) -> None:
+    dev = np.max(np.abs(U - gas.background()))
+    if dev >= TRUST_RADIUS:
+        raise SolverError(
+            f"{label} deviates {dev:.4f} from background, outside trust radius {TRUST_RADIUS}"
+        )
+
+
+@dataclass(frozen=True)
+class RiemannSolution:
+    """Four-wave decomposition of a lower/upper state pair.
+
+    Attributes
+    ----------
+    strengths : np.ndarray
+        Signed strengths (sigma_1 .. sigma_4).
+    middle_states : tuple[State, State, State]
+        States between consecutive waves, bottom to top.
+    speeds : tuple
+        One entry per family: a float slope for shocks, contacts and
+        zero-strength waves, or a ``(foot, head)`` slope pair for
+        rarefaction fans.  Entries are non-decreasing; families 2 and 3
+        share a single slope.
+    """
+
+    strengths: np.ndarray
+    middle_states: tuple
+    speeds: tuple
+
+    def speed_span(self, j: int):
+        """(low, high) slope extent of wave j (1-based family index)."""
+        s = self.speeds[j - 1]
+        return (s, s) if np.isscalar(s) else tuple(s)
+
+
+def _wave_speed_entry(pre: State, family: int, sigma: float, gas: GasParams):
+    """Speed representation of one wave given its lower (pre) state."""
+    if family in CONTACT_FAMILIES:
+        return flow_slope(pre, gas)
+    if sigma > 0.0:
+        return (eigenvalue(pre, gas, family), eigenvalue(pre, gas, family) + sigma)
+    if sigma < 0.0:
+        return shock_speed(pre, family, sigma, gas)
+    return eigenvalue(pre, gas, family)
+
+
+def solve_riemann(U_b: State, U_a: State, gas: GasParams) -> RiemannSolution:
+    """Resolve the jump from a lower state `U_b` to an upper state `U_a`.
+
+    Newton iteration on the four strengths, initial guess zero; the
+    middle states and wave slopes are reconstructed once the strengths
+    converge.  Raises :class:`SolverError` outside the trust region or
+    on convergence failure.
+    """
+    _check_trust(U_b, gas, "lower state")
+    _check_trust(U_a, gas, "upper state")
+    target = U_a.as_array()
+
+    def F(sig):
+        return compose_wave_curves(U_b, sig, gas).as_array() - target
+
+    try:
+        sig = damped_newton(F, np.zeros(4))
+    except CurveError as exc:
+        raise SolverError(f"interior Riemann solve failed: {exc}") from exc
+
+    m1 = wave_curve(U_b, 1, sig[0], gas)
+    m2 = wave_curve(m1, 2, sig[1], gas)
+    m3 = wave_curve(m2, 3, sig[2], gas)
+    speeds = (
+        _wave_speed_entry(U_b, 1, sig[0], gas),
+        flow_slope(m1, gas),
+        flow_slope(m1, gas),
+        _wave_speed_entry(m3, 4, sig[3], gas),
+    )
+    flat = [x for s in speeds for x in ((s,) if np.isscalar(s) else s)]
+    if any(b - a < -1.0e-9 for a, b in zip(flat, flat[1:])):
+        raise SolverError(f"wave slopes not ordered: {speeds}")
+    return RiemannSolution(sig, (m1, m2, m3), speeds)
+
+
+def solve_boundary_riemann(U_b: State, theta_new: float, gas: GasParams):
+    """Family-1 wave bringing a state under the wall onto a new wall angle.
+
+    Parameters
+    ----------
+    U_b : State
+        State currently adjacent to (below) the wall.
+    theta_new : float
+        Wall inclination angle downstream of the turn.
+
+    Returns
+    -------
+    (sigma1, U_gamma) : (float, State)
+        Strength of the emitted family-1 wave and the post state, which
+        satisfies the slip condition at `theta_new` to solver tolerance.
+    """
+    _check_trust(U_b, gas, "boundary state")
+    theta_old = float(np.arctan(flow_slope(U_b, gas)))
+    if abs(theta_old) + abs(theta_new - theta_old) >= 0.1:
+        raise SolverError(
+            f"boundary turn too large: |{theta_old:.4f}| + |{theta_new - theta_old:.4f}| >= 0.1"
+        )
+
+    def F(z):
+        return np.array([bc_residual(wave_curve(U_b, 1, z[0], gas), theta_new, gas)])
+
+    kb = _background_boundary_gain(gas)
+    try:
+        z = damped_newton(F, np.array([kb * (theta_new - theta_old)]))
+    except CurveError as exc:
+        raise SolverError(f"boundary Riemann solve failed: {exc}") from exc
+    sigma1 = float(z[0])
+    return sigma1, wave_curve(U_b, 1, sigma1, gas)
+
+
+def _background_boundary_gain(gas: GasParams) -> float:
+    """Linearised d(sigma1)/d(angle) at the background state.
+
+    The slip residual changes at rate -r_1^(3) per unit strength and at
+    rate ~1 per unit angle near the background, giving gain
+    ``(gamma+1)*a^4 / (2*(a^2 - tau^2)^2)``.
+    """
+    a2 = gas.a_inf * gas.a_inf
+    return (gas.gamma + 1.0) * a2 * a2 / (2.0 * (a2 - gas.tau * gas.tau) ** 2)
+
+
+def reflect_at_boundary(U_b: State, incoming_family: int, sigma_in: float,
+                        theta: float, gas: GasParams) -> float:
+    """Strength of the family-1 wave reflected when a wave meets the wall.
+
+    `U_b` is the state below the incoming wave (families 2, 3 or 4);
+    after the interaction the incoming wave is replaced by a family-1
+    wave from `U_b` whose post state satisfies the slip condition at the
+    unchanged wall angle `theta`.  Shear and entropy waves preserve the
+    flow direction, so their reflection strength is exactly zero; a
+    family-4 wave reflects with strength close to `sigma_in`.
+    """
+    if incoming_family not in (2, 3, 4):
+        raise SolverError(f"only families 2-4 can reach the wall, got {incoming_family}")
+    _check_trust(U_b, gas, "below-wave state")
+
+    def F(z):
+        return np.array([bc_residual(wave_curve(U_b, 1, z[0], gas), theta, gas)])
+
+    x0 = sigma_in if incoming_family == 4 else 0.0
+    try:
+        z = damped_newton(F, np.array([x0]))
+    except CurveError as exc:
+        raise SolverError(f"wall reflection solve failed: {exc}") from exc
+    return float(z[0])
+
+
+def hugoniot_decompose(U: State, V: State, gas: GasParams) -> np.ndarray:
+    """Jump strengths (q1..q4) connecting `U` to `V` through the four loci.
+
+    Inverse of :func:`hyperwedge.curves.hugoniot_compose`.  The Newton
+    start is the linearised decomposition of V - U in the eigenbasis at
+    `U`, so nearby states converge in one or two steps.
+    """
+    _check_trust(U, gas, "decomposition base state")
+    _check_trust(V, gas, "decomposition target state")
+    target = V.as_array()
+
+    def F(q):
+        return hugoniot_compose(U, q, gas).as_array() - target
+
+    q0 = np.linalg.solve(eigenvector_matrix(U, gas), target - U.as_array())
+    try:
+        return damped_newton(F, q0)
+    except CurveError as exc:
+        raise SolverError(f"jump decomposition failed: {exc}") from exc
+
+
+def boundary_hugoniot_q1(q2: float, q3: float, q4: float, theta: float,
+                         theta_prime: float, U: State, gas: GasParams) -> float:
+    """Family-1 jump strength restoring the slip condition at a new angle.
+
+    Given a state `U` satisfying the slip condition at angle `theta`,
+    and jump strengths q2..q4 applied above a free family-1 jump, returns
+    the q1 for which the fully composed state satisfies the slip
+    condition at `theta_prime`.  Near the background the linearisation is
+    ``q1 = -q4 + gain*(theta_prime - theta)`` with the same gain as the
+    boundary Riemann solve.
+    """
+    _check_trust(U, gas, "boundary decomposition state")
+
+    def F(z):
+        W = hugoniot_compose(U, (z[0], q2, q3, q4), gas)
+        return np.array([bc_residual(W, theta_prime, gas)])
+
+    kb = _background_boundary_gain(gas)
+    x0 = -q4 + kb * (theta_prime - theta)
+    try:
+        z = damped_newton(F, np.array([x0]))
+    except CurveError as exc:
+        raise SolverError(f"boundary jump decomposition failed: {exc}") from exc
+    return float(z[0])
+
+
+def sample_riemann_fan(sol: RiemannSolution, U_b: State, zeta: float,
+                       gas: GasParams) -> State:
+    """Self-similar solution of a resolved Riemann problem at slope `zeta`.
+
+    Pointwise exact: constant states between waves, curve states inside
+    rarefaction fans (family slope pinned to `zeta`).  At a discontinuity
+    slope the state above is returned, so the map is right-continuous in
+    `zeta`.
+    """
+    states = [U_b, *sol.middle_states]
+    for j in (1, 2, 3, 4):
+        lo, hi = sol.speed_span(j)
+        if zeta < lo:
+            return states[j - 1]
+        if zeta < hi or (zeta == hi and hi > lo):
+            return fan_state(states[j - 1], j, float(sol.strengths[j - 1]), zeta, gas)
+    return wave_curve(states[3], 4, float(sol.strengths[3]), gas)
+
+
+def boundary_response(gas: GasParams, probe: float = 1.0e-5) -> dict:
+    """Measured small-wave boundary coefficients at the background state.
+
+    Returns the centred-difference gain d(sigma1)/d(angle) of
+    :func:`solve_boundary_riemann` and the per-family reflection ratios
+    sigma_out/sigma_in of :func:`reflect_at_boundary`, all probed with
+    waves/angles of size `probe` around the flat wall.
+    """
+    Ub = gas.background()
+    sp, _ = solve_boundary_riemann(Ub, probe, gas)
+    sm, _ = solve_boundary_riemann(Ub, -probe, gas)
+    gain = (sp - sm) / (2.0 * probe)
+    refl = {}
+    for fam in (2, 3, 4):
+        # wall angle consistent with the incoming top state, as in a run
+        top = wave_curve(Ub, fam, probe, gas)
+        theta = float(np.arctan(flow_slope(top, gas)))
+        refl[fam] = reflect_at_boundary(Ub, fam, probe, theta, gas) / probe
+    return {"boundary_gain": float(gain), "reflection": refl}
