@@ -25,13 +25,14 @@ from .experiments import (
     run_convergence,
     run_special_solution,
     run_stability,
+    wedge_problem,
     write_coeffs_csv,
     write_rate_csv,
     write_stability_csv,
 )
 from .functionals import GlimmWeights, glimm_trace
 from .riemann import SolverError, solve_riemann
-from .tracking import approximate_boundary, export_trajectory, run
+from .tracking import export_trajectory, run
 
 _CONFIG_EXIT = 2
 _SOLVER_EXIT = 3
@@ -93,18 +94,10 @@ def simulate(config_path, out_dir):
     gas = cfg.gas(tau)
 
     def build_and_run():
-        from .experiments import _stepped_data, _wedge_boundary
-        if cfg.scenario == "wedge":
-            boundary = _wedge_boundary(cfg)
-            data = _stepped_data(cfg.data_amplitude, gas, cfg.engine.seed)
-        else:
-            boundary = approximate_boundary(lambda x: 0.0, cfg.engine.h,
-                                            x_max=2.0 * cfg.engine.x_end)
-            data = _stepped_data(cfg.data_amplitude, gas, cfg.engine.seed,
-                                 n_steps=1)
-        return run(data, boundary, cfg.engine, gas), boundary
+        boundary, data = wedge_problem(cfg)
+        return run(data, boundary, cfg.engine, gas)
 
-    traj, boundary = _guard(build_and_run)
+    traj = _guard(build_and_run)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "trajectory.txt"), "w") as fh:
         fh.write(export_trajectory(traj))

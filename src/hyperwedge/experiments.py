@@ -14,15 +14,14 @@ Three experiment drivers built on the solver stack:
 * ``run_stability`` — paired runs with perturbed inflow data and/or a
   perturbed wall, reporting output-to-input L1 ratios.
 
-Sweep points execute concurrently and are aggregated by parameter key,
-so completion order never affects results or CSV bytes.
+The tracked scenarios build their wall and inflow data through one
+public function, :func:`wedge_problem`, which the CLI uses as well.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -31,13 +30,12 @@ from scipy.optimize import brentq
 
 from .curves import wave_curve
 from .euler import GasParams, State
-from .functionals import l1_distance
+from .functionals import l1_distance, wall_mismatch
 from .riemann import RiemannSolution, sample_riemann_fan, solve_riemann
 from .tracking import (
     BoundaryPolyline,
     EngineConfig,
     InitialData,
-    Trajectory,
     approximate_boundary,
     run,
 )
@@ -52,6 +50,7 @@ __all__ = [
     "StabilityReport",
     "special_pair",
     "fan_l1_distance",
+    "wedge_problem",
     "run_special_solution",
     "run_convergence",
     "run_stability",
@@ -341,8 +340,7 @@ def run_special_solution(cfg: ExperimentConfig) -> SpecialReport:
         betas = np.asarray(sol.strengths, dtype=float)
         return {"E": E, "betas": betas}
 
-    with ThreadPoolExecutor(max_workers=min(4, len(cfg.tau_grid))) as pool:
-        results = dict(zip(cfg.tau_grid, pool.map(one_tau, cfg.tau_grid)))
+    results = {tau: one_tau(tau) for tau in cfg.tau_grid}
 
     taus = tuple(sorted(cfg.tau_grid, reverse=True))
     errors = tuple(results[t]["E"] for t in taus)
@@ -368,33 +366,44 @@ def run_special_solution(cfg: ExperimentConfig) -> SpecialReport:
 
 
 # ---------------------------------------------------------------------------
-# wedge convergence scenario
+# tracked scenarios: wall and inflow data
 # ---------------------------------------------------------------------------
 
-def _wedge_boundary(cfg: ExperimentConfig) -> BoundaryPolyline:
-    slope = -math.tan(cfg.wedge_angle)
-    return approximate_boundary(lambda x: slope * x, cfg.engine.h,
-                                x_max=2.0 * cfg.engine.x_end)
+def wedge_problem(cfg: ExperimentConfig) -> tuple[BoundaryPolyline, InitialData]:
+    """Sampled wall and inflow data of a tracked scenario.
 
-
-def _stepped_data(amplitude: float, gas: GasParams, seed: int,
-                  n_steps: int = 3) -> InitialData:
-    """Deterministic piecewise-constant inflow perturbation of `n_steps` jumps.
-
-    Depends only on (amplitude, seed), never on the scaling parameter,
-    so every member of a sweep sees identical physical data.
+    ``wedge`` and ``stability`` get the straight wall of angle
+    ``wedge_angle`` and three inflow jumps; ``riemann-pair`` gets a flat
+    wall and one jump.  The data are a deterministic piecewise-constant
+    perturbation of the background: uniform steps in
+    ``[-data_amplitude, data_amplitude]^4`` (relative in density and
+    pressure) drawn from ``engine.seed``, at sorted heights in
+    ``[-1.4, -0.2]``.  The background does not depend on the scaling
+    parameter, so every member of a sweep sees identical physical data.
     """
-    rng = np.random.default_rng(seed)
-    Ub = gas.background()
-    states = [Ub]
+    if cfg.scenario == "riemann-pair":
+        slope, n_steps = 0.0, 1
+    elif cfg.scenario in ("wedge", "stability"):
+        slope, n_steps = -math.tan(cfg.wedge_angle), 3
+    else:
+        raise ConfigError(f"scenario {cfg.scenario!r} has no tracked wall")
+    boundary = approximate_boundary(lambda x: slope * x, cfg.engine.h,
+                                    x_max=2.0 * cfg.engine.x_end)
+    rng = np.random.default_rng(cfg.engine.seed)
+    amplitude = cfg.data_amplitude
+    states = [cfg.gas(0.0).background()]
     for _ in range(n_steps):
         d = rng.uniform(-amplitude, amplitude, 4)
         prev = states[-1]
         states.append(State(prev.rho * (1.0 + d[0]), prev.u + d[1],
                             prev.v + d[2], prev.p * (1.0 + d[3])))
     breaks = np.sort(rng.uniform(-1.4, -0.2, n_steps))
-    return InitialData(breaks, tuple(states))
+    return boundary, InitialData(breaks, tuple(states))
 
+
+# ---------------------------------------------------------------------------
+# wedge convergence scenario
+# ---------------------------------------------------------------------------
 
 def _comparison_strip(boundary: BoundaryPolyline, x: float, lam_hat: float):
     g = boundary.g_at(x)
@@ -411,17 +420,10 @@ def run_convergence(cfg: ExperimentConfig) -> RateFit:
     """
     if cfg.scenario != "wedge":
         raise ConfigError(f"scenario {cfg.scenario!r} is not 'wedge'")
-    boundary = _wedge_boundary(cfg)
-
-    def one_run(tau: float) -> Trajectory:
-        gas = cfg.gas(tau)
-        data = _stepped_data(cfg.data_amplitude, gas, cfg.engine.seed)
-        return run(data, boundary, cfg.engine, gas)
-
+    boundary, data = wedge_problem(cfg)
     taus = tuple(sorted(cfg.tau_grid, reverse=True))
-    jobs = (0.0, *taus)
-    with ThreadPoolExecutor(max_workers=min(4, len(jobs))) as pool:
-        trajs = dict(zip(jobs, pool.map(one_run, jobs)))
+    trajs = {tau: run(data, boundary, cfg.engine, cfg.gas(tau))
+             for tau in (0.0, *taus)}
 
     base = trajs[0.0]
     strip = _comparison_strip(boundary, cfg.x_station,
@@ -466,17 +468,6 @@ def _data_l1_gap(dataU: InitialData, dataV: InitialData) -> float:
     return total
 
 
-def _wall_slope_l1_gap(bU: BoundaryPolyline, bV: BoundaryPolyline,
-                       x_hi: float) -> float:
-    pts = sorted({0.0, x_hi, *(float(x) for x in bU.xs if 0.0 < float(x) < x_hi),
-                  *(float(x) for x in bV.xs if 0.0 < float(x) < x_hi)})
-    total = 0.0
-    for a, b in zip(pts, pts[1:]):
-        xm = 0.5 * (a + b)
-        total += abs(math.tan(bU.theta_at(xm)) - math.tan(bV.theta_at(xm))) * (b - a)
-    return total
-
-
 def run_stability(cfg: ExperimentConfig) -> StabilityReport:
     """Paired-run L1 amplification for data-only, wall-only, and joint cases.
 
@@ -487,26 +478,18 @@ def run_stability(cfg: ExperimentConfig) -> StabilityReport:
     """
     if cfg.scenario != "stability":
         raise ConfigError(f"scenario {cfg.scenario!r} is not 'stability'")
-    tau = cfg.tau_grid[0]
-    gas = cfg.gas(tau)
-    base_wall = _wedge_boundary(cfg)
-    base_data = _stepped_data(cfg.data_amplitude, gas, cfg.engine.seed)
+    gas = cfg.gas(cfg.tau_grid[0])
+    base_wall, base_data = wedge_problem(cfg)
     base_traj = run(base_data, base_wall, cfg.engine, gas)
     lam_hat = base_traj.lambda_hat
     stations = [cfg.engine.x_end * f for f in (0.25, 0.5, 0.75, 1.0)]
+    moved_data = _perturbed_data(base_data, cfg.data_perturbation)
+    moved_wall = _shifted_corner_wall(cfg, cfg.boundary_perturbation)
 
-    cases = {
-        "data": (_perturbed_data(base_data, cfg.data_perturbation), base_wall),
-        "boundary": (base_data, _shifted_corner_wall(cfg, cfg.boundary_perturbation)),
-        "both": (_perturbed_data(base_data, cfg.data_perturbation),
-                 _shifted_corner_wall(cfg, cfg.boundary_perturbation)),
-    }
-
-    def one_case(item):
-        name, (data, wall) = item
+    def one_case(name, data, wall):
         traj = run(data, wall, cfg.engine, gas)
         input_delta = (_data_l1_gap(base_data, data)
-                       + _wall_slope_l1_gap(base_wall, wall, 2.0 * cfg.engine.x_end))
+                       + wall_mismatch(base_wall, wall, 0.0, 2.0 * cfg.engine.x_end))
         out = 0.0
         for x in stations:
             strip = _comparison_strip(base_wall, x, lam_hat)
@@ -514,12 +497,12 @@ def run_stability(cfg: ExperimentConfig) -> StabilityReport:
             hi = min(base_wall.g_at(x), wall.g_at(x))
             out = max(out, l1_distance(base_traj.slice_at(x),
                                        traj.slice_at(x), (lo, hi)))
-        return name, StabilityRow(name, float(input_delta), float(out))
+        return StabilityRow(name, float(input_delta), float(out))
 
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        rows = dict(pool.map(one_case, cases.items()))
-    ordered = tuple(rows[name] for name in ("data", "boundary", "both"))
-    return StabilityReport(ordered, max(r.ratio for r in ordered))
+    rows = (one_case("data", moved_data, base_wall),
+            one_case("boundary", base_data, moved_wall),
+            one_case("both", moved_data, moved_wall))
+    return StabilityReport(rows, max(r.ratio for r in rows))
 
 
 # ---------------------------------------------------------------------------

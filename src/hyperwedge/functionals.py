@@ -29,10 +29,9 @@ import numpy as np
 
 from .curves import compose_wave_curves
 from .euler import (
-    GENUINE_FAMILIES,
     NP_FAMILY,
     GasParams,
-    State,
+    eigenvalue,
     entropy_pair,
     flow_slope,
 )
@@ -40,7 +39,6 @@ from .riemann import (
     boundary_hugoniot_q1,
     boundary_response,
     hugoniot_decompose,
-    solve_riemann,
 )
 from .tracking import (
     BoundaryPolyline,
@@ -56,6 +54,7 @@ __all__ = [
     "LyapunovWeights",
     "LyapunovValue",
     "lyapunov_functional",
+    "wall_mismatch",
     "l1_distance",
     "bv_total_variation",
     "flow_slope_trace",
@@ -160,11 +159,8 @@ def glimm_parts(slice_: SolutionSlice, boundary: BoundaryPolyline,
     v = 0.0
     for f in slice_.fronts:
         v += w.family_weight(f.family) * abs(f.sigma)
-    vc = float(sum(abs(float(boundary.omegas[k]))
-                   for k in range(1, boundary.k_star + 1)
-                   if boundary.xs[k] > slice_.x))
     q = interaction_potential(slice_.fronts)
-    return {"v": v, "v_corner": vc, "q": q}
+    return {"v": v, "v_corner": _corner_tail(boundary, slice_.x), "q": q}
 
 
 def glimm_functional(slice_: SolutionSlice, boundary: BoundaryPolyline,
@@ -222,7 +218,6 @@ class LyapunovWeights:
         eps = 1.0e-6
         kb = abs(boundary_hugoniot_q1(0.0, 0.0, eps, 0.0, 0.0, Ub, gas)
                  - boundary_hugoniot_q1(0.0, 0.0, -eps, 0.0, 0.0, Ub, gas)) / (2.0 * eps)
-        from .euler import eigenvalue
         lam1 = eigenvalue(Ub, gas, 1)
         lam4 = eigenvalue(Ub, gas, 4)
 
@@ -352,12 +347,12 @@ def lyapunov_functional(sliceU: SolutionSlice, sliceV: SolutionSlice,
         for j in range(1, 5):
             interior += abs(q[j - 1]) * w.component_weight(j) * Wj[j - 1] * (b - a)
 
-    tail = _wall_mismatch(boundaryU, boundaryV, x, x_horizon)
+    tail = wall_mismatch(boundaryU, boundaryV, x, x_horizon)
     return LyapunovValue(interior, w.kappa_g * tail)
 
 
-def _wall_mismatch(bU: BoundaryPolyline, bV: BoundaryPolyline,
-                   x0: float, x1: float) -> float:
+def wall_mismatch(bU: BoundaryPolyline, bV: BoundaryPolyline,
+                  x0: float, x1: float) -> float:
     """Integral of |tan(thetaU) - tan(thetaV)| over [x0, x1], exact."""
     if x1 <= x0:
         return 0.0

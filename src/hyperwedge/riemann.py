@@ -30,7 +30,6 @@ from .curves import (
 )
 from .euler import (
     CONTACT_FAMILIES,
-    GENUINE_FAMILIES,
     GasParams,
     State,
     bc_residual,

@@ -26,7 +26,7 @@ front through a corner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -117,10 +117,6 @@ class BoundaryPolyline:
     thetas: np.ndarray
     omegas: np.ndarray
     k_star: int
-
-    @property
-    def corners(self) -> np.ndarray:
-        return np.column_stack([self.xs, self.gs])
 
     def segment_index(self, x: float) -> int:
         k = int(np.searchsorted(self.xs, x, side="right")) - 1

@@ -8,9 +8,11 @@ are asserted exactly as promised; nothing is loosened to pass.
 import math
 import sys
 import time
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
+from scipy.integrate import IntegrationWarning
 
 from hyperwedge.euler import (
     GasParams,
@@ -158,14 +160,19 @@ def test_criterion_3_boundary_constants():
 
 def test_criterion_4_special_solution_coefficients():
     with _criterion(4, "pinned-jump strength and error coefficients"):
-        # (gamma, a_inf, closed-form E): the default gas, then a second
-        # point that separates the a_inf dependence of every closed form.
-        for gamma, a_inf, e_closed in ((1.4, 2.0, 0.5),
-                                       (5.0 / 3.0, 3.0, 14.0 / 81.0)):
+        # (gamma, a_inf, eps, closed-form E): the default gas, a second
+        # point that separates the a_inf dependence of every closed form,
+        # and a weak jump at a small a_inf, where a quadrature warning was
+        # once reported.  A quadrature warning on any of them fails.
+        for gamma, a_inf, eps, e_closed in ((1.4, 2.0, 1.0e-3, 0.5),
+                                            (5.0 / 3.0, 3.0, 1.0e-3, 14.0 / 81.0),
+                                            (1.2, 1.5, 1.0e-4, 92.0 / 81.0)):
             cfg = ExperimentConfig(scenario="special", gamma=gamma, a_inf=a_inf,
                                    tau_grid=(0.1, 0.05, 0.025),
-                                   eps=1.0e-3, x_station=1.0)
-            rep = _timed(10.0, lambda: run_special_solution(cfg), repeats=1)
+                                   eps=eps, x_station=1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", IntegrationWarning)
+                rep = _timed(10.0, lambda: run_special_solution(cfg), repeats=1)
             rows = {r.name: r for r in rep.coefficients}
             assert rep.coeff_tau == 0.05
             assert rows["sigma_a1_over_eps"].rel_err < 0.01

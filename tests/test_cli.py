@@ -139,11 +139,16 @@ def test_missing_config_file_exits_2(runner, tmp_path):
     assert res.exit_code == 2
 
 
-def test_simulate_writes_trajectory_and_trace(runner, tmp_path):
-    cfg = _cfg_file(tmp_path, WEDGE_CFG)
+@pytest.mark.parametrize("payload, events", [
+    (WEDGE_CFG, 44),
+    ({"scenario": "riemann-pair", "tau_grid": [0.1]}, 6),
+], ids=["wedge", "riemann-pair"])
+def test_simulate_writes_trajectory_and_trace(runner, tmp_path, payload, events):
+    cfg = _cfg_file(tmp_path, payload)
     out = tmp_path / "out"
     res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(out)])
     assert res.exit_code == 0, res.output
+    assert f"tracked {events} events" in res.output
     traj = (out / "trajectory.txt").read_text()
     assert traj.startswith("x_end,h,nu,tau,gamma,a_inf,seed")
     assert "SLICE x=" in traj
