@@ -31,6 +31,7 @@ from .euler import (
     check_state,
     eigenvalue,
     eigenvector,
+    flow_slope,
     fluxes,
 )
 
@@ -38,6 +39,7 @@ __all__ = [
     "CurveError",
     "DELTA_TRUST",
     "wave_curve",
+    "wave_front",
     "compose_wave_curves",
     "hugoniot_curve",
     "hugoniot_compose",
@@ -277,6 +279,29 @@ def wave_curve(U: State, family: int, sigma: float, gas: GasParams) -> State:
     if sigma > 0.0:
         return _rarefaction(U, gas, family, sigma)
     return _shock_solve(U, gas, family, sigma)[0]
+
+
+def wave_front(U: State, family: int, sigma: float, gas: GasParams) -> tuple[State, float]:
+    """Upper state and slope of the single front realising one wave.
+
+    Runs the checks of :func:`wave_curve` and returns ``(state, slope)``
+    from one evaluation of the curve: the jump-condition slope of a
+    shock (both come out of the same Newton solve), the flow slope below
+    a contact, and for a rarefaction the trailing-edge characteristic
+    slope -- of the end state for family 1, of `U` for family 4.  The
+    state equals ``wave_curve(U, family, sigma, gas)`` bit for bit.
+    """
+    _check_strength(sigma)
+    check_state(U, gas, "wave_front input")
+    if family in CONTACT_FAMILIES:
+        W = U if sigma == 0.0 else _contact(U, gas, family, sigma)
+        return W, flow_slope(U, gas)
+    if family not in GENUINE_FAMILIES:
+        raise ValueError(f"unknown family {family}")
+    if sigma < 0.0:
+        return _shock_solve(U, gas, family, sigma)
+    W = U if sigma == 0.0 else _rarefaction(U, gas, family, sigma)
+    return W, eigenvalue(W if family == 1 else U, gas, family)
 
 
 def compose_wave_curves(U: State, sigmas, gas: GasParams) -> State:

@@ -27,9 +27,9 @@ from .curves import (
     hugoniot_compose,
     shock_speed,
     wave_curve,
+    wave_front,
 )
 from .euler import (
-    CONTACT_FAMILIES,
     GasParams,
     State,
     bc_residual,
@@ -94,15 +94,10 @@ class RiemannSolution:
         return (s, s) if np.isscalar(s) else tuple(s)
 
 
-def _wave_speed_entry(pre: State, family: int, sigma: float, gas: GasParams):
-    """Speed representation of one wave given its lower (pre) state."""
-    if family in CONTACT_FAMILIES:
-        return flow_slope(pre, gas)
-    if sigma > 0.0:
-        return (eigenvalue(pre, gas, family), eigenvalue(pre, gas, family) + sigma)
-    if sigma < 0.0:
-        return shock_speed(pre, family, sigma, gas)
-    return eigenvalue(pre, gas, family)
+def _fan_span(pre: State, family: int, sigma: float, gas: GasParams):
+    """(foot, head) slopes of an acoustic rarefaction fan of strength `sigma`."""
+    lam = eigenvalue(pre, gas, family)
+    return (lam, lam + sigma)
 
 
 def solve_riemann(U_b: State, U_a: State, gas: GasParams) -> RiemannSolution:
@@ -125,14 +120,14 @@ def solve_riemann(U_b: State, U_a: State, gas: GasParams) -> RiemannSolution:
     except CurveError as exc:
         raise SolverError(f"interior Riemann solve failed: {exc}") from exc
 
-    m1 = wave_curve(U_b, 1, sig[0], gas)
+    m1, slope1 = wave_front(U_b, 1, sig[0], gas)
     m2 = wave_curve(m1, 2, sig[1], gas)
     m3 = wave_curve(m2, 3, sig[2], gas)
     speeds = (
-        _wave_speed_entry(U_b, 1, sig[0], gas),
+        _fan_span(U_b, 1, sig[0], gas) if sig[0] > 0.0 else slope1,
         flow_slope(m1, gas),
         flow_slope(m1, gas),
-        _wave_speed_entry(m3, 4, sig[3], gas),
+        _fan_span(m3, 4, sig[3], gas) if sig[3] > 0.0 else shock_speed(m3, 4, sig[3], gas),
     )
     flat = [x for s in speeds for x in ((s,) if np.isscalar(s) else s)]
     if any(b - a < -1.0e-9 for a, b in zip(flat, flat[1:])):

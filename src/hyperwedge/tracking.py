@@ -26,19 +26,19 @@ front through a corner.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .curves import CurveError, shock_speed, wave_curve
+from .curves import CurveError, wave_front
 from .euler import (
-    CONTACT_FAMILIES,
     GENUINE_FAMILIES,
     NP_FAMILY,
     GasParams,
     State,
     eigenvalue,
-    flow_slope,
 )
 from .riemann import (
     SolverError,
@@ -128,6 +128,12 @@ class BoundaryPolyline:
 
     def theta_at(self, x: float) -> float:
         return float(self.thetas[self.segment_index(x)])
+
+    @cached_property
+    def _turning_corners(self) -> tuple:
+        """(xs, ks): the corners after the leading edge that turn the wall."""
+        ks = [k for k in range(1, self.k_star + 1) if self.omegas[k] != 0.0]
+        return [float(self.xs[k]) for k in ks], ks
 
 
 def approximate_boundary(g, h: float, tail_slope: float | None = None,
@@ -312,17 +318,6 @@ class Trajectory:
 # front construction helpers
 # ---------------------------------------------------------------------------
 
-def _front_speed(U_below: State, family: int, sigma: float, gas: GasParams) -> float:
-    """Exact slope of a physical front given its below state."""
-    if family in CONTACT_FAMILIES:
-        return flow_slope(U_below, gas)
-    if sigma < 0.0:
-        return shock_speed(U_below, family, sigma, gas)
-    if family == 1:
-        return eigenvalue(wave_curve(U_below, 1, sigma, gas), gas, 1)
-    return eigenvalue(U_below, gas, family)
-
-
 def _emit_wave(U_below: State, family: int, sigma: float, x: float, y: float,
                generation: int, gas: GasParams, nu: int):
     """Fronts realising one wave, splitting rarefactions into fan pieces.
@@ -340,9 +335,8 @@ def _emit_wave(U_below: State, family: int, sigma: float, x: float, y: float,
     fronts = []
     cur = U_below
     for _ in range(pieces):
-        nxt = wave_curve(cur, family, ds, gas)
-        fronts.append(Front(family, ds, x, y, _front_speed(cur, family, ds, gas),
-                            generation, cur, nxt))
+        nxt, speed = wave_front(cur, family, ds, gas)
+        fronts.append(Front(family, ds, x, y, speed, generation, cur, nxt))
         cur = nxt
     return fronts, cur
 
@@ -416,33 +410,46 @@ def initialize(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
 def _exact_speed(f: Front, gas: GasParams, lambda_hat: float) -> float:
     if f.family == NP_FAMILY:
         return lambda_hat
-    return _front_speed(f.below, f.family, f.sigma, gas)
+    return wave_front(f.below, f.family, f.sigma, gas)[1]
 
 
 def _candidates(slice_: SolutionSlice, boundary: BoundaryPolyline, x_end: float):
-    """All upcoming events as (x, kind, index), unsorted."""
+    """The upcoming events that can come first, as (x, kind, index), unsorted.
+
+    Holds the end of the run, the top front's wall hit, the first turning
+    corner past ``x + _COINCIDENCE_TOL``, and the interactions within
+    ``_COINCIDENCE_TOL`` of the earliest one: every event that can be the
+    earliest or lie within ``_COINCIDENCE_TOL`` of it.  Later interactions
+    cannot, since the earliest event is no later than the earliest
+    interaction, and later corners cannot, since corners are ``h`` apart.
+    """
     out = [(x_end, "end", -1)]
     x0 = slice_.x
-    ys = slice_.ys()
     fronts = slice_.fronts
-    for i in range(len(fronts) - 1):
-        slo, sup = fronts[i].speed, fronts[i + 1].speed
-        if slo <= sup:
-            continue
-        dy = max(ys[i + 1] - ys[i], 0.0)
-        if dy == 0.0 and slo - sup <= _PARALLEL_TOL:
-            # ulp-level speed inversion between analytically parallel
-            # fronts (contact pairs sharing a middle state); scheduling it
-            # would replay the same zero-width event forever
-            continue
-        out.append((x0 + dy / (slo - sup), "interaction", i))
+    n = len(fronts)
+    if n > 1:
+        speed = np.fromiter((f.speed for f in fronts), float, n)
+        anchor_y = np.fromiter((f.y0 for f in fronts), float, n)
+        anchor_x = np.fromiter((f.x0 for f in fronts), float, n)
+        ys = anchor_y + speed * (x0 - anchor_x)  # Front.y_at, elementwise
+        gap = speed[:-1] - speed[1:]
+        dy = np.maximum(ys[1:] - ys[:-1], 0.0)
+        # a zero-width pair with a ulp-level speed inversion is two
+        # analytically parallel fronts (contact pairs sharing a middle
+        # state); scheduling it would replay the same zero-width event forever
+        idx = np.flatnonzero((gap > 0.0) & ((dy > 0.0) | (gap > _PARALLEL_TOL)))
+        if idx.size:
+            xs = x0 + dy[idx] / gap[idx]
+            near = np.flatnonzero(xs - xs.min() <= _COINCIDENCE_TOL)
+            out.extend((xs[j], "interaction", int(idx[j])) for j in near)
     if fronts:
         xb = _wall_hit(fronts[-1], x0, boundary)
         if xb is not None:
-            out.append((xb, "boundary", len(fronts) - 1))
-    for k in range(1, boundary.k_star + 1):
-        if boundary.xs[k] > x0 + _COINCIDENCE_TOL and boundary.omegas[k] != 0.0:
-            out.append((float(boundary.xs[k]), "corner", k))
+            out.append((xb, "boundary", n - 1))
+    corner_xs, corner_ks = boundary._turning_corners
+    j = bisect_right(corner_xs, x0 + _COINCIDENCE_TOL)
+    if j < len(corner_xs):
+        out.append((corner_xs[j], "corner", corner_ks[j]))
     return out
 
 
@@ -495,12 +502,11 @@ def next_event(slice_: SolutionSlice, boundary: BoundaryPolyline, cfg: EngineCon
         rng = np.random.default_rng(cfg.seed)
     for _attempt in range(64):
         cands = _candidates(slice_, boundary, cfg.x_end)
-        cands.sort(key=lambda c: (c[0], c[1], c[2]))
-        x_best = cands[0][0]
-        near = [c for c in cands if c[0] - x_best <= _COINCIDENCE_TOL]
+        first = min(cands)
+        near = sorted(c for c in cands if c[0] - first[0] <= _COINCIDENCE_TOL)
         clash = _find_clash(near)
         if clash is None:
-            x, kind, idx = cands[0]
+            x, kind, idx = first
             return Event(kind, x, idx), slice_
         fronts = list(slice_.fronts)
         j = _youngest(slice_, clash)

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hyperwedge.curves as curves
 from hyperwedge.euler import (
     GENUINE_FAMILIES,
+    DomainError,
     GasParams,
     State,
     eigenvalue,
@@ -24,7 +26,9 @@ from hyperwedge.curves import (
     hugoniot_compose,
     shock_speed,
     wave_curve,
+    wave_front,
 )
+from hyperwedge.tracking import _emit_wave
 
 from conftest import state_box
 
@@ -202,3 +206,45 @@ def test_tau_continuity_scaling(gas0, bg0):
         assert 0.0 < ratios[0] < 10.0
         # the normalized gap is tau-stable, i.e. the tau^2 power is right
         assert 0.25 < ratios[1] / ratios[0] < 4.0
+
+
+def test_wave_front_state_and_slope_pinned(gas, bg):
+    # one evaluation gives the curve state and the exact front slope, bit
+    # for bit what the separate curve and slope functions return
+    U = wave_curve(wave_curve(bg, 2, 3e-3, gas), 4, -2e-3, gas)  # v != 0
+    for j in (1, 2, 3, 4):
+        for sig in _SIGMAS + (0.0,):
+            W, slope = wave_front(U, j, sig, gas)
+            assert W == wave_curve(U, j, sig, gas)
+            if j in (2, 3):
+                assert slope == flow_slope(U, gas)
+            elif sig < 0.0:
+                assert slope == shock_speed(U, j, sig, gas)
+            elif j == 1:
+                assert slope == eigenvalue(wave_curve(U, 1, sig, gas), gas, 1)
+            else:
+                assert slope == eigenvalue(U, gas, 4)
+
+
+def test_wave_front_runs_wave_curve_checks(gas, bg):
+    with pytest.raises(CurveError):
+        wave_front(bg, 1, -0.2, gas)
+    with pytest.raises(DomainError):
+        wave_front(State(-1.0, 0.0, 0.0, bg.p), 2, 1e-3, gas)
+    with pytest.raises(ValueError):
+        wave_front(bg, 5, 1e-3, gas)
+
+
+def test_emit_wave_solves_each_shock_once(gas, bg, monkeypatch):
+    calls = []
+    solve = curves._shock_solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(curves, "_shock_solve", counted)
+    fronts, top = _emit_wave(bg, 1, -5e-3, 0.0, 0.0, 1, gas, 10)
+    assert len(fronts) == 1 and len(calls) == 1
+    assert top == fronts[0].above == wave_curve(bg, 1, -5e-3, gas)
+    assert fronts[0].speed == shock_speed(bg, 1, -5e-3, gas)

@@ -1,6 +1,7 @@
 """Front-tracking engine: geometry, events, determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,13 +14,19 @@ from hyperwedge.euler import (
     eigenvalue,
     fluxes,
 )
+import hyperwedge.tracking as tracking
+from hyperwedge.curves import wave_front
 from hyperwedge.tracking import (
     EngineConfig,
+    Event,
+    Front,
     InitialData,
+    SolutionSlice,
     approximate_boundary,
     approximate_initial_data,
     default_lambda_hat,
     export_trajectory,
+    next_event,
     run,
 )
 
@@ -244,3 +251,131 @@ def test_export_format(gas):
     assert lines[3].startswith("state,")
     kinds = {ln.split(",")[0] for ln in lines[2:] if "," in ln}
     assert kinds == {"state", "front"}
+
+
+# ---------------------------------------------------------------------------
+# event scheduling against a full-scan oracle
+# ---------------------------------------------------------------------------
+
+def _full_scan_next_event(slice_, boundary, cfg, gas, lambda_hat, rng):
+    """Scheduling oracle: list every candidate, every turning corner
+    included, sort them all, and perturb the youngest front of a clash."""
+    tol = tracking._COINCIDENCE_TOL
+    for _ in range(64):
+        x0, fronts, ys = slice_.x, slice_.fronts, slice_.ys()
+        cands = [(cfg.x_end, "end", -1)]
+        for i in range(len(fronts) - 1):
+            slo, sup = fronts[i].speed, fronts[i + 1].speed
+            if slo <= sup:
+                continue
+            dy = max(ys[i + 1] - ys[i], 0.0)
+            if dy == 0.0 and slo - sup <= tracking._PARALLEL_TOL:
+                continue
+            cands.append((x0 + dy / (slo - sup), "interaction", i))
+        if fronts:
+            xb = tracking._wall_hit(fronts[-1], x0, boundary)
+            if xb is not None:
+                cands.append((xb, "boundary", len(fronts) - 1))
+        for k in range(1, boundary.k_star + 1):
+            if boundary.xs[k] > x0 + tol and boundary.omegas[k] != 0.0:
+                cands.append((float(boundary.xs[k]), "corner", k))
+        cands.sort(key=lambda c: (c[0], c[1], c[2]))
+        near = [c for c in cands if c[0] - cands[0][0] <= tol]
+        clash = tracking._find_clash(near)
+        if clash is None:
+            x, kind, idx = cands[0]
+            return Event(kind, x, idx), slice_
+        j = tracking._youngest(slice_, clash)
+        fronts = list(fronts)
+        fronts[j] = tracking._perturb_speed(fronts[j], gas, lambda_hat, cfg.nu, rng)
+        slice_ = SolutionSlice(x0, fronts, slice_.states)
+    raise AssertionError("no clash-free event after 64 perturbations")
+
+
+def _through(gas, U, waves, x_star, y_star):
+    """Fronts stacked from U at their exact slopes, every line through
+    (x_star, y_star); `waves` holds (family, sigma, x0) bottom to top."""
+    fronts, states = [], [U]
+    for family, sigma, x0 in waves:
+        W, s = wave_front(states[-1], family, sigma, gas)
+        fronts.append(Front(family, sigma, x0, y_star - s * (x_star - x0), s, 1,
+                            states[-1], W))
+        states.append(W)
+    return fronts, states
+
+
+def _stress_wall(h=1.0 / 64.0):
+    return approximate_boundary(lambda x: -0.005 * x - 0.002 * x * x, h, x_max=2.0)
+
+
+_SEED = 7
+#: the first perturbation drawn at nu = 10 from the seed-_SEED stream
+_DELTA = (1.0 - np.random.default_rng(_SEED).random()) * 2.0 ** -12
+
+
+def _schedule_both(slice_, wall, gas):
+    """(event, slice) from next_event and from the oracle, same seed."""
+    cfg = EngineConfig(h=wall.h, nu=10, seed=_SEED)
+    lam = default_lambda_hat(gas)
+    got = next_event(slice_, wall, cfg, gas, lam, np.random.default_rng(_SEED))
+    want = _full_scan_next_event(slice_, wall, cfg, gas, lam,
+                                 np.random.default_rng(_SEED))
+    return got, want
+
+
+def test_triple_point_perturbs_youngest_front_like_full_scan(gas, bg):
+    # a 4-rarefaction piece, a contact and a 1-shock meet at one point,
+    # between two turning corners; the shock is anchored last, so its
+    # speed is the one perturbed
+    wall = _stress_wall()
+    x_now, x_star, y_star = 0.25, 0.26, -0.3  # corners at 0.25 and 0.265625
+    fronts, states = _through(gas, bg, [(4, 1e-2, 0.0), (2, 3e-3, 0.1), (1, -1e-2, 0.2)],
+                              x_star, y_star)
+    # the shock was perturbed once before, by more than this draw
+    exact = fronts[2].speed
+    lagged = exact - 2.0 ** -13
+    assert _DELTA < 2.0 ** -13
+    fronts[2] = replace(fronts[2], speed=lagged, y0=y_star - lagged * (x_star - 0.2))
+    slice_ = SolutionSlice(x_now, fronts, states)
+    (event, out), (want_event, want_out) = _schedule_both(slice_, wall, gas)
+    assert event == want_event and out.fronts == want_out.fronts
+    # the new slope is the exact one minus the draw, so the shock now
+    # trails the contact and the lower pair meets first, at the old point
+    assert out.fronts[2].speed == exact - _DELTA
+    assert event.kind == "interaction" and event.index == 0
+    assert abs(event.x - x_star) < 1e-12
+    assert out.fronts[:2] == fronts[:2] and out.states is states
+
+
+def test_wall_hit_at_corner_perturbs_top_front_like_full_scan(gas, bg):
+    # the top front (a 4-rarefaction piece) reaches the wall exactly at a
+    # turning corner; the two fronts below it move apart
+    wall = _stress_wall()
+    k = 20
+    x_c, g_c = float(wall.xs[k]), float(wall.gs[k])
+    assert wall.omegas[k] != 0.0
+    x_now = 0.3
+    low, states = _through(gas, bg, [(1, -1e-2, x_now), (2, 3e-3, x_now)], x_now, -0.4)
+    top, above = _through(gas, states[-1], [(4, 1e-2, x_now)], x_c, g_c)
+    fronts = low + top
+    slice_ = SolutionSlice(x_now, fronts, states + above[1:])
+    xb = tracking._wall_hit(fronts[-1], x_now, wall)
+    assert abs(xb - x_c) <= tracking._COINCIDENCE_TOL
+    (event, out), (want_event, want_out) = _schedule_both(slice_, wall, gas)
+    assert event == want_event and out.fronts == want_out.fronts
+    assert event == Event("corner", x_c, k)
+    assert out.fronts[:2] == low
+    assert out.fronts[2].speed == fronts[2].speed - _DELTA
+
+
+def test_next_event_matches_full_scan_over_a_run(gas):
+    # every slice of a curved-wall run schedules as under the full scan
+    wall = _stress_wall(h=1.0 / 32.0)
+    cfg = EngineConfig(h=wall.h, nu=8, seed=2)
+    traj = run(stepped_data(gas, amp=5e-4, seed=2, n=4), wall, cfg, gas)
+    assert any(r.kind == "corner" for r in traj.records)
+    lam = traj.lambda_hat
+    for sl in traj.slices[:-1]:
+        got = next_event(sl, wall, cfg, gas, lam, np.random.default_rng(0))
+        want = _full_scan_next_event(sl, wall, cfg, gas, lam, np.random.default_rng(0))
+        assert got[0] == want[0] and got[1].fronts == want[1].fronts
