@@ -20,6 +20,8 @@ order, which is the building block of the Riemann solvers one level up.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .euler import (
@@ -28,11 +30,12 @@ from .euler import (
     DomainError,
     GasParams,
     State,
+    acoustic_field,
+    acoustic_slope,
     check_state,
     eigenvalue,
-    eigenvector,
     flow_slope,
-    fluxes,
+    flux_values,
 )
 
 __all__ = [
@@ -143,11 +146,12 @@ _ODE_ATOL = 1.0e-14
 def _integrate_field(rhs, y0, length):
     """Integrate dy/ds = rhs(y) over s in [0, length], adaptive embedded 4(5).
 
-    `length` may be negative.  Tolerances are fixed at the module level
-    (rel 1e-12, abs 1e-14); step size follows the usual 0.9*err^(-1/5)
+    `y0` and the values of `rhs` are 4-lists; so is the result.  `length`
+    may be negative.  Tolerances are fixed at the module level (rel
+    1e-12, abs 1e-14); step size follows the usual 0.9*err^(-1/5)
     controller.
     """
-    y = np.array(y0, dtype=float)
+    y = list(y0)
     if length == 0.0:
         return y
     s = 0.0
@@ -159,11 +163,13 @@ def _integrate_field(rhs, y0, length):
             h = length - s
         k[0] = rhs(y)
         for i in range(1, 6):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_CK_A[i]))
-            k[i] = rhs(yi)
-        y5 = y + h * sum(b * ki for b, ki in zip(_CK_B5, k))
-        y4 = y + h * sum(b * ki for b, ki in zip(_CK_B4, k))
-        err = np.max(np.abs(y5 - y4) / (_ODE_ATOL + _ODE_RTOL * np.maximum(np.abs(y), np.abs(y5))))
+            k[i] = rhs(_stage(y, h, _CK_A[i], k))
+        y5 = _stage(y, h, _CK_B5, k)
+        y4 = _stage(y, h, _CK_B4, k)
+        ratios = [abs(a - b) / (_ODE_ATOL + _ODE_RTOL * max(abs(c), abs(a)))
+                  for a, b, c in zip(y5, y4, y)]
+        # a NaN entry must make err NaN and reject the step; max() skips it
+        err = math.nan if math.isnan(sum(ratios)) else max(ratios)
         if err <= 1.0:
             s += h
             y = y5
@@ -175,25 +181,42 @@ def _integrate_field(rhs, y0, length):
     return y
 
 
+def _stage(y, h, coeffs, k):
+    """``y + h * sum(c_j * k_j)`` on 4-lists.
+
+    Summed term by term in tableau order from an integer 0, zero entries
+    included, which rounds exactly as the same sum over numpy arrays.
+    Written out rather than with ``sum()``: from Python 3.12 ``sum`` of
+    floats is compensated and rounds differently.
+    """
+    a0 = a1 = a2 = a3 = 0
+    for c, (k0, k1, k2, k3) in zip(coeffs, k):
+        a0 += c * k0
+        a1 += c * k1
+        a2 += c * k2
+        a3 += c * k3
+    return [y[0] + h * a0, y[1] + h * a1, y[2] + h * a2, y[3] + h * a3]
+
+
 def _rarefaction(U: State, gas: GasParams, family: int, sigma: float) -> State:
     """Integrate the normalised field of a genuinely nonlinear family."""
 
     def rhs(w):
-        return eigenvector(State.from_array(w), gas, family)
+        return acoustic_field(*w, gas, family)
 
-    w0 = U.as_array()
+    w = U.as_array().tolist()
     if abs(sigma) < _TINY_SIGMA:
         # two classic RK4 steps; local error ~ (sigma/2)^5 per step
-        w = w0
         h = sigma / 2.0
         for _ in range(2):
             k1 = rhs(w)
-            k2 = rhs(w + 0.5 * h * k1)
-            k3 = rhs(w + 0.5 * h * k2)
-            k4 = rhs(w + h * k3)
-            w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return State.from_array(w)
-    return State.from_array(_integrate_field(rhs, w0, sigma))
+            k2 = rhs([a + 0.5 * h * b for a, b in zip(w, k1)])
+            k3 = rhs([a + 0.5 * h * b for a, b in zip(w, k2)])
+            k4 = rhs([a + h * b for a, b in zip(w, k3)])
+            w = [a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(w, k1, k2, k3, k4)]
+        return State(*w)
+    return State(*_integrate_field(rhs, w, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -228,23 +251,20 @@ def _shock_solve(U: State, gas: GasParams, family: int, sigma: float):
     ``s*(F_x(W) - F_x(U)) = F_y(W) - F_y(U)`` and the fifth pins the
     parameterisation, ``lam_j(W) - lam_j(U) = sigma``.
     """
-    fxu, fyu = fluxes(U, gas)
-    lam0 = eigenvalue(U, gas, family)
+    w = U.as_array().tolist()
+    fxu, fyu = flux_values(*w, gas)
+    lam0 = acoustic_slope(*w, gas, family)
 
     def F(z):
-        W = State(z[0], z[1], z[2], z[3])
-        check_state(W, gas)
-        s = z[4]
-        fxw, fyw = fluxes(W, gas)
-        out = np.empty(5)
-        out[:4] = s * (fxw - fxu) - (fyw - fyu)
-        out[4] = eigenvalue(W, gas, family) - lam0 - sigma
-        return out
+        rho, u, v, p, s = z.tolist()
+        fxw, fyw = flux_values(rho, u, v, p, gas)
+        out = [s * (a - b) - (c - d) for a, b, c, d in zip(fxw, fxu, fyw, fyu)]
+        out.append(acoustic_slope(rho, u, v, p, gas, family) - lam0 - sigma)
+        return np.array(out)
 
-    r = eigenvector(U, gas, family)
-    z0 = np.empty(5)
-    z0[:4] = U.as_array() + sigma * r
-    z0[4] = lam0 + 0.5 * sigma
+    r = acoustic_field(*w, gas, family)
+    z0 = [a + sigma * b for a, b in zip(w, r)]
+    z0.append(lam0 + 0.5 * sigma)
     z = damped_newton(F, z0)
     return State(z[0], z[1], z[2], z[3]), float(z[4])
 

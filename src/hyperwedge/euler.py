@@ -41,7 +41,9 @@ flow slope ``v/m`` for the repeated middle pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -52,6 +54,7 @@ __all__ = [
     "State",
     "FluxPair",
     "fluxes",
+    "flux_values",
     "bernoulli",
     "mass_flux_factor",
     "sound_speed",
@@ -59,12 +62,14 @@ __all__ = [
     "bc_residual",
     "eigenvalues",
     "eigenvalue",
+    "acoustic_slope",
     "char_residual",
     "grad_eigenvalue",
     "grad_eigenvalue_fd",
     "eigenvector_raw",
     "normalization_coefficient",
     "eigenvector",
+    "acoustic_field",
     "eigenvector_matrix",
     "entropy_pair",
     "FAMILIES",
@@ -120,7 +125,7 @@ class GasParams:
                 f"tau must lie in [0, a_inf), got tau={self.tau}, a_inf={self.a_inf}"
             )
 
-    @property
+    @cached_property
     def t2(self) -> float:
         """Squared scaling parameter tau^2 (the combination the fluxes use)."""
         return self.tau * self.tau
@@ -175,13 +180,19 @@ class FluxPair(NamedTuple):
 
 def check_state(U: State, gas: GasParams, where: str = "") -> None:
     """Raise :class:`DomainError` if `U` is outside the physical domain."""
+    _check_values(U.rho, U.u, U.p, gas, where)
+
+
+def _check_values(rho: float, u: float, p: float, gas: GasParams, where: str = "") -> None:
+    """:func:`check_state` on the components of a state."""
     tag = f" ({where})" if where else ""
-    if not U.rho > 0.0:
-        raise DomainError(f"nonpositive density {U.rho}{tag}")
-    if not U.p > 0.0:
-        raise DomainError(f"nonpositive pressure {U.p}{tag}")
-    if gas.t2 > 0.0 and not 1.0 + gas.t2 * U.u > 0.0:
-        raise DomainError(f"nonpositive mass-flux factor at u={U.u}{tag}")
+    if not rho > 0.0:
+        raise DomainError(f"nonpositive density {rho}{tag}")
+    if not p > 0.0:
+        raise DomainError(f"nonpositive pressure {p}{tag}")
+    t = gas.t2
+    if t > 0.0 and not 1.0 + t * u > 0.0:
+        raise DomainError(f"nonpositive mass-flux factor at u={u}{tag}")
 
 
 def mass_flux_factor(U: State, gas: GasParams) -> float:
@@ -198,8 +209,12 @@ def sound_speed(U: State, gas: GasParams) -> float:
 
 def bernoulli(U: State, gas: GasParams) -> float:
     """Transported invariant ``B = u + v^2/2 + gamma*p/((gamma-1)rho) + tau^2*u^2/2``."""
+    return _bernoulli(U.rho, U.u, U.v, U.p, gas)
+
+
+def _bernoulli(rho: float, u: float, v: float, p: float, gas: GasParams) -> float:
     g = gas.gamma
-    return U.u + 0.5 * U.v * U.v + g * U.p / ((g - 1.0) * U.rho) + 0.5 * gas.t2 * U.u * U.u
+    return u + 0.5 * v * v + g * p / ((g - 1.0) * rho) + 0.5 * gas.t2 * u * u
 
 
 def flow_slope(U: State, gas: GasParams) -> float:
@@ -228,35 +243,50 @@ def fluxes(U: State, gas: GasParams) -> FluxPair:
         ``fx`` and ``fy`` as length-4 arrays ordered like the state
         components (mass, x-momentum, y-momentum, energy-like).
     """
-    check_state(U, gas)
-    rho, u, v, p = U.rho, U.u, U.v, U.p
+    fx, fy = flux_values(U.rho, U.u, U.v, U.p, gas)
+    return FluxPair(np.array(fx), np.array(fy))
+
+
+def flux_values(rho: float, u: float, v: float, p: float,
+                gas: GasParams) -> tuple[list, list]:
+    """:func:`fluxes` on plain floats: ``(F_x, F_y)`` as two 4-lists.
+
+    Raises :class:`DomainError` where :func:`check_state` does.
+    """
+    _check_values(rho, u, p, gas)
     m = 1.0 + gas.t2 * u
-    B = bernoulli(U, gas)
-    fx = np.array([rho * m, rho * u * m + p, rho * v * m, rho * m * B])
-    fy = np.array([rho * v, rho * u * v, rho * v * v + p, rho * v * B])
-    return FluxPair(fx, fy)
+    B = _bernoulli(rho, u, v, p, gas)
+    return ([rho * m, rho * u * m + p, rho * v * m, rho * m * B],
+            [rho * v, rho * u * v, rho * v * v + p, rho * v * B])
 
 
 # ---------------------------------------------------------------------------
 # characteristic fields
 # ---------------------------------------------------------------------------
 
-def _acoustic_ingredients(U: State, gas: GasParams):
+def _acoustic_ingredients(rho: float, u: float, v: float, p: float, gas: GasParams):
     """Common quantities for the acoustic pair; raises outside hyperbolic domain."""
-    check_state(U, gas)
+    _check_values(rho, u, p, gas)
     t = gas.t2
-    m = 1.0 + t * U.u
-    c2 = gas.gamma * U.p / U.rho
+    m = 1.0 + t * u
+    c2 = gas.gamma * p / rho
     den = m * m - t * c2
     if den <= 0.0:
         raise DomainError(
             f"acoustic denominator (1+t*u)^2 - t*c^2 = {den} <= 0; "
             "state outside hyperbolic region"
         )
-    disc = m * m + t * (U.v * U.v - c2)
+    disc = m * m + t * (v * v - c2)
     if disc <= 0.0:
         raise DomainError(f"acoustic discriminant {disc} <= 0")
     return t, m, c2, den, disc
+
+
+def _root_slope(v: float, m: float, c2: float, den: float, disc: float, family: int) -> float:
+    """Root of the characteristic polynomial for family 1 (lower) or 4 (upper)."""
+    root = math.sqrt(c2) * math.sqrt(disc)
+    sgn = -1.0 if family == 1 else 1.0
+    return (m * v + sgn * root) / den
 
 
 def eigenvalues(U: State, gas: GasParams) -> np.ndarray:
@@ -267,12 +297,10 @@ def eigenvalues(U: State, gas: GasParams) -> np.ndarray:
     index, so the returned array is ``[lam1, lam2, lam3, lam4]`` with
     ``lam1 <= lam2 == lam3 <= lam4``.
     """
-    t, m, c2, den, disc = _acoustic_ingredients(U, gas)
-    c = np.sqrt(c2)
-    root = c * np.sqrt(disc)
+    t, m, c2, den, disc = _acoustic_ingredients(U.rho, U.u, U.v, U.p, gas)
     mid = U.v / m
-    lam1 = (m * U.v - root) / den
-    lam4 = (m * U.v + root) / den
+    lam1 = _root_slope(U.v, m, c2, den, disc, 1)
+    lam4 = _root_slope(U.v, m, c2, den, disc, 4)
     return np.array([lam1, mid, mid, lam4])
 
 
@@ -280,12 +308,21 @@ def eigenvalue(U: State, gas: GasParams, family: int) -> float:
     """Characteristic slope of one family at a state."""
     if family in CONTACT_FAMILIES:
         return flow_slope(U, gas)
+    return float(acoustic_slope(U.rho, U.u, U.v, U.p, gas, family))
+
+
+def acoustic_slope(rho: float, u: float, v: float, p: float,
+                   gas: GasParams, family: int) -> float:
+    """:func:`eigenvalue` of family 1 or 4 on plain floats.
+
+    Raises :class:`DomainError` where :func:`check_state` or the
+    hyperbolicity checks (``den > 0``, ``disc > 0``) fail, and
+    ``ValueError`` for any other family.
+    """
     if family not in GENUINE_FAMILIES:
         raise ValueError(f"unknown family {family}")
-    t, m, c2, den, disc = _acoustic_ingredients(U, gas)
-    root = np.sqrt(c2) * np.sqrt(disc)
-    sgn = -1.0 if family == 1 else 1.0
-    return float((m * U.v + sgn * root) / den)
+    t, m, c2, den, disc = _acoustic_ingredients(rho, u, v, p, gas)
+    return _root_slope(v, m, c2, den, disc, family)
 
 
 def char_residual(U: State, gas: GasParams, lam: float) -> float:
@@ -295,7 +332,7 @@ def char_residual(U: State, gas: GasParams, lam: float) -> float:
 
         (m^2 - t*c^2)*lam^2 - 2*m*v*lam + (v^2 - c^2)
     """
-    t, m, c2, den, _ = _acoustic_ingredients(U, gas)
+    t, m, c2, den, _ = _acoustic_ingredients(U.rho, U.u, U.v, U.p, gas)
     return float(den * lam * lam - 2.0 * m * U.v * lam + (U.v * U.v - c2))
 
 
@@ -318,25 +355,28 @@ def grad_eigenvalue(U: State, gas: GasParams, family: int) -> np.ndarray:
     if family in CONTACT_FAMILIES:
         m = mass_flux_factor(U, gas)
         return np.array([0.0, -t * U.v / (m * m), 1.0 / m, 0.0])
-    if family not in GENUINE_FAMILIES:
-        raise ValueError(f"unknown family {family}")
     lam = eigenvalue(U, gas, family)
-    m = mass_flux_factor(U, gas)
-    c2 = gas.gamma * U.p / U.rho
-    D = m * lam - U.v
-    Dp = (m * m - t * c2) * lam - m * U.v
+    return np.array(_acoustic_gradient(U.rho, U.u, U.v, U.p, gas, family, lam))
+
+
+def _acoustic_gradient(rho: float, u: float, v: float, p: float,
+                       gas: GasParams, family: int, lam: float) -> list:
+    """Acoustic branch of :func:`grad_eigenvalue`, given the slope `lam`."""
+    t = gas.t2
+    m = 1.0 + t * u
+    c2 = gas.gamma * p / rho
+    D = m * lam - v
+    Dp = (m * m - t * c2) * lam - m * v
     if Dp == 0.0:
         # degenerate tangency; fall back to differencing
-        return grad_eigenvalue_fd(U, gas, family)
+        return grad_eigenvalue_fd(State(rho, u, v, p), gas, family).tolist()
     one_tl2 = 1.0 + t * lam * lam
-    return np.array(
-        [
-            -one_tl2 * c2 / (2.0 * Dp * U.rho),
-            -t * D * lam / Dp,
-            D / Dp,
-            gas.gamma * one_tl2 / (2.0 * Dp * U.rho),
-        ]
-    )
+    return [
+        -one_tl2 * c2 / (2.0 * Dp * rho),
+        -t * D * lam / Dp,
+        D / Dp,
+        gas.gamma * one_tl2 / (2.0 * Dp * rho),
+    ]
 
 
 def grad_eigenvalue_fd(U: State, gas: GasParams, family: int) -> np.ndarray:
@@ -375,14 +415,18 @@ def eigenvector_raw(U: State, gas: GasParams, family: int) -> np.ndarray:
         return np.array([0.0, mass_flux_factor(U, gas), t * U.v, 0.0])
     if family == 3:
         return np.array([1.0, 0.0, 0.0, 0.0])
-    if family not in GENUINE_FAMILIES:
-        raise ValueError(f"unknown family {family}")
     lam = eigenvalue(U, gas, family)
-    m = mass_flux_factor(U, gas)
-    D = m * lam - U.v
+    return np.array(_acoustic_raw(U.rho, U.u, U.v, U.p, gas, family, lam))
+
+
+def _acoustic_raw(rho: float, u: float, v: float, p: float,
+                  gas: GasParams, family: int, lam: float) -> list:
+    """Acoustic branch of :func:`eigenvector_raw`, given the slope `lam`."""
+    t = gas.t2
+    D = (1.0 + t * u) * lam - v
     if D == 0.0:
         raise DomainError(f"degenerate acoustic direction (D=0) for family {family}")
-    return np.array([(1.0 + t * lam * lam) * U.rho / D, -lam, 1.0, D * U.rho])
+    return [(1.0 + t * lam * lam) * rho / D, -lam, 1.0, D * rho]
 
 
 def normalization_coefficient(U: State, gas: GasParams, family: int) -> float:
@@ -395,17 +439,38 @@ def normalization_coefficient(U: State, gas: GasParams, family: int) -> float:
     """
     if family in CONTACT_FAMILIES:
         return 1.0
-    if family not in GENUINE_FAMILIES:
-        raise ValueError(f"unknown family {family}")
-    slope = float(np.dot(grad_eigenvalue(U, gas, family), eigenvector_raw(U, gas, family)))
+    return _acoustic_scale(U.rho, U.u, U.v, U.p, gas, family)[0]
+
+
+def _acoustic_scale(rho: float, u: float, v: float, p: float,
+                    gas: GasParams, family: int) -> tuple[float, list]:
+    """``(1 / (grad(lam) . r~), r~)`` for family 1 or 4."""
+    lam = acoustic_slope(rho, u, v, p, gas, family)
+    grad = _acoustic_gradient(rho, u, v, p, gas, family, lam)
+    raw = _acoustic_raw(rho, u, v, p, gas, family, lam)
+    # np.dot, not a Python sum: BLAS rounds the 4-term sum its own way
+    slope = float(np.dot(grad, raw))
     if slope == 0.0:
         raise DomainError(f"family {family} loses genuine nonlinearity at this state")
-    return 1.0 / slope
+    return 1.0 / slope, raw
 
 
 def eigenvector(U: State, gas: GasParams, family: int) -> np.ndarray:
     """Normalised right eigenvector (see :func:`normalization_coefficient`)."""
-    return normalization_coefficient(U, gas, family) * eigenvector_raw(U, gas, family)
+    if family in CONTACT_FAMILIES:
+        return eigenvector_raw(U, gas, family)
+    return np.array(acoustic_field(U.rho, U.u, U.v, U.p, gas, family))
+
+
+def acoustic_field(rho: float, u: float, v: float, p: float,
+                   gas: GasParams, family: int) -> list:
+    """:func:`eigenvector` of family 1 or 4 on plain floats, as a 4-list.
+
+    Raises what :func:`acoustic_slope` raises, and :class:`DomainError`
+    where the field degenerates (``D = 0`` or ``grad(lam) . r~ = 0``).
+    """
+    scale, raw = _acoustic_scale(rho, u, v, p, gas, family)
+    return [scale * r for r in raw]
 
 
 def eigenvector_matrix(U: State, gas: GasParams) -> np.ndarray:

@@ -135,6 +135,14 @@ class BoundaryPolyline:
         ks = [k for k in range(1, self.k_star + 1) if self.omegas[k] != 0.0]
         return [float(self.xs[k]) for k in ks], ks
 
+    @cached_property
+    def _min_tan_from(self) -> list:
+        """Entry k: the least ``tan(thetas[j])`` over segments j >= k."""
+        out = [math.tan(float(th)) for th in self.thetas[:self.k_star + 1]]
+        for k in range(self.k_star - 1, -1, -1):
+            out[k] = min(out[k], out[k + 1])
+        return out
+
 
 def approximate_boundary(g, h: float, tail_slope: float | None = None,
                          x_max: float = 2.0) -> BoundaryPolyline:
@@ -456,6 +464,10 @@ def _candidates(slice_: SolutionSlice, boundary: BoundaryPolyline, x_end: float)
 def _wall_hit(f: Front, x_now: float, boundary: BoundaryPolyline) -> float | None:
     """Earliest x > x_now where a front line meets the wall polyline."""
     k = boundary.segment_index(x_now)
+    # fl(speed - tan) only falls as tan grows, so no later segment passes
+    # the denominator test below if the least tangent ahead fails it
+    if f.speed - boundary._min_tan_from[k] <= 1.0e-15:
+        return None
     while True:
         tanth = math.tan(float(boundary.thetas[k]))
         denom = f.speed - tanth

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -57,3 +58,15 @@ def state_box(gas, spread=0.02):
                      u=f(-spread, spread),
                      v=f(-spread, spread),
                      p=f(pb * (1.0 - spread), pb * (1.0 + spread)))
+
+
+def trust_box_states(gas, n, seed):
+    """`n` seeded states within 0.045 of background in every component;
+    every other one carries numpy scalars, as Newton iterates do."""
+    rng = np.random.default_rng(seed)
+    bg = gas.background().as_array()
+    out = []
+    for i in range(n):
+        w = bg + rng.uniform(-0.045, 0.045, size=4)
+        out.append(State(*w) if i % 2 else State.from_array(w))
+    return out

@@ -13,6 +13,8 @@ from hyperwedge.euler import (
     DomainError,
     GasParams,
     State,
+    acoustic_field,
+    acoustic_slope,
     eigenvalue,
     eigenvector,
     flow_slope,
@@ -21,6 +23,7 @@ from hyperwedge.euler import (
 from hyperwedge.curves import (
     CurveError,
     compose_wave_curves,
+    damped_newton,
     fan_state,
     hugoniot_curve,
     hugoniot_compose,
@@ -30,7 +33,8 @@ from hyperwedge.curves import (
 )
 from hyperwedge.tracking import _emit_wave
 
-from conftest import state_box
+import numpy_oracles as oracle
+from conftest import state_box, trust_box_states
 
 _SIGMAS = (-8e-3, -1e-3, 1e-3, 8e-3)
 
@@ -248,3 +252,65 @@ def test_emit_wave_solves_each_shock_once(gas, bg, monkeypatch):
     assert len(fronts) == 1 and len(calls) == 1
     assert top == fronts[0].above == wave_curve(bg, 1, -5e-3, gas)
     assert fronts[0].speed == shock_speed(bg, 1, -5e-3, gas)
+
+
+# ---------------------------------------------------------------------------
+# float kernels: bit for bit the numpy formulations
+# ---------------------------------------------------------------------------
+
+#: both signs, below and above _TINY_SIGMA (2e-6 and 8e-6 take the fixed
+#: RK4 steps, the others the adaptive Cash-Karp integration)
+_KERNEL_SIGMAS = (-3e-2, -4e-3, -8e-6, -2e-6, 2e-6, 8e-6, 4e-3, 3e-2)
+
+
+@pytest.mark.parametrize("tau", (0.0, 0.1))
+def test_wave_curves_match_numpy_formulation(tau):
+    gas = GasParams(gamma=1.4, a_inf=2.0, tau=tau)
+    assert min(abs(s) for s in _KERNEL_SIGMAS) < curves._TINY_SIGMA < 4e-3
+    for U in trust_box_states(gas, 4, seed=5):
+        for j in GENUINE_FAMILIES:
+            for sig in _KERNEL_SIGMAS:
+                jump, slope = oracle.shock_solve(U, gas, j, sig)
+                assert hugoniot_curve(U, j, sig, gas) == jump
+                if sig < 0.0:
+                    want = (jump, slope)
+                    assert shock_speed(U, j, sig, gas) == slope
+                else:
+                    W = oracle.rarefaction(U, gas, j, sig)
+                    want = (W, oracle.eigenvalue(W if j == 1 else U, gas, j))
+                assert wave_curve(U, j, sig, gas) == want[0]
+                assert wave_front(U, j, sig, gas) == want
+
+
+def test_integrate_field_matches_numpy_formulation(gas, bg):
+    U = wave_curve(bg, 2, 3e-3, gas)
+    for j in GENUINE_FAMILIES:
+        def field(w):
+            return acoustic_field(*w, gas, j)
+
+        def np_field(w):
+            return oracle.eigenvector(State.from_array(w), gas, j)
+
+        for length in (-2e-2, -1e-4, 1e-4, 2e-2):
+            got = curves._integrate_field(field, U.as_array().tolist(), length)
+            assert got == oracle.integrate_field(np_field, U.as_array(), length).tolist()
+
+
+def test_damped_newton_halves_past_domain_errors(gas0):
+    # solve lam_4(rho) = 1/2 from rho = 4: the lam_4 curve is convex in
+    # rho, so the full Newton step lands near rho = -4 and the first
+    # halving near rho = 0; both trials must raise DomainError (not
+    # ZeroDivisionError or ValueError) for the line search to reject them
+    p = gas0.p_background
+    rejected = []
+
+    def F(z):
+        try:
+            return np.array([acoustic_slope(z[0], 0.0, 0.0, p, gas0, 4) - 0.5])
+        except DomainError:
+            rejected.append(float(z[0]))
+            raise
+
+    z = damped_newton(F, [4.0])
+    assert z[0] == pytest.approx(1.0, abs=1e-10)
+    assert len(rejected) == 2 and all(r <= 0.0 for r in rejected)

@@ -14,6 +14,8 @@ from hyperwedge.euler import (
     DomainError,
     GasParams,
     State,
+    acoustic_field,
+    acoustic_slope,
     bc_residual,
     bernoulli,
     char_residual,
@@ -25,6 +27,7 @@ from hyperwedge.euler import (
     eigenvector_raw,
     entropy_pair,
     flow_slope,
+    flux_values,
     fluxes,
     grad_eigenvalue,
     grad_eigenvalue_fd,
@@ -33,7 +36,8 @@ from hyperwedge.euler import (
     sound_speed,
 )
 
-from conftest import state_box
+import numpy_oracles as oracle
+from conftest import state_box, trust_box_states
 
 
 def test_background_state(gas):
@@ -169,3 +173,77 @@ def test_state_array_roundtrip():
     assert State.from_array(U.as_array()) == U
     np.testing.assert_allclose(U - State(1.01, 0.002, -0.003, 0.17),
                                [0.0, 0.0, 0.0, 0.01], atol=1e-16)
+
+
+# ---------------------------------------------------------------------------
+# float kernels: bit for bit the numpy formulations, same domain errors
+# ---------------------------------------------------------------------------
+
+_GASES = (GasParams(gamma=1.4, a_inf=2.0, tau=0.0),
+          GasParams(gamma=1.4, a_inf=2.0, tau=0.1),
+          GasParams(gamma=5.0 / 3.0, a_inf=3.0, tau=0.3))
+
+
+@pytest.mark.parametrize("gas", _GASES)
+def test_float_kernels_match_numpy_formulation(gas):
+    for U in trust_box_states(gas, 40, seed=11):
+        w = (U.rho, U.u, U.v, U.p)
+        fx, fy = fluxes(U, gas)
+        want_fx, want_fy = oracle.fluxes(U, gas)
+        assert np.array_equal(fx, want_fx) and np.array_equal(fy, want_fy)
+        assert flux_values(*w, gas) == (want_fx.tolist(), want_fy.tolist())
+        assert np.array_equal(eigenvalues(U, gas), oracle.eigenvalues(U, gas))
+        for j in FAMILIES:
+            assert np.array_equal(eigenvector_raw(U, gas, j), oracle.eigenvector_raw(U, gas, j))
+            assert np.array_equal(eigenvector(U, gas, j), oracle.eigenvector(U, gas, j))
+            assert (normalization_coefficient(U, gas, j)
+                    == oracle.normalization_coefficient(U, gas, j))
+        for j in GENUINE_FAMILIES:
+            lam = eigenvalue(U, gas, j)
+            assert type(lam) is float and lam == oracle.eigenvalue(U, gas, j)
+            assert acoustic_slope(*w, gas, j) == lam
+            assert np.array_equal(grad_eigenvalue(U, gas, j), oracle.grad_eigenvalue(U, gas, j))
+            assert acoustic_field(*w, gas, j) == oracle.eigenvector(U, gas, j).tolist()
+
+
+_TAU = GasParams(gamma=1.4, a_inf=2.0, tau=0.1)
+_PB = _TAU.p_background
+
+
+@pytest.mark.parametrize("w", [
+    pytest.param((0.0, 0.0, 0.0, _PB), id="zero density"),
+    pytest.param((-1.0, 0.0, 0.0, _PB), id="negative density"),
+    pytest.param((1.0, 0.0, 0.0, 0.0), id="zero pressure"),
+    pytest.param((1.0, 0.0, 0.0, -0.1), id="negative pressure"),
+    pytest.param((1.0, -1.0 / _TAU.t2, 0.0, _PB), id="mass-flux factor at rounding level"),
+    pytest.param((1.0, -1.0e3, 0.0, _PB), id="negative mass-flux factor"),
+])
+def test_float_kernels_reject_states_check_state_rejects(w):
+    with pytest.raises(DomainError):
+        check_state(State(*w), _TAU)
+    with pytest.raises(DomainError):
+        flux_values(*w, _TAU)
+    for j in GENUINE_FAMILIES:
+        for kernel in (acoustic_slope, acoustic_field):
+            with pytest.raises(DomainError):
+                kernel(*w, _TAU, j)
+
+
+@pytest.mark.parametrize("w, disc_nonpositive", [
+    ((1.0, 0.0, 0.0, 200.0), True),  # t*c^2 = 2.8 > m^2 = 1, so den < 0 and disc < 0
+    ((1.0, 0.0, 0.5, 71.5), False),  # just past the sonic limit: den < 0 < disc
+])
+def test_acoustic_kernels_reject_den_and_disc_nonpositive(w, disc_nonpositive):
+    # in floating point disc >= den (disc adds t*v^2 >= 0 to den, and
+    # rounding is monotone), so a state with disc <= 0 also has den <= 0
+    t, (rho, u, v, p) = _TAU.t2, w
+    m = 1.0 + t * u
+    c2 = _TAU.gamma * p / rho
+    assert m * m - t * c2 <= 0.0
+    assert (m * m + t * (v * v - c2) <= 0.0) == disc_nonpositive
+    for j in GENUINE_FAMILIES:
+        for kernel in (acoustic_slope, acoustic_field):
+            with pytest.raises(DomainError):
+                kernel(*w, _TAU, j)
+        with pytest.raises(DomainError):
+            eigenvalue(State(*w), _TAU, j)

@@ -257,6 +257,27 @@ def test_export_format(gas):
 # event scheduling against a full-scan oracle
 # ---------------------------------------------------------------------------
 
+def _walking_wall_hit(f, x_now, boundary):
+    """Wall-hit oracle: walk every remaining segment, no short-cut."""
+    k = boundary.segment_index(x_now)
+    while True:
+        tanth = math.tan(float(boundary.thetas[k]))
+        denom = f.speed - tanth
+        x_lo = max(float(boundary.xs[k]), x_now)
+        x_hi = float(boundary.xs[k + 1]) if k < boundary.k_star else np.inf
+        if denom > 1.0e-15:
+            gk = float(boundary.gs[k]) + tanth * (x_lo - float(boundary.xs[k]))
+            gap = gk - f.y_at(x_lo)
+            xh = x_lo + gap / denom
+            if gap <= 0.0:
+                xh = x_lo
+            if x_lo - 1.0e-14 <= xh <= x_hi + 1.0e-14:
+                return min(max(xh, x_now), x_hi)
+        if k == boundary.k_star:
+            return None
+        k += 1
+
+
 def _full_scan_next_event(slice_, boundary, cfg, gas, lambda_hat, rng):
     """Scheduling oracle: list every candidate, every turning corner
     included, sort them all, and perturb the youngest front of a clash."""
@@ -273,7 +294,7 @@ def _full_scan_next_event(slice_, boundary, cfg, gas, lambda_hat, rng):
                 continue
             cands.append((x0 + dy / (slo - sup), "interaction", i))
         if fronts:
-            xb = tracking._wall_hit(fronts[-1], x0, boundary)
+            xb = _walking_wall_hit(fronts[-1], x0, boundary)
             if xb is not None:
                 cands.append((xb, "boundary", len(fronts) - 1))
         for k in range(1, boundary.k_star + 1):
@@ -379,3 +400,32 @@ def test_next_event_matches_full_scan_over_a_run(gas):
         got = next_event(sl, wall, cfg, gas, lam, np.random.default_rng(0))
         want = _full_scan_next_event(sl, wall, cfg, gas, lam, np.random.default_rng(0))
         assert got[0] == want[0] and got[1].fronts == want[1].fronts
+
+
+@pytest.mark.parametrize("wall", [
+    _stress_wall(),
+    wedge_wall(slope=-0.01, h=1.0 / 64.0, x_max=2.0),
+    approximate_boundary(lambda x: -0.01 * x, 1.0 / 64.0, tail_slope=0.0, x_max=2.0),
+    approximate_boundary(lambda x: -0.01 * x + 0.004 * x * x, 1.0 / 64.0, x_max=2.0),
+], ids=["curved", "straight", "flat-tail", "bending-up"])
+def test_wall_hit_matches_walking_oracle(wall, bg):
+    # seeded fronts at and below the wall, plus fronts slower than every
+    # remaining segment and fronts within 1e-15 of the least tangent ahead
+    rng = np.random.default_rng(3)
+    tans = [math.tan(float(th)) for th in wall.thetas]
+    hits = misses = 0
+    for x_now in rng.uniform(0.0, 2.2, size=40):
+        k = wall.segment_index(x_now)
+        least = min(tans[k:])
+        speeds = list(rng.uniform(min(tans) - 0.01, max(tans) + 0.01, size=6))
+        speeds += [least - 1e-3, least, least + 1e-15]
+        speeds += [float(np.nextafter(least + 1e-15, d)) for d in (-1.0, 1.0)]
+        for speed in speeds:
+            for gap in (0.0, 1e-3 * rng.random(), -1e-16):
+                y = wall.g_at(x_now) - gap
+                f = Front(1, -1e-3, x_now, y, speed, 1, bg, bg)
+                got = tracking._wall_hit(f, x_now, wall)
+                assert got == _walking_wall_hit(f, x_now, wall)
+                hits += got is not None
+                misses += got is None
+    assert hits and misses
