@@ -21,11 +21,9 @@ import numpy as np
 
 from .curves import (
     CurveError,
-    compose_wave_curves,
     damped_newton,
     fan_state,
     hugoniot_compose,
-    shock_speed,
     wave_curve,
     wave_front,
 )
@@ -82,11 +80,18 @@ class RiemannSolution:
         zero-strength waves, or a ``(foot, head)`` slope pair for
         rarefaction fans.  Entries are non-decreasing; families 2 and 3
         share a single slope.
+    acoustic : tuple
+        ``(below, top, slope)`` of the family-1 wave and of the family-4
+        wave, as :func:`hyperwedge.curves.wave_front` gives them for a
+        single front: the jump slope of a shock, else the trailing-edge
+        characteristic slope (of `top` for family 1, of `below` for
+        family 4).
     """
 
     strengths: np.ndarray
     middle_states: tuple
     speeds: tuple
+    acoustic: tuple
 
     def speed_span(self, j: int):
         """(low, high) slope extent of wave j (1-based family index)."""
@@ -107,32 +112,57 @@ def solve_riemann(U_b: State, U_a: State, gas: GasParams) -> RiemannSolution:
     middle states and wave slopes are reconstructed once the strengths
     converge.  Raises :class:`SolverError` outside the trust region or
     on convergence failure.
+
+    Each acoustic wave is evaluated once per call: the finite-difference
+    columns of strengths 2-4 reuse the family-1 wave of the iterate, and
+    the reconstruction reuses both acoustic waves of the last iterate.
     """
     _check_trust(U_b, gas, "lower state")
     _check_trust(U_a, gas, "upper state")
     target = U_a.as_array()
+    solved = {}
 
-    def F(sig):
-        return compose_wave_curves(U_b, sig, gas).as_array() - target
+    def acoustic(U, family, sigma):
+        """``(wave_curve(U, family, sigma), shock slope or None)``."""
+        key = (family, sigma, U.rho, U.u, U.v, U.p)
+        wave = solved.get(key)
+        if wave is None:
+            if sigma < 0.0:
+                wave = wave_front(U, family, sigma, gas)
+            else:
+                wave = (wave_curve(U, family, sigma, gas), None)
+            solved[key] = wave
+        return wave
+
+    def F(sig):  # compose_wave_curves(U_b, sig, gas), through `acoustic`
+        s1, s2, s3, s4 = sig.tolist()
+        m3 = wave_curve(wave_curve(acoustic(U_b, 1, s1)[0], 2, s2, gas), 3, s3, gas)
+        return acoustic(m3, 4, s4)[0].as_array() - target
 
     try:
         sig = damped_newton(F, np.zeros(4))
     except CurveError as exc:
         raise SolverError(f"interior Riemann solve failed: {exc}") from exc
 
-    m1, slope1 = wave_front(U_b, 1, sig[0], gas)
+    m1, slope1 = acoustic(U_b, 1, float(sig[0]))
     m2 = wave_curve(m1, 2, sig[1], gas)
     m3 = wave_curve(m2, 3, sig[2], gas)
+    top, slope4 = acoustic(m3, 4, float(sig[3]))
+    if slope1 is None:
+        slope1 = eigenvalue(m1, gas, 1)
+    if slope4 is None:
+        slope4 = eigenvalue(m3, gas, 4)
     speeds = (
         _fan_span(U_b, 1, sig[0], gas) if sig[0] > 0.0 else slope1,
         flow_slope(m1, gas),
         flow_slope(m1, gas),
-        _fan_span(m3, 4, sig[3], gas) if sig[3] > 0.0 else shock_speed(m3, 4, sig[3], gas),
+        (slope4, slope4 + sig[3]) if sig[3] > 0.0 else slope4,
     )
     flat = [x for s in speeds for x in ((s,) if np.isscalar(s) else s)]
     if any(b - a < -1.0e-9 for a, b in zip(flat, flat[1:])):
         raise SolverError(f"wave slopes not ordered: {speeds}")
-    return RiemannSolution(sig, (m1, m2, m3), speeds)
+    return RiemannSolution(sig, (m1, m2, m3), speeds,
+                           ((U_b, m1, slope1), (m3, top, slope4)))
 
 
 def solve_boundary_riemann(U_b: State, theta_new: float, gas: GasParams):

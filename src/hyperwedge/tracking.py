@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -233,11 +233,18 @@ class SolutionSlice:
     non-physical strength (see ``EngineConfig.np_boundary``).  Front
     positions are functions of x, so advancing the slice between events
     is just a change of the ``x`` field.
+
+    ``columns`` is a (3, m) array, m >= n, whose first n columns hold
+    every front's ``speed``, ``y0`` and ``x0`` for the event scan.  Only
+    the live slice of a run holds it: each event splices the next
+    slice's fronts into it in place and hands it on.  Elsewhere it is
+    None and the scan builds it from ``fronts``.
     """
 
     x: float
     fronts: list
     states: list
+    columns: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def ys(self) -> np.ndarray:
         return np.array([f.y_at(self.x) for f in self.fronts])
@@ -336,9 +343,7 @@ def _emit_wave(U_below: State, family: int, sigma: float, x: float, y: float,
     """
     if abs(sigma) <= _ZERO_STRENGTH:
         return [], U_below
-    pieces = 1
-    if family in GENUINE_FAMILIES and sigma > 0.0:
-        pieces = max(1, int(math.ceil(sigma * nu - 1.0e-12)))
+    pieces = _pieces(family, sigma, nu)
     ds = sigma / pieces
     fronts = []
     cur = U_below
@@ -358,12 +363,33 @@ def _np_front(U_below: State, U_above: State, x: float, y: float,
     return Front(NP_FAMILY, gap, x, y, lambda_hat, generation, U_below, U_above)
 
 
+def _pieces(family: int, sigma: float, nu: int) -> int:
+    """Number of fronts realising one wave: ceil(sigma*nu) for a rarefaction."""
+    if family in GENUINE_FAMILIES and sigma > 0.0:
+        return max(1, int(math.ceil(sigma * nu - 1.0e-12)))
+    return 1
+
+
 def _emit_riemann(sol, U_b: State, x: float, y: float, gens, gas: GasParams, nu: int):
-    """Fronts for a full four-wave solution; `gens` maps family -> generation."""
+    """Fronts for a full four-wave solution; `gens` maps family -> generation.
+
+    The same fronts as :func:`_emit_wave` wave by wave.  An acoustic wave
+    that makes a single front takes it from the solved ``sol.acoustic``
+    instead of solving the wave again, unless it starts from another
+    state than the solved one (a wave below it was too weak to emit).
+    """
+    solved = {1: sol.acoustic[0], 4: sol.acoustic[1]}
     fronts = []
     cur = U_b
     for j, sig in zip((1, 2, 3, 4), sol.strengths):
-        fr, cur = _emit_wave(cur, j, float(sig), x, y, gens[j], gas, nu)
+        sig = float(sig)
+        if j in solved and abs(sig) > _ZERO_STRENGTH and _pieces(j, sig, nu) == 1:
+            below, top, slope = solved[j]
+            if below == cur:
+                fronts.append(Front(j, sig, x, y, slope, gens[j], cur, top))
+                cur = top
+                continue
+        fr, cur = _emit_wave(cur, j, sig, x, y, gens[j], gas, nu)
         fronts.extend(fr)
     return fronts, cur
 
@@ -408,12 +434,39 @@ def initialize(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
         states.extend(f.above for f in fr[:-1])
         states.append(top)
         fronts.extend(fr)
-    return SolutionSlice(0.0, fronts, states)
+    return SolutionSlice(0.0, fronts, states, _front_columns(fronts))
 
 
 # ---------------------------------------------------------------------------
 # event scheduling
 # ---------------------------------------------------------------------------
+
+def _front_columns(fronts) -> np.ndarray:
+    """``SolutionSlice.columns`` of a front list: speed, y0 and x0 rows."""
+    return np.array([[f.speed for f in fronts], [f.y0 for f in fronts],
+                     [f.x0 for f in fronts]], dtype=float)
+
+
+def _splice(slice_: SolutionSlice, start: int, stop: int, new_fronts) -> np.ndarray | None:
+    """Take the columns off `slice_` and put `new_fronts` in place of fronts[start:stop].
+
+    The array is reused in place and grows by doubling: one long-lived
+    buffer, rather than a new array per event between the slices' front
+    lists, keeps the heap from fragmenting over a long run.
+    """
+    cols, slice_.columns = slice_.columns, None
+    if cols is None:
+        return None
+    n, m = len(slice_.fronts), len(new_fronts)
+    size = n - (stop - start) + m
+    if size > cols.shape[1]:
+        cols = np.concatenate((cols[:, :n], np.empty((3, size))), axis=1)
+    if m != stop - start:
+        cols[:, start + m:size] = cols[:, stop:n]
+    if m:
+        cols[:, start:start + m] = _front_columns(new_fronts)
+    return cols
+
 
 def _exact_speed(f: Front, gas: GasParams, lambda_hat: float) -> float:
     if f.family == NP_FAMILY:
@@ -436,9 +489,8 @@ def _candidates(slice_: SolutionSlice, boundary: BoundaryPolyline, x_end: float)
     fronts = slice_.fronts
     n = len(fronts)
     if n > 1:
-        speed = np.fromiter((f.speed for f in fronts), float, n)
-        anchor_y = np.fromiter((f.y0 for f in fronts), float, n)
-        anchor_x = np.fromiter((f.x0 for f in fronts), float, n)
+        cols = slice_.columns
+        speed, anchor_y, anchor_x = (_front_columns(fronts) if cols is None else cols)[:, :n]
         ys = anchor_y + speed * (x0 - anchor_x)  # Front.y_at, elementwise
         gap = speed[:-1] - speed[1:]
         dy = np.maximum(ys[1:] - ys[:-1], 0.0)
@@ -506,7 +558,8 @@ def next_event(slice_: SolutionSlice, boundary: BoundaryPolyline, cfg: EngineCon
     a simultaneous wall hit -- the youngest participating front's speed
     is perturbed by a seeded delta in (0, 2^-(nu+2)] and the schedule is
     rebuilt.  Returns ``(event, slice)`` where the slice carries any
-    perturbed fronts.
+    perturbed fronts; a perturbed slice takes over the columns of
+    `slice_`.
     """
     if lambda_hat is None:
         lambda_hat = default_lambda_hat(gas)
@@ -523,7 +576,8 @@ def next_event(slice_: SolutionSlice, boundary: BoundaryPolyline, cfg: EngineCon
         fronts = list(slice_.fronts)
         j = _youngest(slice_, clash)
         fronts[j] = _perturb_speed(fronts[j], gas, lambda_hat, cfg.nu, rng)
-        slice_ = SolutionSlice(slice_.x, fronts, slice_.states)
+        slice_ = SolutionSlice(slice_.x, fronts, slice_.states,
+                               _splice(slice_, j, j + 1, fronts[j:j + 1]))
     raise SolverError("could not break event coincidence after 64 perturbations")
 
 
@@ -625,11 +679,16 @@ def _resolve_interaction(slice_, event, cfg, gas, rho_threshold, lambda_hat):
         solver = "SRS"
 
     fronts = slice_.fronts[:i] + new_fronts + slice_.fronts[i + 2:]
-    mids = [f.above for f in new_fronts[:-1]] if new_fronts else []
-    states = slice_.states[:i + 1] + mids + slice_.states[i + 2:]
+    if new_fronts:
+        mids = [f.above for f in new_fronts[:-1]]
+        states = slice_.states[:i + 1] + mids + slice_.states[i + 2:]
+    else:
+        # nothing emitted: U0 and the middle state go, U2 stays, so every
+        # front keeps its own below state and the wall state its slip
+        states = slice_.states[:i] + slice_.states[i + 2:]
     rec = EventRecord("interaction", solver, xh, yh, incoming,
                       tuple((f.family, f.sigma) for f in new_fronts), emech)
-    return SolutionSlice(xh, fronts, states), rec
+    return SolutionSlice(xh, fronts, states, _splice(slice_, i, i + 2, new_fronts)), rec
 
 
 def _ars_generations(f_lo: Front, f_up: Front) -> dict:
@@ -711,7 +770,7 @@ def _resolve_boundary(slice_, event, boundary, cfg, gas):
     states = slice_.states[:i + 1] + [fr.above for fr in new_fronts]
     rec = EventRecord(kind, "boundary", xh, yh, incoming,
                       tuple((fr.family, fr.sigma) for fr in new_fronts), emech)
-    return SolutionSlice(xh, fronts, states), rec
+    return SolutionSlice(xh, fronts, states, _splice(slice_, i, i + 1, new_fronts)), rec
 
 
 def _resolve_corner(slice_, event, boundary, cfg, gas):
@@ -727,7 +786,8 @@ def _resolve_corner(slice_, event, boundary, cfg, gas):
     rec = EventRecord("corner", "boundary", xh, yh, ((0, float(boundary.omegas[k])),),
                       tuple((fr.family, fr.sigma) for fr in new_fronts),
                       abs(float(boundary.omegas[k])))
-    return SolutionSlice(xh, fronts, states), rec
+    n = len(slice_.fronts)
+    return SolutionSlice(xh, fronts, states, _splice(slice_, n, n, new_fronts)), rec
 
 
 # ---------------------------------------------------------------------------
@@ -738,9 +798,10 @@ def run(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
         gas: GasParams) -> Trajectory:
     """Track all fronts from x = 0 to x = x_end.
 
-    Stores the slice after every event plus the final slice at x_end.
-    Deterministic for fixed inputs: the only randomness is the seeded
-    tie-breaking perturbation stream.
+    Stores the slice after every event plus the final slice at x_end;
+    none of them keeps its scheduler ``columns``.  Deterministic for
+    fixed inputs: the only randomness is the seeded tie-breaking
+    perturbation stream.
     """
     slice0 = initialize(data, boundary, cfg, gas)
     v0 = float(sum(abs(f.sigma) for f in slice0.fronts))
@@ -758,6 +819,7 @@ def run(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
     for _ in range(cfg.max_events):
         event, cur = next_event(cur, boundary, cfg, gas, lambda_hat, rng)
         if event.kind == "end":
+            cur.columns = None
             slices.append(cur.at(cfg.x_end))
             return Trajectory(gas, cfg, boundary, slices, records,
                               rho_threshold, lambda_hat)

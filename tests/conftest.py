@@ -70,3 +70,19 @@ def trust_box_states(gas, n, seed):
         w = bg + rng.uniform(-0.045, 0.045, size=4)
         out.append(State(*w) if i % 2 else State.from_array(w))
     return out
+
+
+def assert_slice_invariants(slices):
+    """Every slice holds exactly one state between two fronts.
+
+    ``len(states) == len(fronts) + 1``; each front's ``below`` is the
+    state under it exactly; its ``above`` is within 1e-12 of the state
+    over it (not equal: a resolved jump keeps its given upper state while
+    the emitted top state carries the Newton residual, up to ~4e-13).
+    """
+    for n, sl in enumerate(slices):
+        where = f"slice {n} at x={sl.x}"
+        assert len(sl.states) == len(sl.fronts) + 1, where
+        for k, f in enumerate(sl.fronts):
+            assert f.below == sl.states[k], f"{where}, front {k}"
+            assert np.max(np.abs(f.above - sl.states[k + 1])) <= 1e-12, f"{where}, front {k}"

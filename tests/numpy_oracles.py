@@ -3,13 +3,28 @@
 They are kept here, as they were, as oracles: the program's float-level
 kernels must reproduce every bit of them (``test_euler``,
 ``test_curves``).  ``damped_newton`` is the program's own: its iteration
-did not change.
+did not change.  ``solve_riemann`` and ``emit_riemann`` are the interior
+solve and its front emission as they were before each acoustic wave was
+solved once per call (``test_riemann``).
 """
 
 import numpy as np
 
-from hyperwedge.curves import _CK_A, _CK_B4, _CK_B5, _TINY_SIGMA, CurveError, damped_newton
-from hyperwedge.euler import DomainError, State, check_state
+from hyperwedge.curves import (
+    _CK_A,
+    _CK_B4,
+    _CK_B5,
+    _TINY_SIGMA,
+    CurveError,
+    compose_wave_curves,
+    damped_newton,
+    shock_speed,
+    wave_curve,
+    wave_front,
+)
+from hyperwedge import euler
+from hyperwedge.euler import DomainError, State, check_state, flow_slope
+from hyperwedge.tracking import _emit_wave
 
 
 def fluxes(U, gas):
@@ -160,3 +175,43 @@ def rarefaction(U, gas, family, sigma):
             w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return State.from_array(w)
     return State.from_array(integrate_field(rhs, w0, sigma))
+
+
+def solve_riemann(U_b, U_a, gas):
+    """``riemann.solve_riemann`` recomputing every wave it needs.
+
+    The Newton residual composes all four curves at every evaluation,
+    and the reconstruction solves both acoustic waves again.  Returns
+    ``(strengths, middle_states, speeds)``.
+    """
+    target = U_a.as_array()
+
+    def F(sig):
+        return compose_wave_curves(U_b, sig, gas).as_array() - target
+
+    sig = damped_newton(F, np.zeros(4))
+    m1, slope1 = wave_front(U_b, 1, sig[0], gas)
+    m2 = wave_curve(m1, 2, sig[1], gas)
+    m3 = wave_curve(m2, 3, sig[2], gas)
+
+    def fan_span(pre, family, sigma):
+        lam = euler.eigenvalue(pre, gas, family)
+        return (lam, lam + sigma)
+
+    speeds = (
+        fan_span(U_b, 1, sig[0]) if sig[0] > 0.0 else slope1,
+        flow_slope(m1, gas),
+        flow_slope(m1, gas),
+        fan_span(m3, 4, sig[3]) if sig[3] > 0.0 else shock_speed(m3, 4, sig[3], gas),
+    )
+    return sig, (m1, m2, m3), speeds
+
+
+def emit_riemann(strengths, U_b, x, y, gens, gas, nu):
+    """``tracking._emit_riemann`` as the chain of ``_emit_wave`` it replaces."""
+    fronts = []
+    cur = U_b
+    for j, sig in zip((1, 2, 3, 4), strengths):
+        fr, cur = _emit_wave(cur, j, float(sig), x, y, gens[j], gas, nu)
+        fronts.extend(fr)
+    return fronts, cur

@@ -42,6 +42,7 @@ from hyperwedge.experiments import (
     ExperimentConfig,
     run_convergence,
     run_special_solution,
+    wedge_problem,
 )
 
 from conftest import ACCEPTANCE_LINES
@@ -197,6 +198,24 @@ def test_criterion_5_wedge_convergence_rate():
         fit = _timed(120.0, lambda: run_convergence(cfg), repeats=1,
                      warmup=False)
         assert 1.9 <= fit.slope <= 2.1
+
+
+def test_criterion_5_rate_with_accurate_solver():
+    # the default threshold leaves every interaction to the simplified
+    # solver; at 1e-9 and 0 the accurate solver fires and must give the
+    # same rate and, to 1%, the same errors
+    with _criterion(5, "wedge-flow rate with the accurate solver firing"):
+        default = run_convergence(ExperimentConfig(scenario="wedge"))
+        for rho_threshold in (1.0e-9, 0.0):
+            cfg = ExperimentConfig(scenario="wedge",
+                                   engine=EngineConfig(rho_threshold=rho_threshold))
+            wall, data = wedge_problem(cfg)
+            traj = run(data, wall, cfg.engine, cfg.gas(0.1))
+            assert any(r.solver == "ARS" for r in traj.records)
+            fit = run_convergence(cfg)
+            assert 1.9 <= fit.slope <= 2.1
+            for err, ref in zip(fit.errors, default.errors):
+                assert abs(err - ref) <= 0.01 * ref
 
 
 # ---------------------------------------------------------------------------

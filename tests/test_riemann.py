@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hyperwedge.tracking as tracking
 from hyperwedge.euler import GasParams, State, bc_residual, flow_slope
 from hyperwedge.curves import compose_wave_curves, hugoniot_compose, wave_curve
 from hyperwedge.riemann import (
@@ -19,6 +20,8 @@ from hyperwedge.riemann import (
     solve_riemann,
     reflect_at_boundary,
 )
+
+import numpy_oracles as oracle
 
 _GAS = GasParams(gamma=1.4, a_inf=2.0, tau=0.1)
 
@@ -152,3 +155,43 @@ def test_sample_riemann_fan_far_field(gas, bg):
     zlo, zhi = sol.speed_span(4)
     mid = sample_riemann_fan(sol, bg, 0.5 * (zlo + zhi), gas)
     assert eigenvalue(mid, gas, 4) == pytest.approx(0.5 * (zlo + zhi), abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# one solve per acoustic wave, against the recompute-everything oracle
+# ---------------------------------------------------------------------------
+
+#: composed strengths: both signs of sigma1 and sigma4, rarefactions that
+#: split at fine sampling, and a contact or family-1 wave that comes out
+#: at or below the emission cut-off of 1e-14
+_ORACLE_CASES = [
+    (-3e-3, 1e-3, -2e-3, 4e-3),
+    (3e-3, -1e-3, 2e-3, -4e-3),
+    (-3e-3, 1e-3, 2e-3, -4e-3),
+    (4e-3, 1e-3, -2e-3, 3e-3),
+    (-1e-3, 0.0, 1e-3, 1e-3),
+    (2e-3, 0.0, 1e-3, -3e-3),
+    (0.0, 1e-3, 2e-3, -4e-3),
+]
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.1])
+@pytest.mark.parametrize("sig", _ORACLE_CASES)
+def test_solve_riemann_matches_recomputing_oracle(tau, sig):
+    gas = GasParams(gamma=1.4, a_inf=2.0, tau=tau)
+    U_b = compose_wave_curves(gas.background(), (1e-3, -5e-4, 2e-3, -1e-3), gas)
+    U_a = compose_wave_curves(U_b, sig, gas)
+    sol = solve_riemann(U_b, U_a, gas)
+    strengths, middles, speeds = oracle.solve_riemann(U_b, U_a, gas)
+    assert np.array_equal(sol.strengths, strengths)
+    assert sol.middle_states == middles
+    assert sol.speeds == speeds
+    for j, sigma in zip((1, 2, 3, 4), sig):
+        if sigma == 0.0:
+            assert abs(sol.strengths[j - 1]) <= tracking._ZERO_STRENGTH
+    gens = {1: 3, 2: 4, 3: 5, 4: 6}
+    # at nu = 1000 each rarefaction splits into sigma*nu > 1 pieces
+    for nu in (10, 1000):
+        got = tracking._emit_riemann(sol, U_b, 0.4, -0.2, gens, gas, nu)
+        want = oracle.emit_riemann(sol.strengths, U_b, 0.4, -0.2, gens, gas, nu)
+        assert got == want

@@ -16,6 +16,7 @@ from hyperwedge.euler import (
 )
 import hyperwedge.tracking as tracking
 from hyperwedge.curves import wave_front
+from hyperwedge.experiments import ExperimentConfig, wedge_problem
 from hyperwedge.tracking import (
     EngineConfig,
     Event,
@@ -29,6 +30,8 @@ from hyperwedge.tracking import (
     next_event,
     run,
 )
+
+from conftest import assert_slice_invariants
 
 _GAS = GasParams(gamma=1.4, a_inf=2.0, tau=0.1)
 
@@ -429,3 +432,132 @@ def test_wall_hit_matches_walking_oracle(wall, bg):
                 hits += got is not None
                 misses += got is None
     assert hits and misses
+
+
+# ---------------------------------------------------------------------------
+# whole runs against the full-scan event loop, and the slice invariants
+# ---------------------------------------------------------------------------
+
+def _wedge_case(rho_threshold, tau=0.1):
+    """(data, wall, engine, gas) of the default wedge scenario."""
+    cfg = ExperimentConfig(scenario="wedge", engine=EngineConfig(rho_threshold=rho_threshold))
+    wall, data = wedge_problem(cfg)
+    return data, wall, cfg.engine, cfg.gas(tau)
+
+
+def _kinked_wedge_case():
+    """The accurate-solver wedge run with its wall turned where the first
+    interaction past x=0.3 happens, so that the corner coincides with an
+    interaction and a front speed gets perturbed."""
+    data, wall, engine, gas = _wedge_case(0.0)
+    x_c = next(r.x for r in run(data, wall, engine, gas).records
+               if r.kind == "interaction" and r.x > 0.3)
+    slope = float(wall.gs[1] / wall.xs[1])
+    h = x_c / round(32 * x_c)
+
+    def g(x):
+        return slope * x if x <= x_c else slope * x_c + 2.0 * slope * (x - x_c)
+
+    return data, approximate_boundary(g, h, x_max=2.0), replace(engine, h=h), gas
+
+
+def _curved_case():
+    wall = _stress_wall(h=1.0 / 32.0)
+    return (stepped_data(_GAS, amp=5e-4, seed=2, n=4), wall,
+            EngineConfig(h=wall.h, nu=8, seed=2), _GAS)
+
+
+_RUN_CASES = {"curved": _curved_case, "wedge-ars": lambda: _wedge_case(0.0),
+              "kinked-wedge-ars": _kinked_wedge_case}
+
+
+def _full_scan_run(data, wall, cfg, gas, rho_threshold, lambda_hat):
+    """(slices, records, perturbations) of the event loop of ``run`` with
+    the full-scan oracle scheduling every event."""
+    cur = tracking.initialize(data, wall, cfg, gas)
+    rng = np.random.default_rng(cfg.seed)
+    slices, records, perturbations = [cur], [], 0
+    while True:
+        event, scheduled = _full_scan_next_event(cur, wall, cfg, gas, lambda_hat, rng)
+        perturbations += scheduled is not cur
+        cur = scheduled
+        if event.kind == "end":
+            return slices + [cur.at(cfg.x_end)], records, perturbations
+        cur, rec = tracking.resolve_event(cur, event, wall, cfg, gas, rho_threshold,
+                                          lambda_hat)
+        slices.append(cur)
+        records.append(rec)
+
+
+@pytest.mark.parametrize("case", sorted(_RUN_CASES))
+def test_run_matches_full_scan_event_loop(case):
+    data, wall, cfg, gas = _RUN_CASES[case]()
+    traj = run(data, wall, cfg, gas)
+    slices, records, perturbations = _full_scan_run(
+        data, wall, cfg, gas, traj.rho_threshold, traj.lambda_hat)
+    assert records == traj.records
+    assert slices == traj.slices
+    kinds = {(r.kind, r.solver) for r in records}
+    if case == "curved":
+        assert {("corner", "boundary"), ("boundary", "boundary")} <= kinds
+    else:
+        assert ("interaction", "ARS") in kinds
+        assert any(r.kind == "interaction" and not r.outgoing for r in records)
+    assert (perturbations > 0) == (case == "kinked-wedge-ars")
+
+
+@pytest.mark.parametrize("case", sorted(_RUN_CASES))
+def test_live_columns_follow_the_fronts(case, monkeypatch):
+    # the event scan's columns are spliced at every event, perturbations
+    # included, and no stored slice keeps them
+    def assert_live(slice_):
+        assert slice_.columns is not None
+        n = len(slice_.fronts)
+        assert np.array_equal(slice_.columns[:, :n], tracking._front_columns(slice_.fronts))
+
+    resolve = tracking.resolve_event
+
+    def checked_resolve(slice_, *args):
+        assert_live(slice_)
+        out = resolve(slice_, *args)
+        assert slice_.columns is None
+        assert_live(out[0])
+        return out
+
+    monkeypatch.setattr(tracking, "resolve_event", checked_resolve)
+    data, wall, cfg, gas = _RUN_CASES[case]()
+    traj = run(data, wall, cfg, gas)
+    assert len(traj.records) > 10
+    assert all(sl.columns is None for sl in traj.slices)
+
+
+@pytest.mark.parametrize("rho_threshold", [None, 1e-9, 0.0])
+@pytest.mark.parametrize("tau", [0.0, 0.1])
+def test_wedge_slices_hold_one_state_between_fronts(tau, rho_threshold):
+    data, wall, cfg, gas = _wedge_case(rho_threshold, tau)
+    traj = run(data, wall, cfg, gas)
+    assert_slice_invariants(traj.slices)
+    if rho_threshold == 0.0:  # the accurate solver emits nothing at times
+        assert any(r.kind == "interaction" and not r.outgoing for r in traj.records)
+
+
+@pytest.mark.parametrize("solver", ["ARS", "SRS"])
+def test_interaction_emitting_nothing_keeps_the_upper_state(gas, bg, solver):
+    # two waves meet between a 1-front and a 4-front and leave nothing:
+    # an accurate solve of waves below the emission cut-off, or an
+    # entropy-wave pair that cancels exactly under the simplified solver
+    if solver == "ARS":
+        pair, rho_threshold = [(4, -5e-15, 0.0), (3, 5e-15, 0.0)], 0.0
+    else:
+        pair, rho_threshold = [(3, 1e-4, 0.0), (3, -1e-4, 0.0)], 1.0
+    low, states = _through(gas, bg, [(1, -1e-3, 0.0)], 0.0, -0.8)
+    mid, between = _through(gas, states[-1], pair, 0.5, -0.3)
+    top, above = _through(gas, between[-1], [(4, 1e-3, 0.0)], 0.0, -0.1)
+    slice_ = SolutionSlice(0.4, low + mid + top, states + between[1:] + above[1:])
+    out, rec = tracking.resolve_event(slice_, Event("interaction", 0.5, 1), _stress_wall(),
+                                      EngineConfig(nu=10), gas, rho_threshold,
+                                      default_lambda_hat(gas))
+    assert (rec.kind, rec.solver, rec.outgoing) == ("interaction", solver, ())
+    assert out.fronts == low + top
+    assert out.states == [states[0], between[-1], above[-1]]
+    assert_slice_invariants([out])
