@@ -31,11 +31,10 @@ from .euler import (
     GasParams,
     State,
     acoustic_field,
-    acoustic_slope,
     check_state,
     eigenvalue,
     flow_slope,
-    flux_values,
+    flux_and_slope,
 )
 
 __all__ = [
@@ -82,33 +81,42 @@ def damped_newton(F, x0, tol=_NEWTON_TOL, max_iter=_NEWTON_MAXIT,
     times) until the residual norm decreases.  Convergence is judged on
     the residual alone: ``max|F| <= tol``.
 
-    Returns the solution array.  Raises :class:`CurveError` on failure.
+    List in, list out: `F` takes the iterate as a list of floats and
+    returns its residual as a list of as many floats (any sequence
+    works, a list is fastest).  `x0` may be any sequence.  The iteration
+    runs on plain floats and only the linear solve goes through numpy,
+    so every float is the one the same steps give on numpy arrays.  A
+    :class:`DomainError` from a trial step halves it; one at `x0` or in
+    a Jacobian column propagates.
+
+    Returns the solution as an array.  Raises :class:`CurveError` on
+    failure.
     """
-    x = np.array(x0, dtype=float)
-    n = x.size
-    f = np.asarray(F(x), dtype=float)
-    best_norm = np.max(np.abs(f))
+    x = [float(a) for a in x0]
+    f = F(x)
+    best_norm = _nan_max(list(map(abs, f)))
     for _ in range(max_iter):
         if best_norm <= tol:
-            return x
-        J = np.empty((n, n))
-        for k in range(n):
-            h = fd_step * (1.0 + abs(x[k]))
-            xp = x.copy()
-            xp[k] += h
-            J[:, k] = (np.asarray(F(xp)) - f) / h
+            return np.array(x)
+        cols = []
+        for k, xk in enumerate(x):
+            h = fd_step * (1.0 + abs(xk))
+            xp = list(x)
+            xp[k] = xk + h
+            cols.append([(a - b) / h for a, b in zip(F(xp), f)])
         try:
-            step = np.linalg.solve(J, -f)
+            step = np.linalg.solve(np.array(cols).T, np.array([-b for b in f])).tolist()
         except np.linalg.LinAlgError as exc:
             raise CurveError(f"singular Jacobian in Newton iteration: {exc}") from exc
         accepted = False
         for halving in range(max_halvings + 1):
-            trial = x + step / (2.0 ** halving)
+            scale = 2.0 ** halving
+            trial = [a + b / scale for a, b in zip(x, step)]
             try:
-                ftrial = np.asarray(F(trial), dtype=float)
+                ftrial = F(trial)
             except DomainError:
                 continue
-            norm = np.max(np.abs(ftrial))
+            norm = _nan_max(list(map(abs, ftrial)))
             if norm < best_norm or norm <= tol:
                 x, f, best_norm = trial, ftrial, norm
                 accepted = True
@@ -118,8 +126,17 @@ def damped_newton(F, x0, tol=_NEWTON_TOL, max_iter=_NEWTON_MAXIT,
                 f"Newton line search stalled at residual {best_norm:.3e}"
             )
     if best_norm <= tol:
-        return x
+        return np.array(x)
     raise CurveError(f"Newton failed to converge: residual {best_norm:.3e} after {max_iter} iterations")
+
+
+def _nan_max(values: list) -> float:
+    """``max(values)``, NaN if any value is NaN, as ``np.max`` gives it.
+
+    ``max`` alone may skip a NaN, so a NaN residual or error estimate
+    would pass for a small one.
+    """
+    return math.nan if math.isnan(sum(values)) else max(values)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +185,7 @@ def _integrate_field(rhs, y0, length):
         y4 = _stage(y, h, _CK_B4, k)
         ratios = [abs(a - b) / (_ODE_ATOL + _ODE_RTOL * max(abs(c), abs(a)))
                   for a, b, c in zip(y5, y4, y)]
-        # a NaN entry must make err NaN and reject the step; max() skips it
-        err = math.nan if math.isnan(sum(ratios)) else max(ratios)
+        err = _nan_max(ratios)  # a NaN entry rejects the step
         if err <= 1.0:
             s += h
             y = y5
@@ -252,15 +268,14 @@ def _shock_solve(U: State, gas: GasParams, family: int, sigma: float):
     parameterisation, ``lam_j(W) - lam_j(U) = sigma``.
     """
     w = U.as_array().tolist()
-    fxu, fyu = flux_values(*w, gas)
-    lam0 = acoustic_slope(*w, gas, family)
+    (X0, X1, X2, X3), (Y0, Y1, Y2, Y3), lam0 = flux_and_slope(*w, gas, family)
 
-    def F(z):
-        rho, u, v, p, s = z.tolist()
-        fxw, fyw = flux_values(rho, u, v, p, gas)
-        out = [s * (a - b) - (c - d) for a, b, c, d in zip(fxw, fxu, fyw, fyu)]
-        out.append(acoustic_slope(rho, u, v, p, gas, family) - lam0 - sigma)
-        return np.array(out)
+    def F(z):  # written out for speed: the same floats as a loop over components
+        rho, u, v, p, s = z
+        (a0, a1, a2, a3), (b0, b1, b2, b3), lam = flux_and_slope(rho, u, v, p, gas, family)
+        return [s * (a0 - X0) - (b0 - Y0), s * (a1 - X1) - (b1 - Y1),
+                s * (a2 - X2) - (b2 - Y2), s * (a3 - X3) - (b3 - Y3),
+                lam - lam0 - sigma]
 
     r = acoustic_field(*w, gas, family)
     z0 = [a + sigma * b for a, b in zip(w, r)]

@@ -55,6 +55,7 @@ __all__ = [
     "FluxPair",
     "fluxes",
     "flux_values",
+    "flux_and_slope",
     "bernoulli",
     "mass_flux_factor",
     "sound_speed",
@@ -214,7 +215,11 @@ def bernoulli(U: State, gas: GasParams) -> float:
 
 def _bernoulli(rho: float, u: float, v: float, p: float, gas: GasParams) -> float:
     g = gas.gamma
-    return u + 0.5 * v * v + g * p / ((g - 1.0) * rho) + 0.5 * gas.t2 * u * u
+    try:
+        return u + 0.5 * v * v + g * p / ((g - 1.0) * rho) + 0.5 * gas.t2 * u * u
+    except ZeroDivisionError:
+        # (g - 1) * rho rounds to 0 at the smallest subnormal densities
+        raise DomainError(f"enthalpy term undefined at density {rho}") from None
 
 
 def flow_slope(U: State, gas: GasParams) -> float:
@@ -251,13 +256,37 @@ def flux_values(rho: float, u: float, v: float, p: float,
                 gas: GasParams) -> tuple[list, list]:
     """:func:`fluxes` on plain floats: ``(F_x, F_y)`` as two 4-lists.
 
-    Raises :class:`DomainError` where :func:`check_state` does.
+    Raises :class:`DomainError` where :func:`check_state` does, and at a
+    density so small that ``(gamma - 1) * rho`` rounds to 0.
     """
     _check_values(rho, u, p, gas)
+    return _flux_lists(rho, u, v, p, gas)
+
+
+def _flux_lists(rho: float, u: float, v: float, p: float,
+                gas: GasParams) -> tuple[list, list]:
+    """:func:`flux_values` without the domain checks."""
     m = 1.0 + gas.t2 * u
     B = _bernoulli(rho, u, v, p, gas)
     return ([rho * m, rho * u * m + p, rho * v * m, rho * m * B],
             [rho * v, rho * u * v, rho * v * v + p, rho * v * B])
+
+
+def flux_and_slope(rho: float, u: float, v: float, p: float,
+                   gas: GasParams, family: int) -> tuple[list, list, float]:
+    """``(F_x, F_y, lam)``: :func:`flux_values` and :func:`acoustic_slope`
+    of family 1 or 4 from one domain check.
+
+    The jump-condition residual of a shock needs both at every Newton
+    iterate.  Equal to the two separate calls bit for bit, and raises
+    what either of them raises.
+    """
+    if family not in GENUINE_FAMILIES:
+        raise ValueError(f"unknown family {family}")
+    _check_values(rho, u, p, gas)
+    fx, fy = _flux_lists(rho, u, v, p, gas)
+    t, m, c2, den, disc = _hyperbolic_terms(rho, u, v, p, gas)
+    return fx, fy, _root_slope(v, m, c2, den, disc, family)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +296,11 @@ def flux_values(rho: float, u: float, v: float, p: float,
 def _acoustic_ingredients(rho: float, u: float, v: float, p: float, gas: GasParams):
     """Common quantities for the acoustic pair; raises outside hyperbolic domain."""
     _check_values(rho, u, p, gas)
+    return _hyperbolic_terms(rho, u, v, p, gas)
+
+
+def _hyperbolic_terms(rho: float, u: float, v: float, p: float, gas: GasParams):
+    """:func:`_acoustic_ingredients` past the :func:`check_state` checks."""
     t = gas.t2
     m = 1.0 + t * u
     c2 = gas.gamma * p / rho

@@ -99,6 +99,12 @@ class RiemannSolution:
         return (s, s) if np.isscalar(s) else tuple(s)
 
 
+def _minus(W: State, target: list) -> list:
+    """``W.as_array() - target`` as a list, for a Newton residual."""
+    rho, u, v, p = target
+    return [W.rho - rho, W.u - u, W.v - v, W.p - p]
+
+
 def _fan_span(pre: State, family: int, sigma: float, gas: GasParams):
     """(foot, head) slopes of an acoustic rarefaction fan of strength `sigma`."""
     lam = eigenvalue(pre, gas, family)
@@ -119,7 +125,7 @@ def solve_riemann(U_b: State, U_a: State, gas: GasParams) -> RiemannSolution:
     """
     _check_trust(U_b, gas, "lower state")
     _check_trust(U_a, gas, "upper state")
-    target = U_a.as_array()
+    target = U_a.as_array().tolist()
     solved = {}
 
     def acoustic(U, family, sigma):
@@ -135,12 +141,12 @@ def solve_riemann(U_b: State, U_a: State, gas: GasParams) -> RiemannSolution:
         return wave
 
     def F(sig):  # compose_wave_curves(U_b, sig, gas), through `acoustic`
-        s1, s2, s3, s4 = sig.tolist()
+        s1, s2, s3, s4 = sig
         m3 = wave_curve(wave_curve(acoustic(U_b, 1, s1)[0], 2, s2, gas), 3, s3, gas)
-        return acoustic(m3, 4, s4)[0].as_array() - target
+        return _minus(acoustic(m3, 4, s4)[0], target)
 
     try:
-        sig = damped_newton(F, np.zeros(4))
+        sig = damped_newton(F, [0.0, 0.0, 0.0, 0.0])
     except CurveError as exc:
         raise SolverError(f"interior Riemann solve failed: {exc}") from exc
 
@@ -189,11 +195,11 @@ def solve_boundary_riemann(U_b: State, theta_new: float, gas: GasParams):
         )
 
     def F(z):
-        return np.array([bc_residual(wave_curve(U_b, 1, z[0], gas), theta_new, gas)])
+        return [bc_residual(wave_curve(U_b, 1, z[0], gas), theta_new, gas)]
 
     kb = _background_boundary_gain(gas)
     try:
-        z = damped_newton(F, np.array([kb * (theta_new - theta_old)]))
+        z = damped_newton(F, [kb * (theta_new - theta_old)])
     except CurveError as exc:
         raise SolverError(f"boundary Riemann solve failed: {exc}") from exc
     sigma1 = float(z[0])
@@ -227,11 +233,11 @@ def reflect_at_boundary(U_b: State, incoming_family: int, sigma_in: float,
     _check_trust(U_b, gas, "below-wave state")
 
     def F(z):
-        return np.array([bc_residual(wave_curve(U_b, 1, z[0], gas), theta, gas)])
+        return [bc_residual(wave_curve(U_b, 1, z[0], gas), theta, gas)]
 
     x0 = sigma_in if incoming_family == 4 else 0.0
     try:
-        z = damped_newton(F, np.array([x0]))
+        z = damped_newton(F, [x0])
     except CurveError as exc:
         raise SolverError(f"wall reflection solve failed: {exc}") from exc
     return float(z[0])
@@ -247,9 +253,10 @@ def hugoniot_decompose(U: State, V: State, gas: GasParams) -> np.ndarray:
     _check_trust(U, gas, "decomposition base state")
     _check_trust(V, gas, "decomposition target state")
     target = V.as_array()
+    goal = target.tolist()
 
     def F(q):
-        return hugoniot_compose(U, q, gas).as_array() - target
+        return _minus(hugoniot_compose(U, q, gas), goal)
 
     q0 = np.linalg.solve(eigenvector_matrix(U, gas), target - U.as_array())
     try:
@@ -273,12 +280,12 @@ def boundary_hugoniot_q1(q2: float, q3: float, q4: float, theta: float,
 
     def F(z):
         W = hugoniot_compose(U, (z[0], q2, q3, q4), gas)
-        return np.array([bc_residual(W, theta_prime, gas)])
+        return [bc_residual(W, theta_prime, gas)]
 
     kb = _background_boundary_gain(gas)
     x0 = -q4 + kb * (theta_prime - theta)
     try:
-        z = damped_newton(F, np.array([x0]))
+        z = damped_newton(F, [x0])
     except CurveError as exc:
         raise SolverError(f"boundary jump decomposition failed: {exc}") from exc
     return float(z[0])

@@ -817,7 +817,13 @@ def run(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
     records: list = []
     cur = slice0
     for _ in range(cfg.max_events):
-        event, cur = next_event(cur, boundary, cfg, gas, lambda_hat, rng)
+        try:
+            event, cur = next_event(cur, boundary, cfg, gas, lambda_hat, rng)
+        except (SolverError, CurveError) as exc:
+            raise SolverError(
+                f"event scheduling at x={cur.x:.6f} failed: {exc}; "
+                f"slice has {len(cur.fronts)} fronts"
+            ) from exc
         if event.kind == "end":
             cur.columns = None
             slices.append(cur.at(cfg.x_end))

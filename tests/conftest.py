@@ -86,3 +86,23 @@ def assert_slice_invariants(slices):
         for k, f in enumerate(sl.fronts):
             assert f.below == sl.states[k], f"{where}, front {k}"
             assert np.max(np.abs(f.above - sl.states[k + 1])) <= 1e-12, f"{where}, front {k}"
+
+
+def count_residuals(newton, counts):
+    """`newton` that appends each call's number of residual evaluations
+    to `counts`, also when the call raises."""
+
+    def counted_newton(F, x0, *args, **kwargs):
+        n = 0
+
+        def G(x):
+            nonlocal n
+            n += 1
+            return F(x)
+
+        try:
+            return newton(G, x0, *args, **kwargs)
+        finally:
+            counts.append(n)
+
+    return counted_newton

@@ -2,10 +2,13 @@
 
 They are kept here, as they were, as oracles: the program's float-level
 kernels must reproduce every bit of them (``test_euler``,
-``test_curves``).  ``damped_newton`` is the program's own: its iteration
-did not change.  ``solve_riemann`` and ``emit_riemann`` are the interior
-solve and its front emission as they were before each acoustic wave was
-solved once per call (``test_riemann``).
+``test_curves``).  ``damped_newton`` is the Newton iteration on numpy
+arrays that the program's plain-float one replaced; ``shock_solve`` and
+the Riemann solvers here run their array residuals through it, so the
+program must match them in every float and in the number of residual
+evaluations (``test_curves``, ``test_riemann``).  ``solve_riemann`` and
+``emit_riemann`` are also the interior solve and its front emission as
+they were before each acoustic wave was solved once per call.
 """
 
 import numpy as np
@@ -14,17 +17,63 @@ from hyperwedge.curves import (
     _CK_A,
     _CK_B4,
     _CK_B5,
+    _NEWTON_FD_STEP,
+    _NEWTON_MAX_HALVINGS,
+    _NEWTON_MAXIT,
+    _NEWTON_TOL,
     _TINY_SIGMA,
     CurveError,
     compose_wave_curves,
-    damped_newton,
+    hugoniot_compose,
     shock_speed,
     wave_curve,
     wave_front,
 )
 from hyperwedge import euler
-from hyperwedge.euler import DomainError, State, check_state, flow_slope
+from hyperwedge.euler import DomainError, State, bc_residual, check_state, flow_slope
+from hyperwedge.riemann import _background_boundary_gain
 from hyperwedge.tracking import _emit_wave
+
+
+def damped_newton(F, x0, tol=_NEWTON_TOL, max_iter=_NEWTON_MAXIT,
+                  fd_step=_NEWTON_FD_STEP, max_halvings=_NEWTON_MAX_HALVINGS):
+    """``curves.damped_newton`` on numpy arrays: `F` maps an array to an array."""
+    x = np.array(x0, dtype=float)
+    n = x.size
+    f = np.asarray(F(x), dtype=float)
+    best_norm = np.max(np.abs(f))
+    for _ in range(max_iter):
+        if best_norm <= tol:
+            return x
+        J = np.empty((n, n))
+        for k in range(n):
+            h = fd_step * (1.0 + abs(x[k]))
+            xp = x.copy()
+            xp[k] += h
+            J[:, k] = (np.asarray(F(xp)) - f) / h
+        try:
+            step = np.linalg.solve(J, -f)
+        except np.linalg.LinAlgError as exc:
+            raise CurveError(f"singular Jacobian in Newton iteration: {exc}") from exc
+        accepted = False
+        for halving in range(max_halvings + 1):
+            trial = x + step / (2.0 ** halving)
+            try:
+                ftrial = np.asarray(F(trial), dtype=float)
+            except DomainError:
+                continue
+            norm = np.max(np.abs(ftrial))
+            if norm < best_norm or norm <= tol:
+                x, f, best_norm = trial, ftrial, norm
+                accepted = True
+                break
+        if not accepted:
+            raise CurveError(
+                f"Newton line search stalled at residual {best_norm:.3e}"
+            )
+    if best_norm <= tol:
+        return x
+    raise CurveError(f"Newton failed to converge: residual {best_norm:.3e} after {max_iter} iterations")
 
 
 def fluxes(U, gas):
@@ -215,3 +264,48 @@ def emit_riemann(strengths, U_b, x, y, gens, gas, nu):
         fr, cur = _emit_wave(cur, j, float(sig), x, y, gens[j], gas, nu)
         fronts.extend(fr)
     return fronts, cur
+
+
+def solve_boundary_riemann(U_b, theta_new, gas):
+    """``riemann.solve_boundary_riemann`` with its array residual."""
+    theta_old = float(np.arctan(flow_slope(U_b, gas)))
+
+    def F(z):
+        return np.array([bc_residual(wave_curve(U_b, 1, z[0], gas), theta_new, gas)])
+
+    kb = _background_boundary_gain(gas)
+    z = damped_newton(F, np.array([kb * (theta_new - theta_old)]))
+    sigma1 = float(z[0])
+    return sigma1, wave_curve(U_b, 1, sigma1, gas)
+
+
+def reflect_at_boundary(U_b, incoming_family, sigma_in, theta, gas):
+    """``riemann.reflect_at_boundary`` with its array residual."""
+
+    def F(z):
+        return np.array([bc_residual(wave_curve(U_b, 1, z[0], gas), theta, gas)])
+
+    x0 = sigma_in if incoming_family == 4 else 0.0
+    return float(damped_newton(F, np.array([x0]))[0])
+
+
+def hugoniot_decompose(U, V, gas):
+    """``riemann.hugoniot_decompose`` with its array residual."""
+    target = V.as_array()
+
+    def F(q):
+        return hugoniot_compose(U, q, gas).as_array() - target
+
+    q0 = np.linalg.solve(euler.eigenvector_matrix(U, gas), target - U.as_array())
+    return damped_newton(F, q0)
+
+
+def boundary_hugoniot_q1(q2, q3, q4, theta, theta_prime, U, gas):
+    """``riemann.boundary_hugoniot_q1`` with its array residual."""
+
+    def F(z):
+        W = hugoniot_compose(U, (z[0], q2, q3, q4), gas)
+        return np.array([bc_residual(W, theta_prime, gas)])
+
+    x0 = -q4 + _background_boundary_gain(gas) * (theta_prime - theta)
+    return float(damped_newton(F, np.array([x0]))[0])

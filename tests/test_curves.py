@@ -34,7 +34,7 @@ from hyperwedge.curves import (
 from hyperwedge.tracking import _emit_wave
 
 import numpy_oracles as oracle
-from conftest import state_box, trust_box_states
+from conftest import count_residuals, state_box, trust_box_states
 
 _SIGMAS = (-8e-3, -1e-3, 1e-3, 8e-3)
 
@@ -314,3 +314,54 @@ def test_damped_newton_halves_past_domain_errors(gas0):
     z = damped_newton(F, [4.0])
     assert z[0] == pytest.approx(1.0, abs=1e-10)
     assert len(rejected) == 2 and all(r <= 0.0 for r in rejected)
+
+
+# ---------------------------------------------------------------------------
+# Newton on plain floats: bit for bit the array iteration
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tau", (0.0, 0.1))
+def test_shock_solve_matches_array_newton(tau, monkeypatch):
+    gas = GasParams(gamma=1.4, a_inf=2.0, tau=tau)
+    got, want = [], []
+    monkeypatch.setattr(curves, "damped_newton", count_residuals(curves.damped_newton, got))
+    monkeypatch.setattr(oracle, "damped_newton", count_residuals(oracle.damped_newton, want))
+    for U in trust_box_states(gas, 4, seed=5):
+        for j in GENUINE_FAMILIES:
+            for sig in _KERNEL_SIGMAS:
+                W, slope = curves._shock_solve(U, gas, j, sig)
+                assert (W, slope) == oracle.shock_solve(U, gas, j, sig)
+                assert type(W.rho) is np.float64 and type(slope) is float
+    assert got == want and len(got) == 4 * 2 * len(_KERNEL_SIGMAS)
+
+
+def _nan_past_first(x):
+    # NaN in the second entry only: a norm that skips NaN would see 1.0
+    return [x[0] * x[0] - 2.0, math.nan]
+
+
+@pytest.mark.parametrize("F, x0, kwargs, message", [
+    pytest.param(lambda x: [math.nan], [1.0], {},
+                 "Newton line search stalled at residual nan", id="nan residual"),
+    pytest.param(_nan_past_first, [1.0, 1.0], {},
+                 "Newton line search stalled at residual nan", id="nan past the first entry"),
+    pytest.param(lambda x: [1.0, 1.0], [0.0, 0.0], {},
+                 "singular Jacobian in Newton iteration: Singular matrix", id="singular"),
+    pytest.param(lambda x: [x[0] * x[0]], [1.0], {"max_iter": 3},
+                 "Newton failed to converge: residual 1.563e-02 after 3 iterations",
+                 id="max_iter"),
+])
+def test_damped_newton_failures_match_array_newton(F, x0, kwargs, message):
+    for newton in (damped_newton, oracle.damped_newton):
+        with pytest.raises(CurveError) as info:
+            newton(F, x0, **kwargs)
+        assert str(info.value) == message
+
+
+def test_damped_newton_domain_error_at_start_propagates():
+    def F(x):
+        raise DomainError("outside the domain")
+
+    for newton in (damped_newton, oracle.damped_newton):
+        with pytest.raises(DomainError, match="outside the domain"):
+            newton(F, [0.5])

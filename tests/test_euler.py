@@ -27,6 +27,7 @@ from hyperwedge.euler import (
     eigenvector_raw,
     entropy_pair,
     flow_slope,
+    flux_and_slope,
     flux_values,
     fluxes,
     grad_eigenvalue,
@@ -206,6 +207,15 @@ def test_float_kernels_match_numpy_formulation(gas):
             assert acoustic_field(*w, gas, j) == oracle.eigenvector(U, gas, j).tolist()
 
 
+@pytest.mark.parametrize("gas", _GASES)
+def test_flux_and_slope_equals_separate_kernels(gas):
+    for U in trust_box_states(gas, 40, seed=11):
+        w = (U.rho, U.u, U.v, U.p)
+        for j in GENUINE_FAMILIES:
+            fx, fy, lam = flux_and_slope(*w, gas, j)
+            assert (fx, fy) == flux_values(*w, gas) and lam == acoustic_slope(*w, gas, j)
+
+
 _TAU = GasParams(gamma=1.4, a_inf=2.0, tau=0.1)
 _PB = _TAU.p_background
 
@@ -224,7 +234,23 @@ def test_float_kernels_reject_states_check_state_rejects(w):
     with pytest.raises(DomainError):
         flux_values(*w, _TAU)
     for j in GENUINE_FAMILIES:
-        for kernel in (acoustic_slope, acoustic_field):
+        for kernel in (acoustic_slope, acoustic_field, flux_and_slope):
+            with pytest.raises(DomainError):
+                kernel(*w, _TAU, j)
+
+
+def test_float_kernels_reject_subnormal_density():
+    # check_state passes rho = 5e-324, but (gamma - 1) * rho rounds to 0:
+    # the enthalpy term must raise DomainError, not ZeroDivisionError,
+    # so that a Newton trial landing there is halved
+    w = (5e-324, 0.0, 0.0, _PB)
+    check_state(State(*w), _TAU)
+    with pytest.raises(DomainError):
+        flux_values(*w, _TAU)
+    with pytest.raises(DomainError):
+        bernoulli(State(*w), _TAU)
+    for j in GENUINE_FAMILIES:
+        for kernel in (acoustic_slope, acoustic_field, flux_and_slope):
             with pytest.raises(DomainError):
                 kernel(*w, _TAU, j)
 
@@ -242,7 +268,7 @@ def test_acoustic_kernels_reject_den_and_disc_nonpositive(w, disc_nonpositive):
     assert m * m - t * c2 <= 0.0
     assert (m * m + t * (v * v - c2) <= 0.0) == disc_nonpositive
     for j in GENUINE_FAMILIES:
-        for kernel in (acoustic_slope, acoustic_field):
+        for kernel in (acoustic_slope, acoustic_field, flux_and_slope):
             with pytest.raises(DomainError):
                 kernel(*w, _TAU, j)
         with pytest.raises(DomainError):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hyperwedge.riemann as riemann
 import hyperwedge.tracking as tracking
 from hyperwedge.euler import GasParams, State, bc_residual, flow_slope
 from hyperwedge.curves import compose_wave_curves, hugoniot_compose, wave_curve
@@ -22,6 +23,7 @@ from hyperwedge.riemann import (
 )
 
 import numpy_oracles as oracle
+from conftest import count_residuals, trust_box_states
 
 _GAS = GasParams(gamma=1.4, a_inf=2.0, tau=0.1)
 
@@ -195,3 +197,41 @@ def test_solve_riemann_matches_recomputing_oracle(tau, sig):
         got = tracking._emit_riemann(sol, U_b, 0.4, -0.2, gens, gas, nu)
         want = oracle.emit_riemann(sol.strengths, U_b, 0.4, -0.2, gens, gas, nu)
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Newton on plain floats: every solver bit for bit its array residual
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tau", [0.0, 0.1])
+def test_riemann_solvers_match_array_newton(tau, monkeypatch):
+    gas = GasParams(gamma=1.4, a_inf=2.0, tau=tau)
+    got, want = [], []
+    monkeypatch.setattr(riemann, "damped_newton", count_residuals(riemann.damped_newton, got))
+    monkeypatch.setattr(oracle, "damped_newton", count_residuals(oracle.damped_newton, want))
+    rng = np.random.default_rng(17)
+    for U in trust_box_states(gas, 6, seed=13):
+        sig = rng.uniform(-3e-3, 3e-3, size=4)
+        V = compose_wave_curves(U, sig, gas)
+        sol = solve_riemann(U, V, gas)
+        strengths, middles, _ = oracle.solve_riemann(U, V, gas)
+        assert np.array_equal(sol.strengths, strengths) and sol.middle_states == middles
+
+        q = hugoniot_decompose(U, hugoniot_compose(U, sig, gas), gas)
+        assert np.array_equal(q, oracle.hugoniot_decompose(U, hugoniot_compose(U, sig, gas), gas))
+
+        theta = math.atan(flow_slope(U, gas))
+        for turn in (-2e-3, 3e-3):
+            assert (solve_boundary_riemann(U, theta + turn, gas)
+                    == oracle.solve_boundary_riemann(U, theta + turn, gas))
+            args = (sig[1], sig[2], sig[3], theta, theta + turn, U, gas)
+            assert boundary_hugoniot_q1(*args) == oracle.boundary_hugoniot_q1(*args)
+
+        for fam in (2, 3, 4):
+            top = wave_curve(U, fam, sig[3], gas)
+            theta_top = math.atan(flow_slope(top, gas))
+            assert (reflect_at_boundary(U, fam, sig[3], theta_top, gas)
+                    == oracle.reflect_at_boundary(U, fam, sig[3], theta_top, gas))
+    # per state: one interior solve, one decomposition, two boundary
+    # solves, two boundary decompositions, three reflections
+    assert got == want and len(got) == 6 * 9

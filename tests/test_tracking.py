@@ -17,6 +17,7 @@ from hyperwedge.euler import (
 import hyperwedge.tracking as tracking
 from hyperwedge.curves import wave_front
 from hyperwedge.experiments import ExperimentConfig, wedge_problem
+from hyperwedge.riemann import SolverError
 from hyperwedge.tracking import (
     EngineConfig,
     Event,
@@ -561,3 +562,16 @@ def test_interaction_emitting_nothing_keeps_the_upper_state(gas, bg, solver):
     assert out.fronts == low + top
     assert out.states == [states[0], between[-1], above[-1]]
     assert_slice_invariants([out])
+
+
+def test_coincidence_failure_names_station_and_front_count():
+    # with the accurate solver always on, these data leave a zero-width
+    # cluster of debris fronts that no speed perturbation separates
+    cfg = EngineConfig(nu=8, x_end=1.0, seed=3, rho_threshold=0.0)
+    with pytest.raises(SolverError) as info:
+        run(stepped_data(_GAS, amp=2e-4, seed=3), wedge_wall(), cfg, _GAS)
+    assert str(info.value) == (
+        "event scheduling at x=0.736287 failed: could not break event "
+        "coincidence after 64 perturbations; slice has 37 fronts"
+    )
+    assert str(info.value.__cause__) == "could not break event coincidence after 64 perturbations"
