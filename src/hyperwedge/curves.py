@@ -72,14 +72,14 @@ class CurveError(RuntimeError):
 # generic damped Newton with finite-difference Jacobian
 # ---------------------------------------------------------------------------
 
-def damped_newton(F, x0, tol=_NEWTON_TOL, max_iter=_NEWTON_MAXIT,
-                  fd_step=_NEWTON_FD_STEP, max_halvings=_NEWTON_MAX_HALVINGS):
+def damped_newton(F, x0, max_iter=_NEWTON_MAXIT):
     """Solve F(x) = 0 by Newton iteration with step halving.
 
     The Jacobian is one-sided finite differences with per-component step
-    ``fd_step * (1 + |x_k|)``.  A step is halved (at most `max_halvings`
-    times) until the residual norm decreases.  Convergence is judged on
-    the residual alone: ``max|F| <= tol``.
+    ``_NEWTON_FD_STEP * (1 + |x_k|)``.  A step is halved (at most
+    ``_NEWTON_MAX_HALVINGS`` times) until the residual norm decreases.
+    Convergence is judged on the residual alone:
+    ``max|F| <= _NEWTON_TOL``.
 
     List in, list out: `F` takes the iterate as a list of floats and
     returns its residual as a list of as many floats (any sequence
@@ -96,11 +96,11 @@ def damped_newton(F, x0, tol=_NEWTON_TOL, max_iter=_NEWTON_MAXIT,
     f = F(x)
     best_norm = _nan_max(list(map(abs, f)))
     for _ in range(max_iter):
-        if best_norm <= tol:
+        if best_norm <= _NEWTON_TOL:
             return np.array(x)
         cols = []
         for k, xk in enumerate(x):
-            h = fd_step * (1.0 + abs(xk))
+            h = _NEWTON_FD_STEP * (1.0 + abs(xk))
             xp = list(x)
             xp[k] = xk + h
             cols.append([(a - b) / h for a, b in zip(F(xp), f)])
@@ -109,7 +109,7 @@ def damped_newton(F, x0, tol=_NEWTON_TOL, max_iter=_NEWTON_MAXIT,
         except np.linalg.LinAlgError as exc:
             raise CurveError(f"singular Jacobian in Newton iteration: {exc}") from exc
         accepted = False
-        for halving in range(max_halvings + 1):
+        for halving in range(_NEWTON_MAX_HALVINGS + 1):
             scale = 2.0 ** halving
             trial = [a + b / scale for a, b in zip(x, step)]
             try:
@@ -117,7 +117,7 @@ def damped_newton(F, x0, tol=_NEWTON_TOL, max_iter=_NEWTON_MAXIT,
             except DomainError:
                 continue
             norm = _nan_max(list(map(abs, ftrial)))
-            if norm < best_norm or norm <= tol:
+            if norm < best_norm or norm <= _NEWTON_TOL:
                 x, f, best_norm = trial, ftrial, norm
                 accepted = True
                 break
@@ -125,7 +125,7 @@ def damped_newton(F, x0, tol=_NEWTON_TOL, max_iter=_NEWTON_MAXIT,
             raise CurveError(
                 f"Newton line search stalled at residual {best_norm:.3e}"
             )
-    if best_norm <= tol:
+    if best_norm <= _NEWTON_TOL:
         return np.array(x)
     raise CurveError(f"Newton failed to converge: residual {best_norm:.3e} after {max_iter} iterations")
 

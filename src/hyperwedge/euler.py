@@ -215,11 +215,10 @@ def bernoulli(U: State, gas: GasParams) -> float:
 
 def _bernoulli(rho: float, u: float, v: float, p: float, gas: GasParams) -> float:
     g = gas.gamma
-    try:
-        return u + 0.5 * v * v + g * p / ((g - 1.0) * rho) + 0.5 * gas.t2 * u * u
-    except ZeroDivisionError:
-        # (g - 1) * rho rounds to 0 at the smallest subnormal densities
-        raise DomainError(f"enthalpy term undefined at density {rho}") from None
+    den = (g - 1.0) * rho
+    if den == 0.0:  # rounds to 0 at the smallest subnormal densities
+        raise DomainError(f"enthalpy term undefined at density {rho}")
+    return u + 0.5 * v * v + g * p / den + 0.5 * gas.t2 * u * u
 
 
 def flow_slope(U: State, gas: GasParams) -> float:

@@ -132,7 +132,10 @@ class ExperimentConfig:
             eng_unknown = set(raw["engine"]) - eng_known
             if eng_unknown:
                 raise ConfigError(f"unknown engine keys: {sorted(eng_unknown)}")
-            raw = dict(raw, engine=EngineConfig(**raw["engine"]))
+            try:
+                raw = dict(raw, engine=EngineConfig(**raw["engine"]))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(str(exc)) from exc
         if "tau_grid" in raw:
             raw = dict(raw, tau_grid=tuple(float(t) for t in raw["tau_grid"]))
         try:

@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 _SAFETY = 1.5  # weights sit at this multiple of their lower bounds
+_KAPPA = 10.0  # every level and tail coefficient of LyapunovWeights
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +112,8 @@ class GlimmWeights:
     c_equiv: float
 
     @classmethod
-    def from_background(cls, gas: GasParams, safety: float = _SAFETY) -> "GlimmWeights":
-        """Derive weights from measured coefficients at `safety` x bounds.
+    def from_background(cls, gas: GasParams) -> "GlimmWeights":
+        """Derive weights from measured coefficients at ``_SAFETY`` x bounds.
 
         Lower bounds: the corner weight must dominate the corner-to-wave
         conversion gain plus 1/2; each reflecting family's weight must
@@ -124,28 +125,28 @@ class GlimmWeights:
         gain = abs(br["boundary_gain"])
         refl = tuple(abs(br["reflection"][fam]) for fam in (2, 3, 4))
         c21 = strength_equivalence_constant(gas)
-        ks = [safety * max(r + 0.25, 1.0) for r in refl]
-        kc = safety * max(gain + 0.5, 1.0)
-        k = safety * (4.0 * c21 * max(ks) + 1.0)
+        ks = [_SAFETY * max(r + 0.25, 1.0) for r in refl]
+        kc = _SAFETY * max(gain + 0.5, 1.0)
+        k = _SAFETY * (4.0 * c21 * max(ks) + 1.0)
         return cls(ks[0], ks[1], ks[2], kc, k, gain, refl, c21)
 
     def family_weight(self, family: int) -> float:
         return {1: 1.0, 2: self.k2, 3: self.k3, 4: self.k4, NP_FAMILY: 1.0}[family]
 
 
-def strength_equivalence_constant(gas: GasParams, n_samples: int = 48,
-                                  scale: float = 0.02, seed: int = 2024) -> float:
+def strength_equivalence_constant(gas: GasParams) -> float:
     """Measured two-sided constant between strength vectors and state gaps.
 
-    Samples strength vectors in the trust region, composes them from the
-    background, and returns the worst ratio (either direction) between
-    the summed absolute strengths and the Euclidean state gap.
+    Samples 48 seeded strength vectors with components in +-0.02, well
+    inside the trust region, composes them from the background, and
+    returns the worst ratio (either direction) between the summed
+    absolute strengths and the Euclidean state gap.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2024)
     Ub = gas.background()
     worst = 1.0
-    for _ in range(n_samples):
-        sig = rng.uniform(-scale, scale, 4)
+    for _ in range(48):
+        sig = rng.uniform(-0.02, 0.02, 4)
         gap = float(np.linalg.norm(compose_wave_curves(Ub, sig, gas) - Ub))
         tot = float(np.abs(sig).sum())
         if gap > 0.0:
@@ -203,8 +204,7 @@ class LyapunovWeights:
     kb_jump: float
 
     @classmethod
-    def from_background(cls, gas: GasParams, kappa: float = 10.0,
-                        safety: float = _SAFETY) -> "LyapunovWeights":
+    def from_background(cls, gas: GasParams) -> "LyapunovWeights":
         """Size ``w4`` so wall dissipation wins in the worst weight case.
 
         At the wall the component-4 deficit converts into a component-1
@@ -212,7 +212,8 @@ class LyapunovWeights:
         ``|kb|*W1*(0-lam1) + w4*W4*(0-lam4)`` must be negative even when
         the level weights are least favourable (W1 at its cap 2, W4 at
         its floor 1).  The critical ``w4`` is found by bisection and
-        inflated by the safety factor.
+        inflated by the safety factor; every ``kappa`` is ``_KAPPA``, and
+        ``kappa_g`` is ``_KAPPA * w4``.
         """
         Ub = gas.background()
         eps = 1.0e-6
@@ -233,9 +234,9 @@ class LyapunovWeights:
                 lo = mid
             else:
                 hi = mid
-        w4 = safety * hi
-        return cls(1.0, 1.0, w4, kappa, kappa, kappa, kappa, kappa,
-                   kappa * w4, kb)
+        w4 = _SAFETY * hi
+        return cls(1.0, 1.0, w4, _KAPPA, _KAPPA, _KAPPA, _KAPPA, _KAPPA,
+                   _KAPPA * w4, kb)
 
     def component_weight(self, j: int) -> float:
         return {1: 1.0, 2: self.w2, 3: self.w3, 4: self.w4}[j]

@@ -51,6 +51,8 @@ __all__ = [
 
 #: componentwise trust radius around the background state for all solves
 TRUST_RADIUS = 0.05
+#: wave strength and wall angle of the probes in :func:`boundary_response`
+_PROBE = 1.0e-5
 
 
 class SolverError(RuntimeError):
@@ -171,7 +173,7 @@ def solve_riemann(U_b: State, U_a: State, gas: GasParams) -> RiemannSolution:
                            ((U_b, m1, slope1), (m3, top, slope4)))
 
 
-def solve_boundary_riemann(U_b: State, theta_new: float, gas: GasParams):
+def solve_boundary_riemann(U_b: State, theta_new: float, gas: GasParams) -> float:
     """Family-1 wave bringing a state under the wall onto a new wall angle.
 
     Parameters
@@ -183,9 +185,10 @@ def solve_boundary_riemann(U_b: State, theta_new: float, gas: GasParams):
 
     Returns
     -------
-    (sigma1, U_gamma) : (float, State)
-        Strength of the emitted family-1 wave and the post state, which
-        satisfies the slip condition at `theta_new` to solver tolerance.
+    sigma1 : float
+        Strength of the emitted family-1 wave, whose post state
+        ``wave_curve(U_b, 1, sigma1)`` satisfies the slip condition at
+        `theta_new` to solver tolerance.
     """
     _check_trust(U_b, gas, "boundary state")
     theta_old = float(np.arctan(flow_slope(U_b, gas)))
@@ -193,17 +196,23 @@ def solve_boundary_riemann(U_b: State, theta_new: float, gas: GasParams):
         raise SolverError(
             f"boundary turn too large: |{theta_old:.4f}| + |{theta_new - theta_old:.4f}| >= 0.1"
         )
+    kb = _background_boundary_gain(gas)
+    return _slip_strength(lambda s: wave_curve(U_b, 1, s, gas), theta_new,
+                          kb * (theta_new - theta_old), gas, "boundary Riemann solve")
+
+
+def _slip_strength(post, theta: float, start: float, gas: GasParams, label: str) -> float:
+    """The strength z, Newton from `start`, at which the state ``post(z)``
+    satisfies the slip condition along a wall at angle `theta`."""
 
     def F(z):
-        return [bc_residual(wave_curve(U_b, 1, z[0], gas), theta_new, gas)]
+        return [bc_residual(post(z[0]), theta, gas)]
 
-    kb = _background_boundary_gain(gas)
     try:
-        z = damped_newton(F, [kb * (theta_new - theta_old)])
+        z = damped_newton(F, [start])
     except CurveError as exc:
-        raise SolverError(f"boundary Riemann solve failed: {exc}") from exc
-    sigma1 = float(z[0])
-    return sigma1, wave_curve(U_b, 1, sigma1, gas)
+        raise SolverError(f"{label} failed: {exc}") from exc
+    return float(z[0])
 
 
 def _background_boundary_gain(gas: GasParams) -> float:
@@ -231,16 +240,9 @@ def reflect_at_boundary(U_b: State, incoming_family: int, sigma_in: float,
     if incoming_family not in (2, 3, 4):
         raise SolverError(f"only families 2-4 can reach the wall, got {incoming_family}")
     _check_trust(U_b, gas, "below-wave state")
-
-    def F(z):
-        return [bc_residual(wave_curve(U_b, 1, z[0], gas), theta, gas)]
-
-    x0 = sigma_in if incoming_family == 4 else 0.0
-    try:
-        z = damped_newton(F, [x0])
-    except CurveError as exc:
-        raise SolverError(f"wall reflection solve failed: {exc}") from exc
-    return float(z[0])
+    start = sigma_in if incoming_family == 4 else 0.0
+    return _slip_strength(lambda s: wave_curve(U_b, 1, s, gas), theta, start, gas,
+                          "wall reflection solve")
 
 
 def hugoniot_decompose(U: State, V: State, gas: GasParams) -> np.ndarray:
@@ -277,18 +279,9 @@ def boundary_hugoniot_q1(q2: float, q3: float, q4: float, theta: float,
     boundary Riemann solve.
     """
     _check_trust(U, gas, "boundary decomposition state")
-
-    def F(z):
-        W = hugoniot_compose(U, (z[0], q2, q3, q4), gas)
-        return [bc_residual(W, theta_prime, gas)]
-
     kb = _background_boundary_gain(gas)
-    x0 = -q4 + kb * (theta_prime - theta)
-    try:
-        z = damped_newton(F, [x0])
-    except CurveError as exc:
-        raise SolverError(f"boundary jump decomposition failed: {exc}") from exc
-    return float(z[0])
+    return _slip_strength(lambda q1: hugoniot_compose(U, (q1, q2, q3, q4), gas), theta_prime,
+                          -q4 + kb * (theta_prime - theta), gas, "boundary jump decomposition")
 
 
 def sample_riemann_fan(sol: RiemannSolution, U_b: State, zeta: float,
@@ -310,22 +303,22 @@ def sample_riemann_fan(sol: RiemannSolution, U_b: State, zeta: float,
     return wave_curve(states[3], 4, float(sol.strengths[3]), gas)
 
 
-def boundary_response(gas: GasParams, probe: float = 1.0e-5) -> dict:
+def boundary_response(gas: GasParams) -> dict:
     """Measured small-wave boundary coefficients at the background state.
 
     Returns the centred-difference gain d(sigma1)/d(angle) of
     :func:`solve_boundary_riemann` and the per-family reflection ratios
     sigma_out/sigma_in of :func:`reflect_at_boundary`, all probed with
-    waves/angles of size `probe` around the flat wall.
+    waves/angles of size ``_PROBE`` around the flat wall.
     """
     Ub = gas.background()
-    sp, _ = solve_boundary_riemann(Ub, probe, gas)
-    sm, _ = solve_boundary_riemann(Ub, -probe, gas)
-    gain = (sp - sm) / (2.0 * probe)
+    sp = solve_boundary_riemann(Ub, _PROBE, gas)
+    sm = solve_boundary_riemann(Ub, -_PROBE, gas)
+    gain = (sp - sm) / (2.0 * _PROBE)
     refl = {}
     for fam in (2, 3, 4):
         # wall angle consistent with the incoming top state, as in a run
-        top = wave_curve(Ub, fam, probe, gas)
+        top = wave_curve(Ub, fam, _PROBE, gas)
         theta = float(np.arctan(flow_slope(top, gas)))
-        refl[fam] = reflect_at_boundary(Ub, fam, probe, theta, gas) / probe
+        refl[fam] = reflect_at_boundary(Ub, fam, _PROBE, theta, gas) / _PROBE
     return {"boundary_gain": float(gain), "reflection": refl}

@@ -29,6 +29,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .euler import (
     eigenvalue,
 )
 from .riemann import (
+    TRUST_RADIUS,
     SolverError,
     solve_boundary_riemann,
     solve_riemann,
@@ -73,6 +75,8 @@ _COINCIDENCE_TOL = 1.0e-12
 #: speed gaps below this between coincident fronts are rounding noise,
 #: not a crossing (genuine zero-width crossings have O(1) speed gaps)
 _PARALLEL_TOL = 1.0e-12
+#: the interval of y that :func:`approximate_initial_data` samples
+_DATA_SUPPORT = (-1.5, 0.0)
 
 
 @dataclass(frozen=True)
@@ -193,19 +197,20 @@ class InitialData:
             raise ValueError("breaks must be strictly increasing and nonpositive")
 
 
-def approximate_initial_data(U0, nu: int, support=(-1.5, 0.0)) -> InitialData:
+def approximate_initial_data(U0, nu: int) -> InitialData:
     """Piecewise-constant sampling of inflow data with L1 error < 2^-nu.
 
     `U0` may already be an :class:`InitialData` (returned unchanged up to
-    merging of equal neighbours) or a callable y -> State.  A callable is
-    sampled at spacing fine enough that the cell-midpoint interpolant is
-    within 2^-nu of the data in L1; since the values are pointwise values
-    of the data, total variation cannot increase.
+    merging of equal neighbours) or a callable y -> State on
+    ``_DATA_SUPPORT``.  A callable is sampled at spacing fine enough that
+    the cell-midpoint interpolant is within 2^-nu of the data in L1;
+    since the values are pointwise values of the data, total variation
+    cannot increase.
     """
     if isinstance(U0, InitialData):
         breaks, states = list(U0.breaks), list(U0.states)
     else:
-        lo, hi = support
+        lo, hi = _DATA_SUPPORT
         probe = np.linspace(lo, hi, 2049)
         vals = [U0(y).as_array() for y in probe]
         tv = float(sum(np.abs(b - a).sum() for a, b in zip(vals, vals[1:])))
@@ -285,6 +290,15 @@ class EngineConfig:
     seed: int = 0
     max_events: int = 200000
     np_boundary: str = "absorb"  # or "resolve"
+
+    def __post_init__(self):
+        if not (isinstance(self.h, Real) and self.h > 0.0):
+            raise ValueError(f"engine key h={self.h!r} must be positive")
+        if isinstance(self.nu, bool) or not isinstance(self.nu, Integral) or self.nu < 1:
+            raise ValueError(f"engine key nu={self.nu!r} must be an integer >= 1")
+        if self.np_boundary not in ("absorb", "resolve"):
+            raise ValueError(f"engine key np_boundary={self.np_boundary!r} "
+                             f"must be 'absorb' or 'resolve'")
 
 
 @dataclass(frozen=True)
@@ -394,12 +408,12 @@ def _emit_riemann(sol, U_b: State, x: float, y: float, gens, gas: GasParams, nu:
     return fronts, cur
 
 
-def default_lambda_hat(gas: GasParams, trust: float = 0.05) -> float:
+def default_lambda_hat(gas: GasParams) -> float:
     """1.2x the largest family-4 slope over the trust-box corner states."""
     Ub = gas.background()
     worst = -np.inf
     for k in range(16):
-        dev = [(trust if k >> i & 1 else -trust) for i in range(4)]
+        dev = [(TRUST_RADIUS if k >> i & 1 else -TRUST_RADIUS) for i in range(4)]
         W = State(Ub.rho + dev[0], Ub.u + dev[1], Ub.v + dev[2], Ub.p + dev[3])
         worst = max(worst, eigenvalue(W, gas, 4))
     return 1.2 * float(worst)
@@ -414,27 +428,18 @@ def initialize(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
     """Slice at x = 0: resolved inflow jumps plus the leading-edge wave.
 
     Each inflow jump is resolved into its four-wave solution anchored at
-    (0, y_jump); the leading-edge corner emits the family-1 wave that
-    turns the top state onto the first wall segment.
+    (0, y_jump); the leading edge is corner 0, which emits the family-1
+    wave that turns the top state onto the first wall segment.
     """
-    fronts: list = []
-    states = [data.states[0]]
+    slice_ = SolutionSlice(0.0, [], [data.states[0]], _front_columns([]))
+    gens = dict.fromkeys((1, 2, 3, 4), 1)
     for y, target in zip(data.breaks, data.states[1:]):
-        sol = solve_riemann(states[-1], target, gas)
-        gens = {j: 1 for j in (1, 2, 3, 4)}
-        fr, top = _emit_riemann(sol, states[-1], 0.0, float(y), gens, gas, cfg.nu)
-        mids = [f.above for f in fr[:-1]] if fr else []
-        fronts.extend(fr)
-        states.extend(mids)
-        states.append(target)
-    theta0 = float(boundary.thetas[0])
-    sigma1, U_gamma = solve_boundary_riemann(states[-1], theta0, gas)
-    fr, top = _emit_wave(states[-1], 1, sigma1, 0.0, 0.0, 1, gas, cfg.nu)
-    if fr:
-        states.extend(f.above for f in fr[:-1])
-        states.append(top)
-        fronts.extend(fr)
-    return SolutionSlice(0.0, fronts, states, _front_columns(fronts))
+        sol = solve_riemann(slice_.top_state, target, gas)
+        fronts, _ = _emit_riemann(sol, slice_.top_state, 0.0, float(y), gens, gas, cfg.nu)
+        n = len(slice_.fronts)
+        slice_ = _apply_edit(slice_, 0.0, (n, n, fronts, target))
+    edit, _ = _resolve_corner(slice_, Event("corner", 0.0, 0), boundary, cfg, gas)
+    return _apply_edit(slice_, 0.0, edit)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +471,22 @@ def _splice(slice_: SolutionSlice, start: int, stop: int, new_fronts) -> np.ndar
     if m:
         cols[:, start:start + m] = _front_columns(new_fronts)
     return cols
+
+
+def _apply_edit(slice_: SolutionSlice, x: float, edit) -> SolutionSlice:
+    """The slice at `x` after the edit ``(start, stop, new_fronts, top)``.
+
+    `new_fronts` take the place of ``fronts[start:stop]``, each bringing
+    its ``below`` state.  Above the last of them come ``states[stop:]``,
+    or, at the wall, `top` alone (`top` is None off the wall).  So every
+    front keeps its own below state, also when nothing is emitted.  The
+    columns move over from `slice_` through :func:`_splice`.
+    """
+    start, stop, new_fronts, top = edit
+    fronts = slice_.fronts[:start] + new_fronts + slice_.fronts[stop:]
+    states = (slice_.states[:start] + [f.below for f in new_fronts]
+              + (slice_.states[stop:] if top is None else [top]))
+    return SolutionSlice(x, fronts, states, _splice(slice_, start, stop, new_fronts))
 
 
 def _exact_speed(f: Front, gas: GasParams, lambda_hat: float) -> float:
@@ -550,21 +571,17 @@ def _youngest(slice_: SolutionSlice, indices) -> int:
 
 
 def next_event(slice_: SolutionSlice, boundary: BoundaryPolyline, cfg: EngineConfig,
-               gas: GasParams, lambda_hat: float | None = None, rng=None):
+               gas: GasParams, lambda_hat: float, rng):
     """Earliest upcoming event, after breaking any coincidences.
 
     If two candidate events share both a participating front and (within
     tolerance) a station x -- a triple point, a wall hit at a corner, or
     a simultaneous wall hit -- the youngest participating front's speed
-    is perturbed by a seeded delta in (0, 2^-(nu+2)] and the schedule is
-    rebuilt.  Returns ``(event, slice)`` where the slice carries any
-    perturbed fronts; a perturbed slice takes over the columns of
-    `slice_`.
+    is perturbed by a delta in (0, 2^-(nu+2)] drawn from `rng` and the
+    schedule is rebuilt.  Returns ``(event, slice)`` where the slice
+    carries any perturbed fronts; a perturbed slice takes over the
+    columns of `slice_`.
     """
-    if lambda_hat is None:
-        lambda_hat = default_lambda_hat(gas)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     for _attempt in range(64):
         cands = _candidates(slice_, boundary, cfg.x_end)
         first = min(cands)
@@ -631,15 +648,19 @@ def resolve_event(slice_: SolutionSlice, event: Event, boundary: BoundaryPolylin
     solver when the strength product exceeds `rho_threshold` (and always
     when a non-physical front is *not* involved but strengths are large);
     wall events always re-solve exactly; corners emit the family-1 wave
-    of the new wall angle.
+    of the new wall angle.  Every resolver returns one slice edit
+    ``(start, stop, new_fronts, top)`` (see :func:`_apply_edit`) and the
+    event's record.
     """
     if event.kind == "interaction":
-        return _resolve_interaction(slice_, event, cfg, gas, rho_threshold, lambda_hat)
-    if event.kind == "boundary":
-        return _resolve_boundary(slice_, event, boundary, cfg, gas)
-    if event.kind == "corner":
-        return _resolve_corner(slice_, event, boundary, cfg, gas)
-    raise ValueError(f"cannot resolve event kind {event.kind!r}")
+        edit, rec = _resolve_interaction(slice_, event, cfg, gas, rho_threshold, lambda_hat)
+    elif event.kind == "boundary":
+        edit, rec = _resolve_boundary(slice_, event, boundary, cfg, gas)
+    elif event.kind == "corner":
+        edit, rec = _resolve_corner(slice_, event, boundary, cfg, gas)
+    else:
+        raise ValueError(f"cannot resolve event kind {event.kind!r}")
+    return _apply_edit(slice_, rec.x, edit), rec
 
 
 def _resolve_interaction(slice_, event, cfg, gas, rho_threshold, lambda_hat):
@@ -678,17 +699,9 @@ def _resolve_interaction(slice_, event, cfg, gas, rho_threshold, lambda_hat):
         new_fronts = _srs_fronts(f_lo, f_up, U0, U2, xh, yh, gas, cfg.nu, lambda_hat)
         solver = "SRS"
 
-    fronts = slice_.fronts[:i] + new_fronts + slice_.fronts[i + 2:]
-    if new_fronts:
-        mids = [f.above for f in new_fronts[:-1]]
-        states = slice_.states[:i + 1] + mids + slice_.states[i + 2:]
-    else:
-        # nothing emitted: U0 and the middle state go, U2 stays, so every
-        # front keeps its own below state and the wall state its slip
-        states = slice_.states[:i] + slice_.states[i + 2:]
     rec = EventRecord("interaction", solver, xh, yh, incoming,
                       tuple((f.family, f.sigma) for f in new_fronts), emech)
-    return SolutionSlice(xh, fronts, states, _splice(slice_, i, i + 2, new_fronts)), rec
+    return (i, i + 2, new_fronts, None), rec
 
 
 def _ars_generations(f_lo: Front, f_up: Front) -> dict:
@@ -748,46 +761,36 @@ def _resolve_boundary(slice_, event, boundary, cfg, gas):
     yh = boundary.g_at(xh)
     theta = boundary.theta_at(xh)
     U_below = f.below
-    incoming = ((f.family, f.sigma),)
 
     if f.family == NP_FAMILY:
-        if cfg.np_boundary == "absorb":
-            new_fronts, top = [], U_below
-        else:
-            sigma1, top = solve_boundary_riemann(U_below, theta, gas)
-            new_fronts, top = _emit_wave(U_below, 1, sigma1, xh, yh,
-                                         f.generation, gas, cfg.nu)
+        # an absorbed carrier emits nothing: strength 0 is no wave at all
+        sigma = (0.0 if cfg.np_boundary == "absorb"
+                 else solve_boundary_riemann(U_below, theta, gas))
         kind, emech = "np_boundary", 0.0
     elif f.family in (2, 3, 4):
-        sigma_out = reflect_at_boundary(U_below, f.family, f.sigma, theta, gas)
-        new_fronts, top = _emit_wave(U_below, 1, sigma_out, xh, yh,
-                                     f.generation, gas, cfg.nu)
+        sigma = reflect_at_boundary(U_below, f.family, f.sigma, theta, gas)
         kind, emech = "boundary", abs(f.sigma)
     else:
         raise SolverError(f"family-1 front reached the wall at x={xh}")
+    new_fronts, top = _emit_wave(U_below, 1, sigma, xh, yh, f.generation, gas, cfg.nu)
 
-    fronts = slice_.fronts[:i] + new_fronts
-    states = slice_.states[:i + 1] + [fr.above for fr in new_fronts]
-    rec = EventRecord(kind, "boundary", xh, yh, incoming,
+    rec = EventRecord(kind, "boundary", xh, yh, ((f.family, f.sigma),),
                       tuple((fr.family, fr.sigma) for fr in new_fronts), emech)
-    return SolutionSlice(xh, fronts, states, _splice(slice_, i, i + 1, new_fronts)), rec
+    return (i, i + 1, new_fronts, top), rec
 
 
 def _resolve_corner(slice_, event, boundary, cfg, gas):
     k = event.index
     xh = float(boundary.xs[k])
     yh = float(boundary.gs[k])
-    theta_new = float(boundary.thetas[k])
-    U_top = slice_.states[-1]
-    sigma1, U_gamma = solve_boundary_riemann(U_top, theta_new, gas)
+    U_top = slice_.top_state
+    sigma1 = solve_boundary_riemann(U_top, float(boundary.thetas[k]), gas)
     new_fronts, top = _emit_wave(U_top, 1, sigma1, xh, yh, 1, gas, cfg.nu)
-    fronts = slice_.fronts + new_fronts
-    states = slice_.states + [fr.above for fr in new_fronts]
-    rec = EventRecord("corner", "boundary", xh, yh, ((0, float(boundary.omegas[k])),),
-                      tuple((fr.family, fr.sigma) for fr in new_fronts),
-                      abs(float(boundary.omegas[k])))
+    omega = float(boundary.omegas[k])
+    rec = EventRecord("corner", "boundary", xh, yh, ((0, omega),),
+                      tuple((fr.family, fr.sigma) for fr in new_fronts), abs(omega))
     n = len(slice_.fronts)
-    return SolutionSlice(xh, fronts, states, _splice(slice_, n, n, new_fronts)), rec
+    return (n, n, new_fronts, top), rec
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from hyperwedge.cli import main
+from hyperwedge.tracking import EngineConfig
 
 # Background free stream at gamma=1.4, a=2: rho=1, u=v=0, p = 1/(gamma a^2).
 BG = "1,0,0,0.17857142857142858"
@@ -130,6 +131,20 @@ def test_unknown_config_key_exits_2(runner, tmp_path):
                                "--out", str(tmp_path / "out")])
     assert res.exit_code == 2
     assert "error:" in res.stderr
+
+
+@pytest.mark.parametrize("key, value", [("h", 0), ("np_boundary", "resovle"), ("nu", -3)])
+def test_bad_engine_value_exits_2(runner, tmp_path, key, value):
+    # the engine rejects the value itself; the CLI names the key on one line
+    engine = {key: value}
+    with pytest.raises(ValueError, match=key):
+        EngineConfig(**engine)
+    cfg = _cfg_file(tmp_path, {"scenario": "wedge", "engine": engine})
+    res = runner.invoke(main, ["converge", "--config", cfg,
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error:") and key in res.stderr
+    assert len(res.stderr.splitlines()) == 1
 
 
 def test_missing_config_file_exits_2(runner, tmp_path):

@@ -92,10 +92,10 @@ def test_trust_region_enforced(gas, bg):
 
 
 def test_boundary_solve_trivial_and_slip(gas, bg):
-    sig, post = solve_boundary_riemann(bg, 0.0, gas)
-    assert abs(sig) < 1e-12
+    assert abs(solve_boundary_riemann(bg, 0.0, gas)) < 1e-12
     theta = -8e-3
-    sig, post = solve_boundary_riemann(bg, theta, gas)
+    sig = solve_boundary_riemann(bg, theta, gas)
+    post = wave_curve(bg, 1, sig, gas)
     assert sig < 0.0  # compressive turn emits a shock
     assert abs(bc_residual(post, theta, gas)) < 1e-12
     assert math.tan(theta) == pytest.approx(flow_slope(post, gas), abs=1e-12)
@@ -223,7 +223,7 @@ def test_riemann_solvers_match_array_newton(tau, monkeypatch):
         theta = math.atan(flow_slope(U, gas))
         for turn in (-2e-3, 3e-3):
             assert (solve_boundary_riemann(U, theta + turn, gas)
-                    == oracle.solve_boundary_riemann(U, theta + turn, gas))
+                    == oracle.solve_boundary_riemann(U, theta + turn, gas)[0])
             args = (sig[1], sig[2], sig[3], theta, theta + turn, U, gas)
             assert boundary_hugoniot_q1(*args) == oracle.boundary_hugoniot_q1(*args)
 

@@ -217,6 +217,9 @@ def test_slip_condition_after_boundary_events(gas):
     cfg = EngineConfig(nu=8, x_end=1.0, np_boundary="resolve")
     traj = run(stepped_data(gas, amp=2e-4, seed=5), wedge_wall(), cfg, gas)
     assert any(r.kind == "boundary" for r in traj.records)
+    # the carriers that reach the wall are re-solved, not absorbed
+    assert sum(r.kind == "np_boundary" and bool(r.outgoing) for r in traj.records) >= 5
+    assert_slice_invariants(traj.slices)
     for s in traj.slices:
         theta = traj.boundary.theta_at(s.x)
         assert abs(bc_residual(s.top_state, theta, gas)) < 1e-9
@@ -498,9 +501,11 @@ def test_run_matches_full_scan_event_loop(case):
         data, wall, cfg, gas, traj.rho_threshold, traj.lambda_hat)
     assert records == traj.records
     assert slices == traj.slices
+    assert_slice_invariants(traj.slices)
     kinds = {(r.kind, r.solver) for r in records}
     if case == "curved":
         assert {("corner", "boundary"), ("boundary", "boundary")} <= kinds
+        assert any(r.kind == "np_boundary" and not r.outgoing for r in records)
     else:
         assert ("interaction", "ARS") in kinds
         assert any(r.kind == "interaction" and not r.outgoing for r in records)
