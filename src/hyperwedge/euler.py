@@ -302,7 +302,10 @@ def _hyperbolic_terms(rho: float, u: float, v: float, p: float, gas: GasParams):
     """:func:`_acoustic_ingredients` past the :func:`check_state` checks."""
     t = gas.t2
     m = 1.0 + t * u
-    c2 = gas.gamma * p / rho
+    # float(rho): a numpy scalar would warn as the quotient overflows
+    c2 = gas.gamma * p / float(rho)
+    if c2 == math.inf:
+        raise DomainError(f"sound speed overflows at density {rho}")
     den = m * m - t * c2
     if den <= 0.0:
         raise DomainError(

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
+from numbers import Real
 
 import numpy as np
 from scipy.integrate import quad
@@ -93,6 +94,10 @@ class ExperimentConfig:
     x_station: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if f.type == "float" and (isinstance(val, bool) or not isinstance(val, Real)):
+                raise ConfigError(f"{f.name}={val!r} must be a number")
         if self.scenario not in _SCENARIOS:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; expected one of {_SCENARIOS}")
@@ -128,6 +133,8 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "engine" in raw:
+            if not isinstance(raw["engine"], dict):
+                raise ConfigError(f"engine={raw['engine']!r} must be an object")
             eng_known = {f.name for f in fields(EngineConfig)}
             eng_unknown = set(raw["engine"]) - eng_known
             if eng_unknown:
@@ -137,7 +144,10 @@ class ExperimentConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(str(exc)) from exc
         if "tau_grid" in raw:
-            raw = dict(raw, tau_grid=tuple(float(t) for t in raw["tau_grid"]))
+            grid = raw["tau_grid"]
+            if not (isinstance(grid, list) and all(type(t) in (int, float) for t in grid)):
+                raise ConfigError(f"tau_grid={grid!r} must be a list of numbers")
+            raw = dict(raw, tau_grid=tuple(float(t) for t in grid))
         try:
             return cls(**raw)
         except TypeError as exc:

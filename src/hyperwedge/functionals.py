@@ -330,14 +330,15 @@ def lyapunov_functional(sliceU: SolutionSlice, sliceV: SolutionSlice,
 
     ysU = [f.y_at(x) for f in sliceU.fronts]
     ysV = [f.y_at(x) for f in sliceV.fronts]
+    statesU, statesV = sliceU.states, sliceV.states
 
     interior = 0.0
     for a, b in zip(edges, edges[1:]):
         if b - a <= 0.0:
             continue
         ym = 0.5 * (a + b)
-        su = sliceU.states[bisect.bisect_right(ysU, ym)]
-        sv = sliceV.states[bisect.bisect_right(ysV, ym)]
+        su = statesU[bisect.bisect_right(ysU, ym)]
+        sv = statesV[bisect.bisect_right(ysV, ym)]
         if su is sv or (su.rho == sv.rho and su.u == sv.u
                         and su.v == sv.v and su.p == sv.p):
             continue
@@ -385,11 +386,12 @@ def l1_distance(sliceU: SolutionSlice, sliceV: SolutionSlice, domain) -> float:
     ysU = [f.y_at(x) for f in sliceU.fronts]
     ysV = [f.y_at(sliceV.x) for f in sliceV.fronts]
     edges = sorted({lo, hi, *(y for y in ysU + ysV if lo < y < hi)})
+    statesU, statesV = sliceU.states, sliceV.states
     total = 0.0
     for a, b in zip(edges, edges[1:]):
         ym = 0.5 * (a + b)
-        su = sliceU.states[bisect.bisect_right(ysU, ym)]
-        sv = sliceV.states[bisect.bisect_right(ysV, ym)]
+        su = statesU[bisect.bisect_right(ysU, ym)]
+        sv = statesV[bisect.bisect_right(ysV, ym)]
         total += float(np.abs(su - sv).sum()) * (b - a)
     return total
 

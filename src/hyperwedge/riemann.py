@@ -131,15 +131,11 @@ def solve_riemann(U_b: State, U_a: State, gas: GasParams) -> RiemannSolution:
     solved = {}
 
     def acoustic(U, family, sigma):
-        """``(wave_curve(U, family, sigma), shock slope or None)``."""
+        """``wave_front(U, family, sigma, gas)``, memoised."""
         key = (family, sigma, U.rho, U.u, U.v, U.p)
         wave = solved.get(key)
         if wave is None:
-            if sigma < 0.0:
-                wave = wave_front(U, family, sigma, gas)
-            else:
-                wave = (wave_curve(U, family, sigma, gas), None)
-            solved[key] = wave
+            wave = solved[key] = wave_front(U, family, sigma, gas)
         return wave
 
     def F(sig):  # compose_wave_curves(U_b, sig, gas), through `acoustic`
@@ -156,10 +152,6 @@ def solve_riemann(U_b: State, U_a: State, gas: GasParams) -> RiemannSolution:
     m2 = wave_curve(m1, 2, sig[1], gas)
     m3 = wave_curve(m2, 3, sig[2], gas)
     top, slope4 = acoustic(m3, 4, float(sig[3]))
-    if slope1 is None:
-        slope1 = eigenvalue(m1, gas, 1)
-    if slope4 is None:
-        slope4 = eigenvalue(m3, gas, 4)
     speeds = (
         _fan_span(U_b, 1, sig[0], gas) if sig[0] > 0.0 else slope1,
         flow_slope(m1, gas),

@@ -233,11 +233,12 @@ def approximate_initial_data(U0, nu: int) -> InitialData:
 class SolutionSlice:
     """The piecewise-constant solution at one station x.
 
-    ``states[k]`` sits below ``fronts[k]``; ``states[-1]`` is adjacent to
-    the wall and satisfies the slip condition there up to any absorbed
-    non-physical strength (see ``EngineConfig.np_boundary``).  Front
-    positions are functions of x, so advancing the slice between events
-    is just a change of the ``x`` field.
+    A slice is its fronts and its wall state: the state below front k is
+    ``fronts[k].below``, and ``top_state`` is adjacent to the wall and
+    satisfies the slip condition there up to any absorbed non-physical
+    strength (see ``EngineConfig.np_boundary``).  Front positions are
+    functions of x, so advancing the slice between events is just a
+    change of the ``x`` field.
 
     ``columns`` is a (3, m) array, m >= n, whose first n columns hold
     every front's ``speed``, ``y0`` and ``x0`` for the event scan.  Only
@@ -248,18 +249,19 @@ class SolutionSlice:
 
     x: float
     fronts: list
-    states: list
+    top_state: State
     columns: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def ys(self) -> np.ndarray:
         return np.array([f.y_at(self.x) for f in self.fronts])
 
     @property
-    def top_state(self) -> State:
-        return self.states[-1]
+    def states(self) -> list:
+        """The states bottom to top: each front's ``below``, then the wall state."""
+        return [f.below for f in self.fronts] + [self.top_state]
 
     def at(self, x: float) -> "SolutionSlice":
-        return SolutionSlice(x, self.fronts, self.states)
+        return SolutionSlice(x, self.fronts, self.top_state)
 
 
 @dataclass(frozen=True)
@@ -338,8 +340,7 @@ class Trajectory:
     def slice_at(self, x: float) -> SolutionSlice:
         if not 0.0 <= x <= self.cfg.x_end + 1.0e-12:
             raise ValueError(f"station {x} outside [0, {self.cfg.x_end}]")
-        xs = [s.x for s in self.slices]
-        k = int(np.searchsorted(xs, x, side="right")) - 1
+        k = bisect_right(self.slices, x, key=lambda s: s.x) - 1
         return self.slices[max(k, 0)].at(x)
 
 
@@ -431,7 +432,7 @@ def initialize(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
     (0, y_jump); the leading edge is corner 0, which emits the family-1
     wave that turns the top state onto the first wall segment.
     """
-    slice_ = SolutionSlice(0.0, [], [data.states[0]], _front_columns([]))
+    slice_ = SolutionSlice(0.0, [], data.states[0], _front_columns([]))
     gens = dict.fromkeys((1, 2, 3, 4), 1)
     for y, target in zip(data.breaks, data.states[1:]):
         sol = solve_riemann(slice_.top_state, target, gas)
@@ -476,23 +477,14 @@ def _splice(slice_: SolutionSlice, start: int, stop: int, new_fronts) -> np.ndar
 def _apply_edit(slice_: SolutionSlice, x: float, edit) -> SolutionSlice:
     """The slice at `x` after the edit ``(start, stop, new_fronts, top)``.
 
-    `new_fronts` take the place of ``fronts[start:stop]``, each bringing
-    its ``below`` state.  Above the last of them come ``states[stop:]``,
-    or, at the wall, `top` alone (`top` is None off the wall).  So every
-    front keeps its own below state, also when nothing is emitted.  The
-    columns move over from `slice_` through :func:`_splice`.
+    `new_fronts` take the place of ``fronts[start:stop]``; `top` is the
+    new wall state, or None off the wall, where the wall state stays.
+    The columns move over from `slice_` through :func:`_splice`.
     """
     start, stop, new_fronts, top = edit
     fronts = slice_.fronts[:start] + new_fronts + slice_.fronts[stop:]
-    states = (slice_.states[:start] + [f.below for f in new_fronts]
-              + (slice_.states[stop:] if top is None else [top]))
-    return SolutionSlice(x, fronts, states, _splice(slice_, start, stop, new_fronts))
-
-
-def _exact_speed(f: Front, gas: GasParams, lambda_hat: float) -> float:
-    if f.family == NP_FAMILY:
-        return lambda_hat
-    return wave_front(f.below, f.family, f.sigma, gas)[1]
+    top_state = slice_.top_state if top is None else top
+    return SolutionSlice(x, fronts, top_state, _splice(slice_, start, stop, new_fronts))
 
 
 def _candidates(slice_: SolutionSlice, boundary: BoundaryPolyline, x_end: float):
@@ -562,7 +554,8 @@ def _wall_hit(f: Front, x_now: float, boundary: BoundaryPolyline) -> float | Non
 def _perturb_speed(f: Front, gas: GasParams, lambda_hat: float, nu: int, rng) -> Front:
     """Replace a front's speed by exact - delta, delta in (0, 2^-(nu+2)]."""
     delta = (1.0 - rng.random()) * 2.0 ** (-(nu + 2))
-    return replace(f, speed=_exact_speed(f, gas, lambda_hat) - delta)
+    exact = lambda_hat if f.family == NP_FAMILY else wave_front(f.below, f.family, f.sigma, gas)[1]
+    return replace(f, speed=exact - delta)
 
 
 def _youngest(slice_: SolutionSlice, indices) -> int:
@@ -590,11 +583,9 @@ def next_event(slice_: SolutionSlice, boundary: BoundaryPolyline, cfg: EngineCon
         if clash is None:
             x, kind, idx = first
             return Event(kind, x, idx), slice_
-        fronts = list(slice_.fronts)
         j = _youngest(slice_, clash)
-        fronts[j] = _perturb_speed(fronts[j], gas, lambda_hat, cfg.nu, rng)
-        slice_ = SolutionSlice(slice_.x, fronts, slice_.states,
-                               _splice(slice_, j, j + 1, fronts[j:j + 1]))
+        perturbed = _perturb_speed(slice_.fronts[j], gas, lambda_hat, cfg.nu, rng)
+        slice_ = _apply_edit(slice_, slice_.x, (j, j + 1, [perturbed], None))
     raise SolverError("could not break event coincidence after 64 perturbations")
 
 
@@ -863,9 +854,9 @@ def export_trajectory(traj: Trajectory) -> str:
     ]
     for sl in traj.slices:
         lines.append(f"SLICE x={_fmt(sl.x)}")
-        ys = sl.ys()
+        ys, states = sl.ys(), sl.states
         for k in range(len(sl.fronts), -1, -1):
-            s = sl.states[k]
+            s = states[k]
             lines.append(f"state,{_fmt(s.rho)},{_fmt(s.u)},{_fmt(s.v)},{_fmt(s.p)}")
             if k > 0:
                 f = sl.fronts[k - 1]

@@ -147,6 +147,17 @@ def test_bad_engine_value_exits_2(runner, tmp_path, key, value):
     assert len(res.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("key, value", [("engine", 5), ("tau_grid", 0.1),
+                                        ("tau_grid", ["x"]), ("gamma", "x")])
+def test_wrongly_shaped_config_value_exits_2(runner, tmp_path, key, value):
+    cfg = _cfg_file(tmp_path, {"scenario": "wedge", key: value})
+    res = runner.invoke(main, ["converge", "--config", cfg,
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error:") and key in res.stderr
+    assert len(res.stderr.splitlines()) == 1
+
+
 def test_missing_config_file_exits_2(runner, tmp_path):
     res = runner.invoke(main, ["converge", "--config",
                                str(tmp_path / "nope.json"),

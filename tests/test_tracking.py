@@ -316,7 +316,7 @@ def _full_scan_next_event(slice_, boundary, cfg, gas, lambda_hat, rng):
         j = tracking._youngest(slice_, clash)
         fronts = list(fronts)
         fronts[j] = tracking._perturb_speed(fronts[j], gas, lambda_hat, cfg.nu, rng)
-        slice_ = SolutionSlice(x0, fronts, slice_.states)
+        slice_ = SolutionSlice(x0, fronts, slice_.top_state)
     raise AssertionError("no clash-free event after 64 perturbations")
 
 
@@ -364,7 +364,7 @@ def test_triple_point_perturbs_youngest_front_like_full_scan(gas, bg):
     lagged = exact - 2.0 ** -13
     assert _DELTA < 2.0 ** -13
     fronts[2] = replace(fronts[2], speed=lagged, y0=y_star - lagged * (x_star - 0.2))
-    slice_ = SolutionSlice(x_now, fronts, states)
+    slice_ = SolutionSlice(x_now, fronts, states[-1])
     (event, out), (want_event, want_out) = _schedule_both(slice_, wall, gas)
     assert event == want_event and out.fronts == want_out.fronts
     # the new slope is the exact one minus the draw, so the shock now
@@ -372,7 +372,7 @@ def test_triple_point_perturbs_youngest_front_like_full_scan(gas, bg):
     assert out.fronts[2].speed == exact - _DELTA
     assert event.kind == "interaction" and event.index == 0
     assert abs(event.x - x_star) < 1e-12
-    assert out.fronts[:2] == fronts[:2] and out.states is states
+    assert out.fronts[:2] == fronts[:2] and out.states == states
 
 
 def test_wall_hit_at_corner_perturbs_top_front_like_full_scan(gas, bg):
@@ -386,7 +386,7 @@ def test_wall_hit_at_corner_perturbs_top_front_like_full_scan(gas, bg):
     low, states = _through(gas, bg, [(1, -1e-2, x_now), (2, 3e-3, x_now)], x_now, -0.4)
     top, above = _through(gas, states[-1], [(4, 1e-2, x_now)], x_c, g_c)
     fronts = low + top
-    slice_ = SolutionSlice(x_now, fronts, states + above[1:])
+    slice_ = SolutionSlice(x_now, fronts, above[-1])
     xb = tracking._wall_hit(fronts[-1], x_now, wall)
     assert abs(xb - x_c) <= tracking._COINCIDENCE_TOL
     (event, out), (want_event, want_out) = _schedule_both(slice_, wall, gas)
@@ -559,7 +559,7 @@ def test_interaction_emitting_nothing_keeps_the_upper_state(gas, bg, solver):
     low, states = _through(gas, bg, [(1, -1e-3, 0.0)], 0.0, -0.8)
     mid, between = _through(gas, states[-1], pair, 0.5, -0.3)
     top, above = _through(gas, between[-1], [(4, 1e-3, 0.0)], 0.0, -0.1)
-    slice_ = SolutionSlice(0.4, low + mid + top, states + between[1:] + above[1:])
+    slice_ = SolutionSlice(0.4, low + mid + top, above[-1])
     out, rec = tracking.resolve_event(slice_, Event("interaction", 0.5, 1), _stress_wall(),
                                       EngineConfig(nu=10), gas, rho_threshold,
                                       default_lambda_hat(gas))
