@@ -32,7 +32,7 @@ from .experiments import (
 )
 from .functionals import GlimmWeights, glimm_trace
 from .riemann import SolverError, solve_riemann
-from .tracking import export_trajectory, run
+from .tracking import run, write_trajectory
 
 _CONFIG_EXIT = 2
 _SOLVER_EXIT = 3
@@ -100,7 +100,7 @@ def simulate(config_path, out_dir):
     traj = _guard(build_and_run)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "trajectory.txt"), "w") as fh:
-        fh.write(export_trajectory(traj))
+        write_trajectory(traj, fh)
     weights = GlimmWeights.from_background(gas)
     with open(os.path.join(out_dir, "glimm.csv"), "w") as fh:
         fh.write(glimm_trace(traj, weights).to_csv())

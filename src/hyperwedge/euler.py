@@ -215,10 +215,14 @@ def bernoulli(U: State, gas: GasParams) -> float:
 
 def _bernoulli(rho: float, u: float, v: float, p: float, gas: GasParams) -> float:
     g = gas.gamma
-    den = (g - 1.0) * rho
+    # float(rho): a numpy scalar would warn as the quotient overflows
+    den = (g - 1.0) * float(rho)
     if den == 0.0:  # rounds to 0 at the smallest subnormal densities
         raise DomainError(f"enthalpy term undefined at density {rho}")
-    return u + 0.5 * v * v + g * p / den + 0.5 * gas.t2 * u * u
+    h = g * p / den
+    if h == math.inf:  # overflows at densities below about 1e-308
+        raise DomainError(f"enthalpy term overflows at density {rho}")
+    return u + 0.5 * v * v + h + 0.5 * gas.t2 * u * u
 
 
 def flow_slope(U: State, gas: GasParams) -> float:

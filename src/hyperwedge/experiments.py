@@ -26,11 +26,9 @@ from dataclasses import dataclass, field, fields, replace
 from numbers import Real
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .curves import wave_curve
-from .euler import GasParams, State
+from .euler import DomainError, GasParams, State
 from .functionals import l1_distance, wall_mismatch
 from .riemann import RiemannSolution, sample_riemann_fan, solve_riemann
 from .tracking import (
@@ -101,6 +99,10 @@ class ExperimentConfig:
         if self.scenario not in _SCENARIOS:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; expected one of {_SCENARIOS}")
+        try:
+            GasParams(self.gamma, self.a_inf)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
         for tau in self.tau_grid:
             if not 0.0 < tau < self.a_inf:
                 raise ConfigError(
@@ -234,6 +236,10 @@ def special_pair(eps: float, gas0: GasParams):
     density jump ``a_inf * eps``.  Returns ``(U_b, U_a, sigma)`` with
     ``sigma`` the pinning strength (negative: compression).
     """
+    # scipy is imported here and in fan_l1_distance only: the tracked
+    # drivers and the CLI never load it
+    from scipy.optimize import brentq
+
     if gas0.tau != 0.0:
         raise ValueError("special_pair pins the jump in the zero-limit system")
     U_b = State(1.0, 0.0, eps, gas0.p_background)
@@ -275,6 +281,9 @@ def fan_l1_distance(solA: RiemannSolution, gasA: GasParams,
     integrated per component with a sign-change split so the absolute
     value never hides cancellation.
     """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
     pts = sorted(set(_fan_breakpoints(solA) + _fan_breakpoints(solB)))
     grid = [pts[0] - 0.5, *pts, pts[-1] + 0.5]
     total = 0.0

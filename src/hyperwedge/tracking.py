@@ -25,6 +25,7 @@ front through a corner.
 
 from __future__ import annotations
 
+import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
@@ -65,6 +66,7 @@ __all__ = [
     "resolve_event",
     "pair_potential",
     "run",
+    "write_trajectory",
     "export_trajectory",
 ]
 
@@ -844,16 +846,18 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def export_trajectory(traj: Trajectory) -> str:
-    """Text dump of every stored slice, top down, 17 significant digits."""
+def write_trajectory(traj: Trajectory, fh) -> None:
+    """Write the :func:`export_trajectory` text to the text stream `fh`.
+
+    One ``fh.write`` per stored slice, so the text of a long run never
+    sits in memory whole.
+    """
     cfg, gas = traj.cfg, traj.gas
-    lines = [
-        "x_end,h,nu,tau,gamma,a_inf,seed",
-        ",".join([_fmt(cfg.x_end), _fmt(cfg.h), str(cfg.nu), _fmt(gas.tau),
-                  _fmt(gas.gamma), _fmt(gas.a_inf), str(cfg.seed)]),
-    ]
+    values = ",".join([_fmt(cfg.x_end), _fmt(cfg.h), str(cfg.nu), _fmt(gas.tau),
+                       _fmt(gas.gamma), _fmt(gas.a_inf), str(cfg.seed)])
+    fh.write(f"x_end,h,nu,tau,gamma,a_inf,seed\n{values}\n")
     for sl in traj.slices:
-        lines.append(f"SLICE x={_fmt(sl.x)}")
+        lines = [f"SLICE x={_fmt(sl.x)}"]
         ys, states = sl.ys(), sl.states
         for k in range(len(sl.fronts), -1, -1):
             s = states[k]
@@ -864,4 +868,11 @@ def export_trajectory(traj: Trajectory) -> str:
                     f"front,{f.family},{_fmt(f.sigma)},{_fmt(ys[k - 1])},"
                     f"{_fmt(f.speed)},{f.generation}"
                 )
-    return "\n".join(lines) + "\n"
+        fh.write("\n".join(lines) + "\n")
+
+
+def export_trajectory(traj: Trajectory) -> str:
+    """Text dump of every stored slice, top down, 17 significant digits."""
+    buf = io.StringIO()
+    write_trajectory(traj, buf)
+    return buf.getvalue()

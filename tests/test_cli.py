@@ -158,6 +158,28 @@ def test_wrongly_shaped_config_value_exits_2(runner, tmp_path, key, value):
     assert len(res.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("key, value", [("gamma", 0.5), ("a_inf", -1)])
+def test_bad_gas_in_config_exits_2(runner, tmp_path, key, value):
+    # the config builds the gas, so the error names the gas key, not the
+    # tau grid, and comes before any run
+    cfg = _cfg_file(tmp_path, {"scenario": "wedge", key: value})
+    res = runner.invoke(main, ["converge", "--config", cfg,
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
+    assert res.stderr.startswith(f"error: {key} must")
+    assert len(res.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("option, value, key", [("--gamma", "0.5", "gamma"),
+                                                ("--a", "-1", "a_inf")])
+def test_special_bad_gas_exits_2(runner, tmp_path, option, value, key):
+    res = runner.invoke(main, ["special", option, value,
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
+    assert res.stderr.startswith(f"error: {key} must")
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_exits_2(runner, tmp_path):
     res = runner.invoke(main, ["converge", "--config",
                                str(tmp_path / "nope.json"),

@@ -240,11 +240,12 @@ def test_float_kernels_reject_states_check_state_rejects(w):
 
 
 def test_float_kernels_reject_subnormal_density():
-    # check_state passes rho = 5e-324, but (gamma - 1) * rho rounds to 0:
-    # the enthalpy term must raise DomainError, not ZeroDivisionError (a
-    # float) or return inf with a warning (a numpy scalar), so that a
-    # Newton trial landing there is halved
-    for rho in (5e-324, np.float64(5e-324)):
+    # check_state passes rho = 5e-324, but (gamma - 1) * rho rounds to 0;
+    # at rho = 1e-310 it does not, but gamma * p / ((gamma - 1) * rho)
+    # overflows: the enthalpy term must raise DomainError, not
+    # ZeroDivisionError, return inf/nan (a float) or warn (a numpy
+    # scalar), so that a Newton trial landing there is halved
+    for rho in (5e-324, np.float64(5e-324), 1e-310, np.float64(1e-310)):
         w = (rho, 0.0, 0.0, _PB)
         check_state(State(*w), _TAU)
         with pytest.raises(DomainError):

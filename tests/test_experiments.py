@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hyperwedge
 from hyperwedge.euler import GasParams
 from hyperwedge.experiments import (
     CoefficientRow,
@@ -156,6 +162,31 @@ def test_special_report_deterministic():
     b = run_special_solution(cfg)
     assert a.fit.errors == b.fit.errors
     assert [r.measured for r in a.coefficients] == [r.measured for r in b.coefficients]
+
+
+_IMPORT_BUDGET_CHILD = """
+import pickle, sys
+import hyperwedge, hyperwedge.cli, hyperwedge.experiments, hyperwedge.functionals
+loaded = [m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules]
+from hyperwedge.experiments import ExperimentConfig, run_special_solution
+report = run_special_solution(ExperimentConfig(scenario="special"))
+sys.stdout.buffer.write(pickle.dumps((loaded, report)))
+"""
+
+
+def test_only_the_special_solution_loads_scipy():
+    # a fresh interpreter: collecting the acceptance tests has already
+    # imported scipy.integrate into this one
+    src = str(Path(hyperwedge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET_CHILD], env=env,
+                         capture_output=True, check=True, timeout=120).stdout
+    loaded, report = pickle.loads(out)
+    # the tracked drivers and the CLI import no scipy solver or quadrature
+    assert loaded == []
+    # the special solution's function-local imports resolve, to the same report
+    assert report == run_special_solution(ExperimentConfig(scenario="special"))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from hyperwedge.tracking import (
     export_trajectory,
     next_event,
     run,
+    write_trajectory,
 )
 
 from conftest import assert_slice_invariants
@@ -258,6 +260,19 @@ def test_export_format(gas):
     assert lines[3].startswith("state,")
     kinds = {ln.split(",")[0] for ln in lines[2:] if "," in ln}
     assert kinds == {"state", "front"}
+
+
+def test_write_trajectory_streams_one_slice_per_write(gas):
+    traj = run(stepped_data(gas, seed=0), wedge_wall(), EngineConfig(nu=8, x_end=1.0), gas)
+    chunks = []
+    write_trajectory(traj, SimpleNamespace(write=chunks.append))
+    # the header, then one block per stored slice, each ending in a newline
+    assert len(chunks) == 1 + len(traj.slices) > 10
+    assert chunks[0].count("\n") == 2
+    for chunk, sl in zip(chunks[1:], traj.slices):
+        assert chunk.startswith("SLICE x=") and chunk.endswith("\n")
+        assert chunk.count("\n") == 2 + 2 * len(sl.fronts)
+    assert "".join(chunks) == export_trajectory(traj)
 
 
 # ---------------------------------------------------------------------------
