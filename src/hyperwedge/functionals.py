@@ -430,12 +430,13 @@ def flow_slope_trace(traj: Trajectory, Y, x_range) -> dict:
     x_lo, x_hi = float(x_range[0]), float(x_range[1])
     gas = traj.gas
     cuts = {x_lo, x_hi}
-    stations = [s.x for s in traj.slices]
+    stations = traj.slices.xs
     for sx in stations:
         if x_lo < sx < x_hi:
             cuts.add(sx)
     for sl in traj.slices:
-        nxt = next((s for s in stations if s > sl.x), traj.cfg.x_end)
+        k = bisect.bisect_right(stations, sl.x)
+        nxt = stations[k] if k < len(stations) else traj.cfg.x_end
         a, b = max(sl.x, x_lo), min(nxt, x_hi)
         if b <= a:
             continue
@@ -452,11 +453,19 @@ def flow_slope_trace(traj: Trajectory, Y, x_range) -> dict:
                         lo_ = mid
                 cuts.add(0.5 * (lo_ + hi_))
     grid = sorted(cuts)
+    if grid[0] < 0.0:
+        raise ValueError(f"station {grid[0]} outside [0, {traj.cfg.x_end}]")
+    # the midpoints ascend, so one walk over the slices finds the one
+    # that :meth:`Trajectory.slice_at` would replay for each
+    slices = iter(traj.slices)
+    sl, nxt = next(slices), next(slices, None)
     slopes, press, widths = [], [], []
     for a, b in zip(grid, grid[1:]):
         xm = 0.5 * (a + b)
-        sl = traj.slice_at(min(xm, traj.cfg.x_end))
-        ys = sl.ys()
+        x = min(xm, traj.cfg.x_end)
+        while nxt is not None and nxt.x <= x:
+            sl, nxt = nxt, next(slices, None)
+        ys = np.array([f.y_at(x) for f in sl.fronts])
         k = int(np.searchsorted(ys, Y(xm), side="left"))
         st = sl.states[k]
         slopes.append(flow_slope(st, gas))
@@ -511,10 +520,12 @@ class FunctionalTrace:
 
 def glimm_trace(traj: Trajectory, w: GlimmWeights) -> FunctionalTrace:
     """Functional value after initialisation and after every event."""
-    xs = [traj.slices[0].x]
-    vals = [glimm_functional(traj.slices[0], traj.boundary, w)]
+    slices = iter(traj.slices)
+    first = next(slices)
+    xs = [first.x]
+    vals = [glimm_functional(first, traj.boundary, w)]
     kinds = ["initial"]
-    for sl, rec in zip(traj.slices[1:], traj.records):
+    for sl, rec in zip(slices, traj.records):
         xs.append(rec.x)
         vals.append(glimm_functional(sl, traj.boundary, w))
         kinds.append(rec.kind)

@@ -27,9 +27,12 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import islice
 from numbers import Integral, Real
 
 import numpy as np
@@ -58,6 +61,7 @@ __all__ = [
     "EngineConfig",
     "Event",
     "EventRecord",
+    "SliceLog",
     "Trajectory",
     "approximate_boundary",
     "approximate_initial_data",
@@ -79,6 +83,8 @@ _COINCIDENCE_TOL = 1.0e-12
 _PARALLEL_TOL = 1.0e-12
 #: the interval of y that :func:`approximate_initial_data` samples
 _DATA_SUPPORT = (-1.5, 0.0)
+#: stored slices from one whole front list of a :class:`SliceLog` to the next
+_CHECKPOINT_INTERVAL = 64
 
 
 @dataclass(frozen=True)
@@ -243,16 +249,19 @@ class SolutionSlice:
     change of the ``x`` field.
 
     ``columns`` is a (3, m) array, m >= n, whose first n columns hold
-    every front's ``speed``, ``y0`` and ``x0`` for the event scan.  Only
-    the live slice of a run holds it: each event splices the next
-    slice's fronts into it in place and hands it on.  Elsewhere it is
-    None and the scan builds it from ``fronts``.
+    every front's ``speed``, ``y0`` and ``x0`` for the event scan.
+    ``edits`` lists the slice edits made since the run last stored a
+    slice.  Only the live slice of a run holds either: each edit splices
+    the next slice's fronts into the columns in place, appends itself to
+    the edits, and hands both on.  Elsewhere both are None and the scan
+    builds the columns from ``fronts``.
     """
 
     x: float
     fronts: list
     top_state: State
     columns: np.ndarray | None = field(default=None, compare=False, repr=False)
+    edits: list | None = field(default=None, compare=False, repr=False)
 
     def ys(self) -> np.ndarray:
         return np.array([f.y_at(self.x) for f in self.fronts])
@@ -261,9 +270,6 @@ class SolutionSlice:
     def states(self) -> list:
         """The states bottom to top: each front's ``below``, then the wall state."""
         return [f.below for f in self.fronts] + [self.top_state]
-
-    def at(self, x: float) -> "SolutionSlice":
-        return SolutionSlice(x, self.fronts, self.top_state)
 
 
 @dataclass(frozen=True)
@@ -325,12 +331,84 @@ class EventRecord:
     emech: float
 
 
+class SliceLog(Sequence):
+    """The stored slices of a run, kept as an event log.
+
+    Slice 0 is kept whole.  Slice k > 0 is its station ``xs[k]`` and the
+    slice edits (see :func:`_apply_edit`) that lead to it from slice
+    k - 1: any coincidence perturbations, then the event's own edit.
+    Every ``_CHECKPOINT_INTERVAL``-th slice is kept whole too, so an
+    index replays at most one interval of edits.  Indexing with a slice
+    returns a list and replays forward once; iteration replays in turn
+    and holds one slice at a time.
+    """
+
+    def __init__(self, first: SolutionSlice):
+        self.xs = [first.x]
+        self._edits = [()]
+        self._checkpoints = [SolutionSlice(first.x, first.fronts, first.top_state)]
+
+    def append(self, slice_: SolutionSlice, edits: list) -> None:
+        """Store `slice_`, which `edits` make from the last stored slice."""
+        if len(self.xs) % _CHECKPOINT_INTERVAL == 0:
+            self._checkpoints.append(SolutionSlice(slice_.x, slice_.fronts, slice_.top_state))
+        self.xs.append(slice_.x)
+        self._edits.append(tuple(edits))
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            ks = range(*key.indices(len(self)))
+            if not ks:
+                return []
+            lo, hi = min(ks[0], ks[-1]), max(ks[0], ks[-1])
+            got = list(islice(self._replay(lo), hi - lo + 1))
+            return [got[k - lo] for k in ks]
+        k = operator.index(key)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("slice log index out of range")
+        return next(self._replay(k))
+
+    def __iter__(self):
+        return self._replay(0)
+
+    def _replay(self, start: int):
+        """Slices `start`, `start` + 1, ... to the end, replayed from the
+        checkpoint at or before `start`."""
+        k = start - start % _CHECKPOINT_INTERVAL
+        sl = self._checkpoints[k // _CHECKPOINT_INTERVAL]
+        while True:
+            if k >= start:
+                yield sl
+            k += 1
+            if k == len(self.xs):
+                return
+            if k % _CHECKPOINT_INTERVAL == 0:
+                sl = self._checkpoints[k // _CHECKPOINT_INTERVAL]
+                continue
+            fronts, top_state = sl.fronts, sl.top_state
+            for edit in self._edits[k]:
+                fronts, top_state = _edited(fronts, top_state, edit)
+            sl = SolutionSlice(self.xs[k], fronts, top_state)
+
+
 @dataclass
 class Trajectory:
+    """A run: its set-up, its stored slices and one record per event.
+
+    ``slices`` is the :class:`SliceLog` of the slices after
+    initialisation, after every event and at ``x_end``.
+    :func:`write_trajectory` also takes a list of some of them.
+    """
+
     gas: GasParams
     cfg: EngineConfig
     boundary: BoundaryPolyline
-    slices: list
+    slices: SliceLog
     records: list
     rho_threshold: float
     lambda_hat: float
@@ -342,8 +420,9 @@ class Trajectory:
     def slice_at(self, x: float) -> SolutionSlice:
         if not 0.0 <= x <= self.cfg.x_end + 1.0e-12:
             raise ValueError(f"station {x} outside [0, {self.cfg.x_end}]")
-        k = bisect_right(self.slices, x, key=lambda s: s.x) - 1
-        return self.slices[max(k, 0)].at(x)
+        k = bisect_right(self.slices.xs, x) - 1
+        sl = self.slices[max(k, 0)]
+        return SolutionSlice(x, sl.fronts, sl.top_state)
 
 
 # ---------------------------------------------------------------------------
@@ -476,17 +555,28 @@ def _splice(slice_: SolutionSlice, start: int, stop: int, new_fronts) -> np.ndar
     return cols
 
 
-def _apply_edit(slice_: SolutionSlice, x: float, edit) -> SolutionSlice:
-    """The slice at `x` after the edit ``(start, stop, new_fronts, top)``.
+def _edited(fronts: list, top_state: State, edit) -> tuple:
+    """(fronts, top_state) after the edit ``(start, stop, new_fronts, top)``.
 
     `new_fronts` take the place of ``fronts[start:stop]``; `top` is the
     new wall state, or None off the wall, where the wall state stays.
-    The columns move over from `slice_` through :func:`_splice`.
     """
     start, stop, new_fronts, top = edit
-    fronts = slice_.fronts[:start] + new_fronts + slice_.fronts[stop:]
-    top_state = slice_.top_state if top is None else top
-    return SolutionSlice(x, fronts, top_state, _splice(slice_, start, stop, new_fronts))
+    return fronts[:start] + new_fronts + fronts[stop:], top_state if top is None else top
+
+
+def _apply_edit(slice_: SolutionSlice, x: float, edit) -> SolutionSlice:
+    """The slice at `x` after `edit` (see :func:`_edited`).
+
+    The columns move over from `slice_` through :func:`_splice`, and its
+    pending edits, if any, move over with `edit` appended.
+    """
+    start, stop, new_fronts, _ = edit
+    fronts, top_state = _edited(slice_.fronts, slice_.top_state, edit)
+    edits, slice_.edits = slice_.edits, None
+    if edits is not None:
+        edits.append(edit)
+    return SolutionSlice(x, fronts, top_state, _splice(slice_, start, stop, new_fronts), edits)
 
 
 def _candidates(slice_: SolutionSlice, boundary: BoundaryPolyline, x_end: float):
@@ -575,7 +665,7 @@ def next_event(slice_: SolutionSlice, boundary: BoundaryPolyline, cfg: EngineCon
     is perturbed by a delta in (0, 2^-(nu+2)] drawn from `rng` and the
     schedule is rebuilt.  Returns ``(event, slice)`` where the slice
     carries any perturbed fronts; a perturbed slice takes over the
-    columns of `slice_`.
+    columns and pending edits of `slice_`.
     """
     for _attempt in range(64):
         cands = _candidates(slice_, boundary, cfg.x_end)
@@ -794,10 +884,10 @@ def run(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
         gas: GasParams) -> Trajectory:
     """Track all fronts from x = 0 to x = x_end.
 
-    Stores the slice after every event plus the final slice at x_end;
-    none of them keeps its scheduler ``columns``.  Deterministic for
-    fixed inputs: the only randomness is the seeded tie-breaking
-    perturbation stream.
+    Stores the slice after every event plus the final slice at x_end in
+    a :class:`SliceLog`: after each event the live slice's pending edits
+    move into the log.  Deterministic for fixed inputs: the only
+    randomness is the seeded tie-breaking perturbation stream.
     """
     slice0 = initialize(data, boundary, cfg, gas)
     v0 = float(sum(abs(f.sigma) for f in slice0.fronts))
@@ -809,9 +899,10 @@ def run(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
         lambda_hat = default_lambda_hat(gas)
     rng = np.random.default_rng(cfg.seed)
 
-    slices = [slice0]
+    log = SliceLog(slice0)
     records: list = []
     cur = slice0
+    cur.edits = []
     for _ in range(cfg.max_events):
         try:
             event, cur = next_event(cur, boundary, cfg, gas, lambda_hat, rng)
@@ -821,9 +912,8 @@ def run(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
                 f"slice has {len(cur.fronts)} fronts"
             ) from exc
         if event.kind == "end":
-            cur.columns = None
-            slices.append(cur.at(cfg.x_end))
-            return Trajectory(gas, cfg, boundary, slices, records,
+            log.append(SolutionSlice(cfg.x_end, cur.fronts, cur.top_state), cur.edits)
+            return Trajectory(gas, cfg, boundary, log, records,
                               rho_threshold, lambda_hat)
         try:
             cur, rec = resolve_event(cur, event, boundary, cfg, gas,
@@ -833,7 +923,8 @@ def run(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
                 f"event {event.kind} at x={event.x:.6f} failed: {exc}; "
                 f"slice has {len(cur.fronts)} fronts"
             ) from exc
-        slices.append(cur)
+        edits, cur.edits = cur.edits, []
+        log.append(cur, edits)
         records.append(rec)
     raise SolverError(f"event budget {cfg.max_events} exhausted at x={cur.x}")
 

@@ -297,6 +297,8 @@ def test_flow_slope_trace_constant_run(gas):
     out = flow_slope_trace(traj, lambda x: -0.5, (0.0, 1.0))
     assert out["bv_slope"] == 0.0 and out["bv_pressure"] == 0.0
     assert out["l1_slope"] == pytest.approx(0.0, abs=1e-15)
+    with pytest.raises(ValueError):
+        flow_slope_trace(traj, lambda x: -0.5, (-0.1, 1.0))
 
 
 def test_flow_slope_invariant_across_contact_band(gas, bg):

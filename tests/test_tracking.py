@@ -1,6 +1,9 @@
 """Front-tracking engine: geometry, events, determinism."""
 
+import functools
 import math
+import tracemalloc
+from bisect import bisect_right
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -501,21 +504,28 @@ def _full_scan_run(data, wall, cfg, gas, rho_threshold, lambda_hat):
         perturbations += scheduled is not cur
         cur = scheduled
         if event.kind == "end":
-            return slices + [cur.at(cfg.x_end)], records, perturbations
+            return (slices + [SolutionSlice(cfg.x_end, cur.fronts, cur.top_state)],
+                    records, perturbations)
         cur, rec = tracking.resolve_event(cur, event, wall, cfg, gas, rho_threshold,
                                           lambda_hat)
         slices.append(cur)
         records.append(rec)
 
 
-@pytest.mark.parametrize("case", sorted(_RUN_CASES))
-def test_run_matches_full_scan_event_loop(case):
+@functools.cache
+def _run_and_full_scan(case):
+    """(traj, slices, records, perturbations): a run of `case` and its
+    full-scan oracle, shared by the tests that compare them."""
     data, wall, cfg, gas = _RUN_CASES[case]()
     traj = run(data, wall, cfg, gas)
-    slices, records, perturbations = _full_scan_run(
-        data, wall, cfg, gas, traj.rho_threshold, traj.lambda_hat)
+    return traj, *_full_scan_run(data, wall, cfg, gas, traj.rho_threshold, traj.lambda_hat)
+
+
+@pytest.mark.parametrize("case", sorted(_RUN_CASES))
+def test_run_matches_full_scan_event_loop(case):
+    traj, slices, records, perturbations = _run_and_full_scan(case)
     assert records == traj.records
-    assert slices == traj.slices
+    assert slices == list(traj.slices)
     assert_slice_invariants(traj.slices)
     kinds = {(r.kind, r.solver) for r in records}
     if case == "curved":
@@ -525,6 +535,54 @@ def test_run_matches_full_scan_event_loop(case):
         assert ("interaction", "ARS") in kinds
         assert any(r.kind == "interaction" and not r.outgoing for r in records)
     assert (perturbations > 0) == (case == "kinked-wedge-ars")
+
+
+@pytest.mark.parametrize("case", sorted(_RUN_CASES))
+def test_slice_log_replays_the_full_scan_slices(case):
+    # every way into the log gives the oracle's eagerly stored slices
+    traj, slices, _, _ = _run_and_full_scan(case)
+    n = tracking._CHECKPOINT_INTERVAL
+    assert len(traj.slices) == len(slices) > 2 * n + 1
+    assert list(traj.slices) == slices
+    for k in (0, n - 1, n, n + 1, -1):
+        assert traj.slices[k] == slices[k]
+    assert traj.final == slices[-1]
+    for a, b in ((n - 3, n + 5), (n + 1, 2 * n + 2)):
+        assert traj.slices[a:b] == slices[a:b]
+    assert traj.slices[2 * n + 1:n - 2:-5] == slices[2 * n + 1:n - 2:-5]
+    with pytest.raises(IndexError):
+        traj.slices[len(slices)]
+
+    xs = [sl.x for sl in slices]
+    for x in xs + [0.5 * (a + b) for a, b in zip(xs, xs[1:])]:
+        want = slices[max(bisect_right(xs, x) - 1, 0)]
+        assert traj.slice_at(x) == SolutionSlice(x, want.fronts, want.top_state)
+
+    chunks = []
+    write_trajectory(replace(traj, slices=slices), SimpleNamespace(write=chunks.append))
+    for a, b in ((0, n + 1), (n - 1, 2 * n + 3)):
+        block = export_trajectory(replace(traj, slices=traj.slices[a:b]))
+        assert block == chunks[0] + "".join(chunks[1 + a:1 + b])
+
+
+def test_slice_log_retains_under_half_the_eager_slices():
+    # the memory the log holds beyond the fronts it refers to, against a
+    # list of whole slices equal to the full-scan oracle's: an eager copy
+    # keeps every front alive while the log is dropped
+    data, wall, cfg, gas = _curved_case()
+    tracemalloc.start()
+    try:
+        traj = run(data, wall, cfg, gas)
+        before = tracemalloc.get_traced_memory()[0]
+        eager = [SolutionSlice(sl.x, list(sl.fronts), sl.top_state) for sl in traj.slices]
+        eager_bytes = tracemalloc.get_traced_memory()[0] - before
+        before = tracemalloc.get_traced_memory()[0]
+        traj.slices = None
+        log_bytes = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert eager == _run_and_full_scan("curved")[1]
+    assert 0 < log_bytes < 0.5 * eager_bytes
 
 
 @pytest.mark.parametrize("case", sorted(_RUN_CASES))
