@@ -85,6 +85,9 @@ _PARALLEL_TOL = 1.0e-12
 _DATA_SUPPORT = (-1.5, 0.0)
 #: stored slices from one whole front list of a :class:`SliceLog` to the next
 _CHECKPOINT_INTERVAL = 64
+#: a pair's collision bound lies this far, per unit of its rounding-error
+#: terms, below the station the scan computes (see :func:`_pair_row`)
+_BOUND_EPS = 64.0 * 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -131,15 +134,27 @@ class BoundaryPolyline:
     k_star: int
 
     def segment_index(self, x: float) -> int:
-        k = int(np.searchsorted(self.xs, x, side="right")) - 1
+        k = bisect_right(self._floats[0], x) - 1
         return min(max(k, 0), self.k_star)
 
     def g_at(self, x: float) -> float:
+        xs, gs, tans, _ = self._floats
         k = self.segment_index(x)
-        return float(self.gs[k] + math.tan(self.thetas[k]) * (x - self.xs[k]))
+        return gs[k] + tans[k] * (x - xs[k])
 
     def theta_at(self, x: float) -> float:
-        return float(self.thetas[self.segment_index(x)])
+        return self._floats[3][self.segment_index(x)]
+
+    @cached_property
+    def _floats(self) -> tuple:
+        """(xs, gs, tans, thetas) as lists of floats, ``tans[k] = tan(thetas[k])``.
+
+        The wall is looked up at every event; plain floats found with
+        ``bisect`` round as the arrays do and skip numpy's per-call cost.
+        """
+        thetas = [float(th) for th in self.thetas]
+        return ([float(x) for x in self.xs], [float(g) for g in self.gs],
+                [math.tan(th) for th in thetas], thetas)
 
     @cached_property
     def _turning_corners(self) -> tuple:
@@ -150,7 +165,7 @@ class BoundaryPolyline:
     @cached_property
     def _min_tan_from(self) -> list:
         """Entry k: the least ``tan(thetas[j])`` over segments j >= k."""
-        out = [math.tan(float(th)) for th in self.thetas[:self.k_star + 1]]
+        out = list(self._floats[2])
         for k in range(self.k_star - 1, -1, -1):
             out[k] = min(out[k], out[k + 1])
         return out
@@ -248,13 +263,18 @@ class SolutionSlice:
     functions of x, so advancing the slice between events is just a
     change of the ``x`` field.
 
-    ``columns`` is a (3, m) array, m >= n, whose first n columns hold
-    every front's ``speed``, ``y0`` and ``x0`` for the event scan.
-    ``edits`` lists the slice edits made since the run last stored a
-    slice.  Only the live slice of a run holds either: each edit splices
-    the next slice's fronts into the columns in place, appends itself to
-    the edits, and hands both on.  Elsewhere both are None and the scan
-    builds the columns from ``fronts``.
+    ``columns`` is a (2, m) array, m >= n, that guides the event scan.
+    Column i < n - 1 is the pair (fronts[i], fronts[i + 1]).  Row 0 is
+    a lower bound on the station the scan computes for the pair at this
+    or any later station, +inf when the pair is not approaching (see
+    :func:`_pair_row`).  Row 1 is 1.0 for an approaching pair no more
+    than ``_PARALLEL_TOL`` apart in speed, which the scan admits only
+    while its gap is open, and 0.0 otherwise: the scan checks it every
+    time.  ``edits`` lists the slice edits made since the run last
+    stored a slice.  Only the live slice of a run holds either: each
+    edit splices the next slice's pairs into the columns in place,
+    appends itself to the edits, and hands both on.  Elsewhere both are
+    None and the scan builds the columns from ``fronts``.
     """
 
     x: float
@@ -453,7 +473,8 @@ def _emit_wave(U_below: State, family: int, sigma: float, x: float, y: float,
 def _np_front(U_below: State, U_above: State, x: float, y: float,
               generation: int, lambda_hat: float):
     """Non-physical carrier for the gap between two states (or None if tiny)."""
-    gap = float(np.linalg.norm(U_above - U_below))
+    gap = float(np.linalg.norm((U_above.rho - U_below.rho, U_above.u - U_below.u,
+                                U_above.v - U_below.v, U_above.p - U_below.p)))
     if gap <= _ZERO_STRENGTH:
         return None
     return Front(NP_FAMILY, gap, x, y, lambda_hat, generation, U_below, U_above)
@@ -513,7 +534,7 @@ def initialize(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
     (0, y_jump); the leading edge is corner 0, which emits the family-1
     wave that turns the top state onto the first wall segment.
     """
-    slice_ = SolutionSlice(0.0, [], data.states[0], _front_columns([]))
+    slice_ = SolutionSlice(0.0, [], data.states[0], _pair_columns([], 0.0))
     gens = dict.fromkeys((1, 2, 3, 4), 1)
     for y, target in zip(data.breaks, data.states[1:]):
         sol = solve_riemann(slice_.top_state, target, gas)
@@ -528,30 +549,79 @@ def initialize(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
 # event scheduling
 # ---------------------------------------------------------------------------
 
-def _front_columns(fronts) -> np.ndarray:
-    """``SolutionSlice.columns`` of a front list: speed, y0 and x0 rows."""
-    return np.array([[f.speed for f in fronts], [f.y0 for f in fronts],
-                     [f.x0 for f in fronts]], dtype=float)
+def _collision_x(lo: Front, up: Front, x: float) -> float | None:
+    """The station where the scan at `x` schedules the pair (lo, up), or None.
 
-
-def _splice(slice_: SolutionSlice, start: int, stop: int, new_fronts) -> np.ndarray | None:
-    """Take the columns off `slice_` and put `new_fronts` in place of fronts[start:stop].
-
-    The array is reused in place and grows by doubling: one long-lived
-    buffer, rather than a new array per event between the slices' front
-    lists, keeps the heap from fragmenting over a long run.
+    None when the pair is not approaching.  A zero-width pair with a
+    ulp-level speed inversion is two analytically parallel fronts
+    (contact pairs sharing a middle state): scheduling it would replay
+    the same zero-width event forever, so a pair no more than
+    ``_PARALLEL_TOL`` apart in speed is admitted only while its gap is
+    open.
     """
-    cols, slice_.columns = slice_.columns, None
-    if cols is None:
+    gap = lo.speed - up.speed
+    if not gap > 0.0:
         return None
-    n, m = len(slice_.fronts), len(new_fronts)
-    size = n - (stop - start) + m
+    dy = up.y_at(x) - lo.y_at(x)
+    if dy < 0.0:
+        dy = 0.0
+    if dy > 0.0 or gap > _PARALLEL_TOL:
+        return x + dy / gap
+    return None
+
+
+def _pair_row(lo: Front, up: Front, x: float) -> tuple:
+    """(bound, flag) of the pair (lo, up) made at station `x`; see
+    ``SolutionSlice.columns``.
+
+    In exact arithmetic the scan's ``x + dy/gap`` is the same crossing
+    station at every x up to it, and x itself beyond it.  In floats,
+    with v the value at `x`, it is off by the rounding of each ``y_at``
+    (under ``eps*(|y0| + |speed|*(|x| + |x0|))``, over ``gap``) and of
+    the difference, the quotient, the sum and ``gap`` itself (under
+    ``eps*(|x| + |v|)`` each, as ``dy/gap <= |v| + |x|``).  The bound is
+    v less 64x the sum of these terms with |x| widened to |v|: it covers
+    the error at `x` and at every later station short of v, and past v
+    the scan never reads below x.
+    """
+    gap = lo.speed - up.speed
+    if not gap > _PARALLEL_TOL:
+        return math.inf, float(gap > 0.0)
+    v = _collision_x(lo, up, x)
+    reach = 1.0 + abs(x) + abs(v)
+    err = 2.0 * reach + (abs(lo.y0) + abs(up.y0) + (abs(lo.speed) + abs(up.speed))
+                         * (reach + abs(lo.x0) + abs(up.x0))) / gap
+    return v - _BOUND_EPS * err, 0.0
+
+
+def _pair_columns(fronts: list, x: float) -> np.ndarray:
+    """``SolutionSlice.columns`` of a front list at station `x`."""
+    cols = np.zeros((2, len(fronts)))
+    cols[0] = math.inf
+    for i in range(len(fronts) - 1):
+        cols[:, i] = _pair_row(fronts[i], fronts[i + 1], x)
+    return cols
+
+
+def _splice(cols: np.ndarray, fronts: list, x: float, start: int, removed: int,
+            added: int) -> np.ndarray:
+    """`cols` after ``fronts[start:start + added]`` took the place of
+    `removed` fronts at station `x`; `fronts` is the new list.
+
+    The rows of untouched pairs shift with their fronts, and only the
+    pairs that have a new front, or fronts newly adjacent, are made
+    again.  The array is reused in place and grows by doubling: one
+    long-lived buffer, rather than a new array per event between the
+    slices' front lists, keeps the heap from fragmenting over a long run.
+    """
+    size = len(fronts)
+    n = size - added + removed
     if size > cols.shape[1]:
-        cols = np.concatenate((cols[:, :n], np.empty((3, size))), axis=1)
-    if m != stop - start:
-        cols[:, start + m:size] = cols[:, stop:n]
-    if m:
-        cols[:, start:start + m] = _front_columns(new_fronts)
+        cols = np.concatenate((cols[:, :n], np.empty((2, size))), axis=1)
+    if added != removed:
+        cols[:, start + added:size] = cols[:, start + removed:n]
+    for i in range(max(start - 1, 0), min(start + added, size - 1)):
+        cols[0, i], cols[1, i] = _pair_row(fronts[i], fronts[i + 1], x)
     return cols
 
 
@@ -576,7 +646,10 @@ def _apply_edit(slice_: SolutionSlice, x: float, edit) -> SolutionSlice:
     edits, slice_.edits = slice_.edits, None
     if edits is not None:
         edits.append(edit)
-    return SolutionSlice(x, fronts, top_state, _splice(slice_, start, stop, new_fronts), edits)
+    cols, slice_.columns = slice_.columns, None
+    if cols is not None:
+        cols = _splice(cols, fronts, x, start, stop - start, len(new_fronts))
+    return SolutionSlice(x, fronts, top_state, cols, edits)
 
 
 def _candidates(slice_: SolutionSlice, boundary: BoundaryPolyline, x_end: float):
@@ -584,29 +657,19 @@ def _candidates(slice_: SolutionSlice, boundary: BoundaryPolyline, x_end: float)
 
     Holds the end of the run, the top front's wall hit, the first turning
     corner past ``x + _COINCIDENCE_TOL``, and the interactions within
-    ``_COINCIDENCE_TOL`` of the earliest one: every event that can be the
-    earliest or lie within ``_COINCIDENCE_TOL`` of it.  Later interactions
-    cannot, since the earliest event is no later than the earliest
-    interaction, and later corners cannot, since corners are ``h`` apart.
+    ``_COINCIDENCE_TOL`` of the earliest one checked: every event that
+    can be the earliest or lie within ``_COINCIDENCE_TOL`` of it.  Later
+    corners cannot, since corners are ``h`` apart.  A pair is checked
+    when it is flagged or its bound (see ``SolutionSlice.columns``) is
+    at most ``2*_COINCIDENCE_TOL`` past the earliest of the other events
+    and of the station of the pair with the least bound: the first event
+    is no later than either, so no other pair can come within
+    ``_COINCIDENCE_TOL`` of it.
     """
     out = [(x_end, "end", -1)]
     x0 = slice_.x
     fronts = slice_.fronts
     n = len(fronts)
-    if n > 1:
-        cols = slice_.columns
-        speed, anchor_y, anchor_x = (_front_columns(fronts) if cols is None else cols)[:, :n]
-        ys = anchor_y + speed * (x0 - anchor_x)  # Front.y_at, elementwise
-        gap = speed[:-1] - speed[1:]
-        dy = np.maximum(ys[1:] - ys[:-1], 0.0)
-        # a zero-width pair with a ulp-level speed inversion is two
-        # analytically parallel fronts (contact pairs sharing a middle
-        # state); scheduling it would replay the same zero-width event forever
-        idx = np.flatnonzero((gap > 0.0) & ((dy > 0.0) | (gap > _PARALLEL_TOL)))
-        if idx.size:
-            xs = x0 + dy[idx] / gap[idx]
-            near = np.flatnonzero(xs - xs.min() <= _COINCIDENCE_TOL)
-            out.extend((xs[j], "interaction", int(idx[j])) for j in near)
     if fronts:
         xb = _wall_hit(fronts[-1], x0, boundary)
         if xb is not None:
@@ -615,6 +678,22 @@ def _candidates(slice_: SolutionSlice, boundary: BoundaryPolyline, x_end: float)
     j = bisect_right(corner_xs, x0 + _COINCIDENCE_TOL)
     if j < len(corner_xs):
         out.append((corner_xs[j], "corner", corner_ks[j]))
+    if n > 1:
+        cols = slice_.columns
+        if cols is None:
+            cols = _pair_columns(fronts, x0)
+        bound = cols[0, :n - 1]
+        i0 = int(bound.argmin())
+        first = _collision_x(fronts[i0], fronts[i0 + 1], x0)
+        thr = min(math.inf if first is None else first, min(out)[0]) + 2.0 * _COINCIDENCE_TOL
+        hits = []
+        for i in ((bound <= thr) | (cols[1, :n - 1] != 0.0)).nonzero()[0].tolist():
+            xi = _collision_x(fronts[i], fronts[i + 1], x0)
+            if xi is not None:
+                hits.append((xi, "interaction", i))
+        if hits:
+            least = min(hits)[0]
+            out.extend(h for h in hits if h[0] - least <= _COINCIDENCE_TOL)
     return out
 
 
@@ -625,13 +704,14 @@ def _wall_hit(f: Front, x_now: float, boundary: BoundaryPolyline) -> float | Non
     # the denominator test below if the least tangent ahead fails it
     if f.speed - boundary._min_tan_from[k] <= 1.0e-15:
         return None
+    xs, gs, tans, _ = boundary._floats
     while True:
-        tanth = math.tan(float(boundary.thetas[k]))
+        tanth = tans[k]
         denom = f.speed - tanth
-        x_lo = max(float(boundary.xs[k]), x_now)
-        x_hi = float(boundary.xs[k + 1]) if k < boundary.k_star else np.inf
+        x_lo = max(xs[k], x_now)
+        x_hi = xs[k + 1] if k < boundary.k_star else math.inf
         if denom > 1.0e-15:
-            gk = float(boundary.gs[k]) + tanth * (x_lo - float(boundary.xs[k]))
+            gk = gs[k] + tanth * (x_lo - xs[k])
             gap = gk - f.y_at(x_lo)
             xh = x_lo + gap / denom
             if gap <= 0.0:

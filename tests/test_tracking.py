@@ -166,6 +166,26 @@ def test_rarefaction_pieces_stay_below_sampling_width(gas):
                 assert f.sigma <= cap
 
 
+def test_np_front_gap_is_the_state_difference_norm(bg):
+    # the carrier's strength against the norm of the array difference of
+    # its two states, from state gaps of 1e-16 to 1e-2 and none at all
+    rng = np.random.default_rng(5)
+    base = bg.as_array()
+    sizes = []
+    for _ in range(300):
+        w_lo, w_up = base + rng.normal(size=(2, 4)) * 10.0 ** rng.uniform(-16.0, -2.0)
+        lo = State.from_array(w_lo)
+        for up in (State.from_array(w_up), lo):
+            want = float(np.linalg.norm(up - lo))
+            npf = tracking._np_front(lo, up, 0.3, -0.2, 1, 2.0)
+            sizes.append(want)
+            if want <= tracking._ZERO_STRENGTH:
+                assert npf is None
+            else:
+                assert npf.sigma == want
+    assert 0.0 < min(s for s in sizes if s) < tracking._ZERO_STRENGTH < max(sizes)
+
+
 def test_np_fronts_travel_at_lambda_hat(gas):
     cfg = EngineConfig(nu=6, x_end=1.0)  # coarse: force SRS use
     traj = run(stepped_data(gas, amp=5e-4, seed=2), wedge_wall(), cfg, gas)
@@ -393,6 +413,21 @@ def test_triple_point_perturbs_youngest_front_like_full_scan(gas, bg):
     assert out.fronts[:2] == fronts[:2] and out.states == states
 
 
+def test_interactions_within_tolerance_clash_like_full_scan(gas, bg):
+    # the lower pair meets at x_star and the upper pair 5e-13 later, far
+    # past rounding but within the coincidence tolerance: the scan checks
+    # the later pair too, finds the shared front and perturbs the youngest
+    wall = _stress_wall()
+    x_now, x_star, y_star = 0.25, 0.26, -0.3
+    low, states = _through(gas, bg, [(4, 1e-2, 0.0), (2, 3e-3, 0.1)], x_star, y_star)
+    x_up = x_star + 5e-13
+    top, above = _through(gas, states[-1], [(1, -1e-2, 0.2)], x_up, low[1].y_at(x_up))
+    slice_ = SolutionSlice(x_now, low + top, above[-1])
+    (event, out), (want_event, want_out) = _schedule_both(slice_, wall, gas)
+    assert event == want_event and out.fronts == want_out.fronts
+    assert out.fronts[:2] == low and out.fronts[2].speed == top[0].speed - _DELTA
+
+
 def test_wall_hit_at_corner_perturbs_top_front_like_full_scan(gas, bg):
     # the top front (a 4-rarefaction piece) reaches the wall exactly at a
     # turning corner; the two fronts below it move apart
@@ -427,12 +462,34 @@ def test_next_event_matches_full_scan_over_a_run(gas):
         assert got[0] == want[0] and got[1].fronts == want[1].fronts
 
 
-@pytest.mark.parametrize("wall", [
+_WALLS = pytest.mark.parametrize("wall", [
     _stress_wall(),
     wedge_wall(slope=-0.01, h=1.0 / 64.0, x_max=2.0),
     approximate_boundary(lambda x: -0.01 * x, 1.0 / 64.0, tail_slope=0.0, x_max=2.0),
     approximate_boundary(lambda x: -0.01 * x + 0.004 * x * x, 1.0 / 64.0, x_max=2.0),
 ], ids=["curved", "straight", "flat-tail", "bending-up"])
+
+
+@_WALLS
+def test_wall_lookups_match_numpy_lookups(wall):
+    # the float-table lookups against the array ones they replaced, at
+    # every corner, one ulp either side of it, before the leading edge
+    # and past the last corner
+    xs = [float(x) for x in wall.xs]
+    points = [-0.1, xs[-1] + 0.5, 10.0]
+    for x in xs:
+        points += [x, float(np.nextafter(x, -np.inf)), float(np.nextafter(x, np.inf))]
+    for x in points:
+        k = min(max(int(np.searchsorted(wall.xs, x, side="right")) - 1, 0), wall.k_star)
+        assert wall.segment_index(x) == k
+        g = wall.g_at(x)
+        assert type(g) is float and g == float(wall.gs[k] + math.tan(wall.thetas[k])
+                                               * (x - wall.xs[k]))
+        theta = wall.theta_at(x)
+        assert type(theta) is float and theta == float(wall.thetas[k])
+
+
+@_WALLS
 def test_wall_hit_matches_walking_oracle(wall, bg):
     # seeded fronts at and below the wall, plus fronts slower than every
     # remaining segment and fronts within 1e-15 of the least tangent ahead
@@ -585,14 +642,38 @@ def test_slice_log_retains_under_half_the_eager_slices():
     assert 0 < log_bytes < 0.5 * eager_bytes
 
 
+def _scan_x(lo, up, x0):
+    """The full scan's station for the pair (lo, up) at `x0`, or None
+    where the full scan skips the pair: its arithmetic, for one pair."""
+    slo, sup = lo.speed, up.speed
+    if slo <= sup:
+        return None
+    dy = max(up.y_at(x0) - lo.y_at(x0), 0.0)
+    if dy == 0.0 and slo - sup <= tracking._PARALLEL_TOL:
+        return None
+    return x0 + dy / (slo - sup)
+
+
 @pytest.mark.parametrize("case", sorted(_RUN_CASES))
-def test_live_columns_follow_the_fronts(case, monkeypatch):
-    # the event scan's columns are spliced at every event, perturbations
-    # included, and no stored slice keeps them
+def test_live_columns_bound_the_scan(case, monkeypatch):
+    # the scan's columns are spliced at every event, perturbations
+    # included: the flags mark exactly the approaching near-parallel
+    # pairs, a bound is +inf exactly where a pair is not approaching or
+    # flagged, and every finite bound, most of them made at an earlier
+    # station, is at most the full scan's station for its pair now; no
+    # stored slice keeps the columns
+    bounds = []
+
     def assert_live(slice_):
-        assert slice_.columns is not None
-        n = len(slice_.fronts)
-        assert np.array_equal(slice_.columns[:, :n], tracking._front_columns(slice_.fronts))
+        cols, fronts = slice_.columns, slice_.fronts
+        assert cols is not None
+        for i, (lo, up) in enumerate(zip(fronts, fronts[1:])):
+            gap = lo.speed - up.speed
+            assert cols[1, i] == float(0.0 < gap <= tracking._PARALLEL_TOL)
+            assert math.isinf(cols[0, i]) == (gap <= tracking._PARALLEL_TOL)
+            if gap > tracking._PARALLEL_TOL:
+                assert cols[0, i] <= _scan_x(lo, up, slice_.x)
+                bounds.append(cols[0, i])
 
     resolve = tracking.resolve_event
 
@@ -606,8 +687,71 @@ def test_live_columns_follow_the_fronts(case, monkeypatch):
     monkeypatch.setattr(tracking, "resolve_event", checked_resolve)
     data, wall, cfg, gas = _RUN_CASES[case]()
     traj = run(data, wall, cfg, gas)
-    assert len(traj.records) > 10
+    assert len(traj.records) > 10 and len(bounds) > 10 * len(traj.records)
     assert all(sl.columns is None for sl in traj.slices)
+
+
+def test_pair_bound_holds_at_later_stations(bg):
+    # random approaching pairs, near-parallel to steep, anchored away from
+    # the station: the bound made at one station is at most the full
+    # scan's station for the pair at every later station, short of the
+    # crossing, at it and past it; for pairs far from parallel it is
+    # within 1e-9 of the scan's station
+    rng = np.random.default_rng(11)
+    checked = past = 0
+    for _ in range(3000):
+        x, s_up, y, x_lo, x_up = (float(v) for v in rng.uniform(
+            (0.0, -0.6, -1.5, 0.0, 0.0), (1.0, 0.6, 0.0, 1.0, 1.0)))
+        x_lo, x_up = x_lo * x, x_up * x
+        gap = 10.0 ** float(rng.uniform(-11.9, 0.0))
+        ahead = 0.0 if rng.random() < 0.1 else 10.0 ** float(rng.uniform(-17.0, 0.3))
+        lo = Front(1, -1e-3, x_lo, y - (s_up + gap) * (x - x_lo), s_up + gap, 1, bg, bg)
+        up = Front(4, 1e-3, x_up, y + gap * ahead - s_up * (x - x_up), s_up, 1, bg, bg)
+        bound, flag = tracking._pair_row(lo, up, x)
+        assert flag == 0.0
+        v = _scan_x(lo, up, x)
+        assert bound <= v
+        if gap > 1e-3:
+            assert v - bound < 1e-9
+        later = [x + t * (v - x) for t in (1e-9, 0.25, 0.5, 0.9, 0.999999, 1.000001, 1.5, 4.0)]
+        later += [float(np.nextafter(v, d)) for d in (-np.inf, np.inf)] + [v]
+        for xl in later:
+            if xl >= x:
+                assert bound <= _scan_x(lo, up, xl)
+                checked += 1
+                past += xl > v
+    assert checked > 25000 and past > 5000
+
+
+def test_near_parallel_pair_schedules_like_full_scan(gas, bg):
+    # two contacts 5e-14 apart in speed cross at x = 0.5; around it their
+    # computed gap is rounding noise whose sign flips from station to
+    # station, and the scan admits the pair only while the gap is open.
+    # The top pair meets at x = 0.9.  Columns made at x = 0.4 and carried
+    # forward schedule as columns made at each station, and as the full scan
+    wall = flat_wall()
+    x_star, y_star, s = 0.5, -0.3, -0.01
+    lo = Front(2, 1e-3, 0.1, y_star - s * (x_star - 0.1), s, 1, bg, bg)
+    up = Front(3, 1e-3, 0.2, y_star - (s - 5e-14) * (x_star - 0.2), s - 5e-14, 1, bg, bg)
+    top = Front(4, 1e-3, 0.9, up.y_at(0.9), -0.05, 1, bg, bg)
+    fronts = [lo, up, top]
+    carried = tracking._pair_columns(fronts, 0.4)
+    assert list(carried[1, :2]) == [1.0, 0.0]
+    cfg = EngineConfig(h=wall.h, nu=10)
+    lam = default_lambda_hat(gas)
+    signs, events = set(), set()
+    for x in x_star + np.linspace(-2e-3, 2e-3, 81):
+        x = float(x)
+        signs.add(np.sign(up.y_at(x) - lo.y_at(x)))
+        want = _full_scan_next_event(SolutionSlice(x, fronts, bg), wall, cfg, gas, lam,
+                                     np.random.default_rng(0))
+        events.add((want[0].kind, want[0].index))
+        for cols in (carried.copy(), None):
+            got = next_event(SolutionSlice(x, fronts, bg, cols), wall, cfg, gas, lam,
+                             np.random.default_rng(0))
+            assert got[0] == want[0] and got[1].fronts == fronts
+    assert signs == {-1.0, 0.0, 1.0}
+    assert events == {("interaction", 0), ("interaction", 1)}
 
 
 @pytest.mark.parametrize("rho_threshold", [None, 1e-9, 0.0])
