@@ -20,8 +20,10 @@ public function, :func:`wedge_problem`, which the CLI uses as well.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from numbers import Real
 
@@ -41,6 +43,7 @@ from .tracking import (
 
 __all__ = [
     "ConfigError",
+    "QuadratureWarning",
     "ExperimentConfig",
     "RateFit",
     "CoefficientRow",
@@ -225,6 +228,154 @@ class StabilityReport:
 
 
 # ---------------------------------------------------------------------------
+# scalar root finding and quadrature
+# ---------------------------------------------------------------------------
+
+class QuadratureWarning(RuntimeWarning):
+    """The adaptive quadrature stopped at its panel limit unconverged."""
+
+
+_BRENT_RTOL = 4.0 * 2.0**-52
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, a: float, b: float, xtol: float):
+    """Root of `f` in the sign-changing bracket ``[a, b]`` by Brent's method.
+
+    A step-for-step port of the widely used C routine ``brentq`` (Brent
+    1973, ch. 4) with its defaults ``rtol = 4*2**-52`` and 100
+    iterations, so it returns that routine's float for the same bracket
+    and tolerance; the tests compare the two bit for bit.  Raises
+    ``ValueError`` when ``f(a)`` and ``f(b)`` have the same sign,
+    ``RuntimeError`` when the iteration budget runs out.
+    """
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(
+        f"Brent's method did not converge in {_BRENT_MAXITER} iterations, "
+        f"value is {xcur!r}")
+
+
+# QUADPACK's qk21 tables: the nonnegative 21-point Kronrod abscissae on
+# [-1, 1] in decreasing order (those at indices 1, 3, ..., 9 are the
+# 10-point Gauss nodes), their Kronrod weights, and the Gauss weights of
+# the nodes at indices 1, 3, ..., 9
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208031412651, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+
+_QUAD_EPSABS = 1.0e-17
+_QUAD_EPSREL = 1.0e-12
+_QUAD_LIMIT = 200
+
+
+def _qk21(f, a: float, b: float):
+    """QUADPACK's 21-point Gauss-Kronrod panel: ``(K21, |K21 - G10|*h)``.
+
+    The nodes are visited and the sums accumulated in QUADPACK's order
+    (centre, Gauss pairs, then the remaining Kronrod pairs), so the panel
+    value is the float ``dqk21`` returns.
+    """
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    resg = 0.0
+    resk = _WGK[10] * f(centr)
+    for j in (1, 3, 5, 7, 9):
+        absc = hlgth * _XGK[j]
+        fsum = f(centr - absc) + f(centr + absc)
+        resg += _WG[j // 2] * fsum
+        resk += _WGK[j] * fsum
+    for j in (0, 2, 4, 6, 8):
+        absc = hlgth * _XGK[j]
+        fsum = f(centr - absc) + f(centr + absc)
+        resk += _WGK[j] * fsum
+    return resk * hlgth, abs((resk - resg) * hlgth)
+
+
+def _quad(f, a: float, b: float) -> float:
+    """Integral of `f` over ``[a, b]`` by globally adaptive Gauss-Kronrod.
+
+    The panel with the largest error estimate is bisected until the summed
+    estimate is at most ``max(1e-17, 1e-12*|I|)``; a panel that meets it
+    at once returns its ``qk21`` value unchanged.  At 200 panels the best
+    sum is returned with a :class:`QuadratureWarning`.  The estimate is
+    the raw Kronrod-Gauss gap, without QUADPACK's rescaling, so a panel
+    that QUADPACK accepts may still be bisected here.
+    """
+    val, err = _qk21(f, a, b)
+    panels = [(-err, a, b, val)]
+    while True:
+        total = math.fsum(p[3] for p in panels)
+        err_sum = -math.fsum(p[0] for p in panels)
+        if err_sum <= max(_QUAD_EPSABS, _QUAD_EPSREL * abs(total)):
+            return total
+        if len(panels) >= _QUAD_LIMIT:
+            warnings.warn(
+                f"quadrature on [{a!r}, {b!r}] stopped at {_QUAD_LIMIT} panels "
+                f"with error estimate {err_sum:.3g}", QuadratureWarning,
+                stacklevel=2)
+            return total
+        _, lo, hi, _ = heapq.heappop(panels)
+        mid = 0.5 * (lo + hi)
+        for p, q in ((lo, mid), (mid, hi)):
+            val, err = _qk21(f, p, q)
+            heapq.heappush(panels, (-err, p, q, val))
+
+
+# ---------------------------------------------------------------------------
 # special-solution scenario
 # ---------------------------------------------------------------------------
 
@@ -236,10 +387,6 @@ def special_pair(eps: float, gas0: GasParams):
     density jump ``a_inf * eps``.  Returns ``(U_b, U_a, sigma)`` with
     ``sigma`` the pinning strength (negative: compression).
     """
-    # scipy is imported here and in fan_l1_distance only: the tracked
-    # drivers and the CLI never load it
-    from scipy.optimize import brentq
-
     if gas0.tau != 0.0:
         raise ValueError("special_pair pins the jump in the zero-limit system")
     U_b = State(1.0, 0.0, eps, gas0.p_background)
@@ -251,7 +398,7 @@ def special_pair(eps: float, gas0: GasParams):
     def density_miss(sig):
         return wave_curve(U_b, 1, sig, gas0).rho - target
 
-    sigma = brentq(density_miss, 3.0 * guess, 0.3 * guess, xtol=1.0e-16)
+    sigma = _brentq(density_miss, 3.0 * guess, 0.3 * guess, xtol=1.0e-16)
     return U_b, wave_curve(U_b, 1, sigma, gas0), float(sigma)
 
 
@@ -281,9 +428,6 @@ def fan_l1_distance(solA: RiemannSolution, gasA: GasParams,
     integrated per component with a sign-change split so the absolute
     value never hides cancellation.
     """
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
-
     pts = sorted(set(_fan_breakpoints(solA) + _fan_breakpoints(solB)))
     grid = [pts[0] - 0.5, *pts, pts[-1] + 0.5]
     total = 0.0
@@ -300,17 +444,15 @@ def fan_l1_distance(solA: RiemannSolution, gasA: GasParams,
         zlo, zhi = zl + shrink, zr - shrink
         for comp in range(4):
             def diff(z):
-                return (sample_riemann_fan(solA, U_b, z, gasA).as_array()[comp]
-                        - sample_riemann_fan(solB, U_b, z, gasB).as_array()[comp])
+                return float(sample_riemann_fan(solA, U_b, z, gasA).as_array()[comp]
+                             - sample_riemann_fan(solB, U_b, z, gasB).as_array()[comp])
             cuts = [zlo]
             flo, fhi = diff(zlo), diff(zhi)
             if flo * fhi < 0.0:
-                cuts.append(brentq(diff, zlo, zhi, xtol=1.0e-15))
+                cuts.append(_brentq(diff, zlo, zhi, xtol=1.0e-15))
             cuts.append(zhi)
             for a_, b_ in zip(cuts, cuts[1:]):
-                val, _ = quad(lambda z: abs(diff(z)), a_, b_,
-                              epsabs=1.0e-17, epsrel=1.0e-12, limit=200)
-                total += val
+                total += _quad(lambda z: abs(diff(z)), a_, b_)
     return total * x
 
 

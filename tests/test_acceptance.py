@@ -12,7 +12,6 @@ import warnings
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.integrate import IntegrationWarning
 
 from hyperwedge.euler import (
     GasParams,
@@ -40,6 +39,7 @@ from hyperwedge.functionals import (
 )
 from hyperwedge.experiments import (
     ExperimentConfig,
+    QuadratureWarning,
     run_convergence,
     run_special_solution,
     wedge_problem,
@@ -172,7 +172,7 @@ def test_criterion_4_special_solution_coefficients():
                                    tau_grid=(0.1, 0.05, 0.025),
                                    eps=eps, x_station=1.0)
             with warnings.catch_warnings():
-                warnings.simplefilter("error", IntegrationWarning)
+                warnings.simplefilter("error", QuadratureWarning)
                 rep = _timed(10.0, lambda: run_special_solution(cfg), repeats=1)
             rows = {r.name: r for r in rep.coefficients}
             assert rep.coeff_tau == 0.05

@@ -12,12 +12,19 @@ import numpy as np
 import pytest
 
 import hyperwedge
-from hyperwedge.euler import GasParams
+from hyperwedge.curves import wave_curve
+from hyperwedge.euler import GasParams, State
 from hyperwedge.experiments import (
+    _WG,
+    _XGK,
     CoefficientRow,
     ConfigError,
     ExperimentConfig,
+    QuadratureWarning,
     RateFit,
+    _brentq,
+    _qk21,
+    _quad,
     fan_l1_distance,
     run_convergence,
     run_special_solution,
@@ -164,29 +171,131 @@ def test_special_report_deterministic():
     assert [r.measured for r in a.coefficients] == [r.measured for r in b.coefficients]
 
 
-_IMPORT_BUDGET_CHILD = """
+_NO_SCIPY_CHILD = """
 import pickle, sys
 import hyperwedge, hyperwedge.cli, hyperwedge.experiments, hyperwedge.functionals
-loaded = [m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules]
 from hyperwedge.experiments import ExperimentConfig, run_special_solution
 report = run_special_solution(ExperimentConfig(scenario="special"))
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 sys.stdout.buffer.write(pickle.dumps((loaded, report)))
 """
 
 
-def test_only_the_special_solution_loads_scipy():
-    # a fresh interpreter: collecting the acceptance tests has already
-    # imported scipy.integrate into this one
+def test_nothing_loads_scipy():
+    # a fresh interpreter: the oracle tests below import scipy into this one
     src = str(Path(hyperwedge.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET_CHILD], env=env,
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD], env=env,
                          capture_output=True, check=True, timeout=120).stdout
     loaded, report = pickle.loads(out)
-    # the tracked drivers and the CLI import no scipy solver or quadrature
+    # not even the special solution's root finder and quadrature
     assert loaded == []
-    # the special solution's function-local imports resolve, to the same report
     assert report == run_special_solution(ExperimentConfig(scenario="special"))
+
+
+# ---------------------------------------------------------------------------
+# root finder and quadrature
+# ---------------------------------------------------------------------------
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("xtol", [1.0e-16, 1.0e-15])
+def test_brentq_matches_scipy_bit_for_bit(xtol):
+    from scipy.optimize import brentq
+    rng = np.random.default_rng(20)
+    families = (lambda x, c: x**3 - c,
+                lambda x, c: math.tan(x) - c,
+                lambda x, c: math.expm1(x) - c,
+                lambda x, c: (x - c)**5)
+    for i in range(400):
+        c = float(rng.uniform(-1.0, 1.0))
+        a, b = float(rng.uniform(-1.5, 0.0)), float(rng.uniform(0.01, 1.5))
+        f = (lambda fam: lambda x: fam(x, c))(families[i % len(families)])
+        # same-sign brackets and spent iteration budgets must fail alike
+        assert (_outcome(_brentq, f, a, b, xtol)
+                == _outcome(lambda *args: brentq(*args, xtol=xtol), f, a, b))
+
+
+def test_brentq_special_pair_brackets():
+    from scipy.optimize import brentq
+    for gamma, a_inf, eps in ((1.4, 2.0, 1.0e-3), (5.0 / 3.0, 3.0, 1.0e-3),
+                              (1.2, 1.5, 1.0e-4)):
+        gas0 = GasParams(gamma=gamma, a_inf=a_inf, tau=0.0)
+        U_b = State(1.0, 0.0, eps, gas0.p_background)
+        target = 1.0 + a_inf * eps
+        guess = -(gamma + 1.0) / 2.0 * eps
+
+        def density_miss(sig):
+            return wave_curve(U_b, 1, sig, gas0).rho - target
+
+        root = _brentq(density_miss, 3.0 * guess, 0.3 * guess, 1.0e-16)
+        assert root == brentq(density_miss, 3.0 * guess, 0.3 * guess, xtol=1.0e-16)
+        assert root == special_pair(eps, gas0)[2]
+
+
+def test_brentq_endpoints_and_sign_check():
+    # a zero value at either end is the root, before any sign test
+    assert _brentq(lambda x: x - 1.0, 1.0, 3.0, 1.0e-15) == 1.0
+    assert _brentq(lambda x: x - 3.0, 1.0, 3.0, 1.0e-15) == 3.0
+    assert _brentq(lambda x: -0.0 if x < 0.5 else 1.0, 0.0, 1.0, 1.0e-15) == 0.0
+    for f in (lambda x: x * x + 1.0, lambda x: -x * x - 1.0):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(f, -1.0, 1.0, 1.0e-15)
+
+
+def test_qk21_tables():
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    # the Gauss half of the Kronrod abscissae, positive nodes descending
+    assert np.max(np.abs(np.array(_XGK[1::2]) - nodes[5:][::-1])) <= 1.0e-15
+    assert np.max(np.abs(np.array(_WG) - weights[5:][::-1])) <= 1.0e-15
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        k21, gauss_gap = _qk21(lambda x: x**k, -1.0, 1.0)
+        assert abs(k21 - exact) <= 1.0e-14
+        if k < 20:  # the 10-point Gauss rule is exact to degree 19 as well
+            assert gauss_gap <= 1.0e-14
+
+
+@pytest.mark.parametrize("f, a, b, exact", [
+    (math.exp, 0.0, 1.0, math.e - 1.0),
+    (lambda x: 1.0 / x, 1.0, 2.0, math.log(2.0)),
+    (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, math.pi / 4.0),
+    (math.sqrt, 0.0, 1.0, 2.0 / 3.0),  # needs bisection at the kink
+], ids=["exp", "reciprocal", "arctan", "sqrt"])
+def test_quad_reaches_relative_tolerance(f, a, b, exact):
+    assert _quad(f, a, b) == pytest.approx(exact, rel=1.0e-12, abs=0.0)
+
+
+def test_qk21_panel_matches_scipy():
+    # where QUADPACK stops after its first panel, it returns that panel's
+    # value, which _qk21 must reproduce to the bit
+    from scipy.integrate import quad
+    rng = np.random.default_rng(21)
+    compared = 0
+    for _ in range(100):
+        k = float(rng.uniform(0.1, 5.0))
+        a = float(rng.uniform(-2.0, 1.0))
+        b = a + float(rng.uniform(0.01, 2.0))
+        for f in (lambda x: math.exp(k * x), lambda x: 1.0 / (1.0 + k * x * x)):
+            val, _, info = quad(f, a, b, epsabs=1.0e-17, epsrel=1.0e-12,
+                                limit=200, full_output=1)
+            if info["neval"] == 21:
+                compared += 1
+                assert _qk21(f, a, b)[0] == val
+    assert compared >= 100
+
+
+def test_quad_warns_at_the_panel_limit():
+    # 1/|x| is not integrable across 0: the panel holding 0 never converges
+    with pytest.warns(QuadratureWarning, match=r"\[-1.0, 2.0\] stopped at 200 panels"):
+        val = _quad(lambda x: 1.0 / abs(x), -1.0, 2.0)
+    assert math.isfinite(val) and val > 0.0
 
 
 # ---------------------------------------------------------------------------
