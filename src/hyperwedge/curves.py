@@ -72,14 +72,14 @@ class CurveError(RuntimeError):
 # generic damped Newton with finite-difference Jacobian
 # ---------------------------------------------------------------------------
 
-def damped_newton(F, x0, max_iter=_NEWTON_MAXIT):
+def damped_newton(F, x0):
     """Solve F(x) = 0 by Newton iteration with step halving.
 
     The Jacobian is one-sided finite differences with per-component step
     ``_NEWTON_FD_STEP * (1 + |x_k|)``.  A step is halved (at most
     ``_NEWTON_MAX_HALVINGS`` times) until the residual norm decreases.
     Convergence is judged on the residual alone:
-    ``max|F| <= _NEWTON_TOL``.
+    ``max|F| <= _NEWTON_TOL`` within ``_NEWTON_MAXIT`` iterations.
 
     List in, list out: `F` takes the iterate as a list of floats and
     returns its residual as a list of as many floats (any sequence
@@ -95,7 +95,7 @@ def damped_newton(F, x0, max_iter=_NEWTON_MAXIT):
     x = [float(a) for a in x0]
     f = F(x)
     best_norm = _nan_max(list(map(abs, f)))
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAXIT):
         if best_norm <= _NEWTON_TOL:
             return np.array(x)
         cols = []
@@ -127,7 +127,8 @@ def damped_newton(F, x0, max_iter=_NEWTON_MAXIT):
             )
     if best_norm <= _NEWTON_TOL:
         return np.array(x)
-    raise CurveError(f"Newton failed to converge: residual {best_norm:.3e} after {max_iter} iterations")
+    raise CurveError(f"Newton failed to converge: residual {best_norm:.3e} "
+                     f"after {_NEWTON_MAXIT} iterations")
 
 
 def _nan_max(values: list) -> float:

@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 _SAFETY = 1.5  # weights sit at this multiple of their lower bounds
-_KAPPA = 10.0  # every level and tail coefficient of LyapunovWeights
+_KAPPA = 10.0  # level-weight coefficient of lyapunov_functional (wall tail: _KAPPA * w4)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def glimm_parts(slice_: SolutionSlice, boundary: BoundaryPolyline,
     for f in slice_.fronts:
         v += w.family_weight(f.family) * abs(f.sigma)
     q = interaction_potential(slice_.fronts)
-    return {"v": v, "v_corner": _corner_tail(boundary, slice_.x), "q": q}
+    return {"v": v, "v_corner": boundary.corner_tail(slice_.x), "q": q}
 
 
 def glimm_functional(slice_: SolutionSlice, boundary: BoundaryPolyline,
@@ -182,25 +182,17 @@ def glimm_functional(slice_: SolutionSlice, boundary: BoundaryPolyline,
 
 @dataclass(frozen=True)
 class LyapunovWeights:
-    """Weights for the two-slice distance functional.
+    """Weights for the two-slice distance functional, sized from the background.
 
-    ``w2..w4`` scale the jump-decomposition components (component 1 has
-    weight one); ``kappa1..kappa3`` build the level weights from crossing
-    fronts, slice potentials, and fast-family strengths; ``kappa_c`` and
-    ``kappa_cp`` add the corner tails of the two walls; ``kappa_g``
-    scales the wall-mismatch integral.  ``kb_jump`` records the measured
-    magnitude of the wall jump-reflection coefficient that sized ``w4``.
+    ``w4`` scales jump-decomposition component 4; components 1-3 have
+    weight one.  ``kb_jump`` records the measured magnitude of the wall
+    jump-reflection coefficient that sized ``w4``.  The level weights
+    take ``_KAPPA`` per unit of crossing strength, slice potential,
+    fast-family strength and corner tail; the wall-mismatch tail takes
+    ``_KAPPA * w4``.
     """
 
-    w2: float
-    w3: float
     w4: float
-    kappa1: float
-    kappa2: float
-    kappa3: float
-    kappa_c: float
-    kappa_cp: float
-    kappa_g: float
     kb_jump: float
 
     @classmethod
@@ -212,8 +204,7 @@ class LyapunovWeights:
         ``|kb|*W1*(0-lam1) + w4*W4*(0-lam4)`` must be negative even when
         the level weights are least favourable (W1 at its cap 2, W4 at
         its floor 1).  The critical ``w4`` is found by bisection and
-        inflated by the safety factor; every ``kappa`` is ``_KAPPA``, and
-        ``kappa_g`` is ``_KAPPA * w4``.
+        inflated by the safety factor.
         """
         Ub = gas.background()
         eps = 1.0e-6
@@ -235,11 +226,10 @@ class LyapunovWeights:
             else:
                 hi = mid
         w4 = _SAFETY * hi
-        return cls(1.0, 1.0, w4, _KAPPA, _KAPPA, _KAPPA, _KAPPA, _KAPPA,
-                   _KAPPA * w4, kb)
+        return cls(w4, kb)
 
     def component_weight(self, j: int) -> float:
-        return {1: 1.0, 2: self.w2, 3: self.w3, 4: self.w4}[j]
+        return self.w4 if j == 4 else 1.0
 
 
 @dataclass(frozen=True)
@@ -254,14 +244,8 @@ class LyapunovValue:
         return self.interior + self.boundary_tail
 
 
-def _corner_tail(boundary: BoundaryPolyline, x: float) -> float:
-    return float(sum(abs(float(boundary.omegas[k]))
-                     for k in range(1, boundary.k_star + 1)
-                     if boundary.xs[k] > x))
-
-
-def _crossing_count_weights(fronts_below, fronts_above, q, kappa1):
-    """kappa1 * A_j for all four components at one level.
+def _crossing_count_weights(fronts_below, fronts_above, q):
+    """_KAPPA * A_j for all four components at one level.
 
     ``A_j`` counts the strengths of fronts that will cross the level:
     faster families below it, slower families above it, and same-family
@@ -288,7 +272,7 @@ def _crossing_count_weights(fronts_below, fronts_above, q, kappa1):
                      if which == 0 and f.family == j)
             a += sum(abs(f.sigma) for f, which in fronts_above
                      if which == 1 and f.family == j)
-        out[j - 1] = kappa1 * a
+        out[j - 1] = _KAPPA * a
     return out
 
 
@@ -324,9 +308,9 @@ def lyapunov_functional(sliceU: SolutionSlice, sliceV: SolutionSlice,
     s4 = sum(abs(f.sigma) for f in sliceU.fronts
              if f.family == 4) + sum(abs(f.sigma) for f in sliceV.fronts
                                      if f.family == 4)
-    base_weight = (1.0 + w.kappa2 * (qU + qV) + w.kappa3 * s4
-                   + w.kappa_c * _corner_tail(boundaryU, x)
-                   + w.kappa_cp * _corner_tail(boundaryV, x))
+    base_weight = (1.0 + _KAPPA * (qU + qV) + _KAPPA * s4
+                   + _KAPPA * boundaryU.corner_tail(x)
+                   + _KAPPA * boundaryV.corner_tail(x))
 
     ysU = [f.y_at(x) for f in sliceU.fronts]
     ysV = [f.y_at(x) for f in sliceV.fronts]
@@ -345,12 +329,12 @@ def lyapunov_functional(sliceU: SolutionSlice, sliceV: SolutionSlice,
         q = hugoniot_decompose(su, sv, gas)
         below = [(f, which) for f, which, y in tagged if y < ym]
         above = [(f, which) for f, which, y in tagged if y > ym]
-        Wj = base_weight + _crossing_count_weights(below, above, q, w.kappa1)
+        Wj = base_weight + _crossing_count_weights(below, above, q)
         for j in range(1, 5):
             interior += abs(q[j - 1]) * w.component_weight(j) * Wj[j - 1] * (b - a)
 
     tail = wall_mismatch(boundaryU, boundaryV, x, x_horizon)
-    return LyapunovValue(interior, w.kappa_g * tail)
+    return LyapunovValue(interior, (_KAPPA * w.w4) * tail)
 
 
 def wall_mismatch(bU: BoundaryPolyline, bV: BoundaryPolyline,

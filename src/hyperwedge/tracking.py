@@ -88,6 +88,8 @@ _CHECKPOINT_INTERVAL = 64
 #: a pair's collision bound lies this far, per unit of its rounding-error
 #: terms, below the station the scan computes (see :func:`_pair_row`)
 _BOUND_EPS = 64.0 * 2.0 ** -52
+#: events one run may resolve before it gives up
+_MAX_EVENTS = 200_000
 
 
 @dataclass(frozen=True)
@@ -162,6 +164,11 @@ class BoundaryPolyline:
         ks = [k for k in range(1, self.k_star + 1) if self.omegas[k] != 0.0]
         return [float(self.xs[k]) for k in ks], ks
 
+    def corner_tail(self, x: float) -> float:
+        """Sum of ``|omegas[k]|`` over the corners k >= 1 beyond `x`."""
+        xs, ks = self._turning_corners
+        return float(sum(abs(float(self.omegas[k])) for k in ks[bisect_right(xs, x):]))
+
     @cached_property
     def _min_tan_from(self) -> list:
         """Entry k: the least ``tan(thetas[j])`` over segments j >= k."""
@@ -171,13 +178,12 @@ class BoundaryPolyline:
         return out
 
 
-def approximate_boundary(g, h: float, tail_slope: float | None = None,
-                         x_max: float = 2.0) -> BoundaryPolyline:
+def approximate_boundary(g, h: float, x_max: float = 2.0) -> BoundaryPolyline:
     """Sample a wall function onto a corner polyline with spacing `h`.
 
     Corners sit at x = k*h up to ``k_star = ceil(x_max/h)``; beyond the
-    last corner the wall continues straight with `tail_slope` (default:
-    the slope of the last sampled segment).  Turning angles smaller than
+    last corner the wall continues straight with the slope of the last
+    sampled segment (flat if there is none).  Turning angles smaller than
     rounding noise are snapped to exactly zero so a straight wedge has no
     interior corner events.
     """
@@ -191,9 +197,7 @@ def approximate_boundary(g, h: float, tail_slope: float | None = None,
     gs = np.array([float(g(x)) for x in xs])
     gs[0] = 0.0
     seg = np.arctan(np.diff(gs) / h)
-    if tail_slope is None:
-        tail_slope = float(np.tan(seg[-1])) if len(seg) else 0.0
-    thetas = np.append(seg, math.atan(tail_slope))
+    thetas = np.append(seg, math.atan(float(np.tan(seg[-1]))) if len(seg) else 0.0)
     omegas = np.empty(k_star + 1)
     omegas[0] = thetas[0]
     omegas[1:] = np.diff(thetas)
@@ -298,9 +302,10 @@ class EngineConfig:
 
     ``nu`` controls both the rarefaction sampling (pieces of strength at
     most 1/nu) and, unless overridden, the simplified-solver threshold
-    ``rho_threshold = 2^-nu * (initial total strength)``.  ``lambda_hat``
-    (the non-physical front slope) defaults to 1.2x the largest family-4
-    slope over the corners of the componentwise trust box.
+    ``rho_threshold = 2^-nu * (initial total strength)``.  Two values are
+    fixed, not set: the non-physical front slope, 1.2x the largest
+    family-4 slope over the trust-box corners (:func:`default_lambda_hat`),
+    and the budget of ``_MAX_EVENTS`` events per run.
 
     ``np_boundary`` picks what happens when a non-physical carrier meets
     the wall.  ``absorb`` (default) drops it: the slice functional then
@@ -315,10 +320,8 @@ class EngineConfig:
     h: float = 1.0 / 32.0
     nu: int = 10
     rho_threshold: float | None = None
-    lambda_hat: float | None = None
     x_end: float = 1.0
     seed: int = 0
-    max_events: int = 200000
     np_boundary: str = "absorb"  # or "resolve"
 
     def __post_init__(self):
@@ -326,6 +329,14 @@ class EngineConfig:
             raise ValueError(f"engine key h={self.h!r} must be positive")
         if isinstance(self.nu, bool) or not isinstance(self.nu, Integral) or self.nu < 1:
             raise ValueError(f"engine key nu={self.nu!r} must be an integer >= 1")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError(f"engine key seed={self.seed!r} must be an integer >= 0")
+        rho = self.rho_threshold
+        if rho is not None and (isinstance(rho, bool) or not isinstance(rho, Real)
+                                or not rho >= 0.0):
+            raise ValueError(f"engine key rho_threshold={rho!r} must be null or a number >= 0")
+        if not (isinstance(self.x_end, Real) and self.x_end > 0.0):
+            raise ValueError(f"engine key x_end={self.x_end!r} must be a positive number")
         if self.np_boundary not in ("absorb", "resolve"):
             raise ValueError(f"engine key np_boundary={self.np_boundary!r} "
                              f"must be 'absorb' or 'resolve'")
@@ -845,13 +856,10 @@ def _resolve_interaction(slice_, event, cfg, gas, rho_threshold, lambda_hat):
         if f_up.family == NP_FAMILY:
             # two carriers (equal design speed; a perturbed one was caught):
             # merge into one spanning gap, which cannot exceed the sum
-            npf = _np_front(U0, U2, xh, yh,
-                            min(f_lo.generation, f_up.generation), lambda_hat)
-            new_fronts = [npf] if npf is not None else []
+            waves, np_gen = [], min(f_lo.generation, f_up.generation)
         else:
-            new_fronts, _ = _transmit(U0, [(f_up.family, f_up.sigma, f_up.generation)],
-                                      U2, xh, yh, f_lo.generation, gas, cfg.nu,
-                                      lambda_hat)
+            waves, np_gen = [(f_up.family, f_up.sigma, f_up.generation)], f_lo.generation
+        new_fronts, _ = _transmit(U0, waves, U2, xh, yh, np_gen, gas, cfg.nu, lambda_hat)
         solver = "SRS"
     elif abs(f_lo.sigma * f_up.sigma) > rho_threshold:
         sol = solve_riemann(U0, U2, gas)
@@ -974,16 +982,14 @@ def run(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
     rho_threshold = cfg.rho_threshold
     if rho_threshold is None:
         rho_threshold = 2.0 ** (-cfg.nu) * v0
-    lambda_hat = cfg.lambda_hat
-    if lambda_hat is None:
-        lambda_hat = default_lambda_hat(gas)
+    lambda_hat = default_lambda_hat(gas)
     rng = np.random.default_rng(cfg.seed)
 
     log = SliceLog(slice0)
     records: list = []
     cur = slice0
     cur.edits = []
-    for _ in range(cfg.max_events):
+    for _ in range(_MAX_EVENTS):
         try:
             event, cur = next_event(cur, boundary, cfg, gas, lambda_hat, rng)
         except (SolverError, CurveError) as exc:
@@ -1006,7 +1012,7 @@ def run(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
         edits, cur.edits = cur.edits, []
         log.append(cur, edits)
         records.append(rec)
-    raise SolverError(f"event budget {cfg.max_events} exhausted at x={cur.x}")
+    raise SolverError(f"event budget {_MAX_EVENTS} exhausted at x={cur.x}")
 
 
 # ---------------------------------------------------------------------------

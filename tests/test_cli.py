@@ -133,7 +133,9 @@ def test_unknown_config_key_exits_2(runner, tmp_path):
     assert "error:" in res.stderr
 
 
-@pytest.mark.parametrize("key, value", [("h", 0), ("np_boundary", "resovle"), ("nu", -3)])
+@pytest.mark.parametrize("key, value", [("h", 0), ("np_boundary", "resovle"), ("nu", -3),
+                                        ("seed", -1), ("seed", 1.5),
+                                        ("rho_threshold", "abc"), ("x_end", "a")])
 def test_bad_engine_value_exits_2(runner, tmp_path, key, value):
     # the engine rejects the value itself; the CLI names the key on one line
     engine = {key: value}

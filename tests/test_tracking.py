@@ -465,7 +465,7 @@ def test_next_event_matches_full_scan_over_a_run(gas):
 _WALLS = pytest.mark.parametrize("wall", [
     _stress_wall(),
     wedge_wall(slope=-0.01, h=1.0 / 64.0, x_max=2.0),
-    approximate_boundary(lambda x: -0.01 * x, 1.0 / 64.0, tail_slope=0.0, x_max=2.0),
+    approximate_boundary(lambda x: -0.01 * min(x, 1.5), 1.0 / 64.0, x_max=2.0),
     approximate_boundary(lambda x: -0.01 * x + 0.004 * x * x, 1.0 / 64.0, x_max=2.0),
 ], ids=["curved", "straight", "flat-tail", "bending-up"])
 
@@ -474,7 +474,8 @@ _WALLS = pytest.mark.parametrize("wall", [
 def test_wall_lookups_match_numpy_lookups(wall):
     # the float-table lookups against the array ones they replaced, at
     # every corner, one ulp either side of it, before the leading edge
-    # and past the last corner
+    # and past the last corner; the corner tail against a walk over all
+    # corners
     xs = [float(x) for x in wall.xs]
     points = [-0.1, xs[-1] + 0.5, 10.0]
     for x in xs:
@@ -487,6 +488,9 @@ def test_wall_lookups_match_numpy_lookups(wall):
                                                * (x - wall.xs[k]))
         theta = wall.theta_at(x)
         assert type(theta) is float and theta == float(wall.thetas[k])
+        tail = wall.corner_tail(x)
+        assert type(tail) is float and tail == float(sum(
+            abs(float(wall.omegas[j])) for j in range(1, wall.k_star + 1) if wall.xs[j] > x))
 
 
 @_WALLS
@@ -783,6 +787,36 @@ def test_interaction_emitting_nothing_keeps_the_upper_state(gas, bg, solver):
     assert (rec.kind, rec.solver, rec.outgoing) == ("interaction", solver, ())
     assert out.fronts == low + top
     assert out.states == [states[0], between[-1], above[-1]]
+    assert_slice_invariants([out])
+
+
+@pytest.mark.parametrize("gap", [1e-4, 0.5 * tracking._ZERO_STRENGTH])
+def test_carrier_pair_merges_into_one_carrier(gas, bg, gap):
+    # a carrier catches a perturbed, slower carrier above it: one carrier
+    # of the older generation spans the pair, or, when the spanned gap is
+    # below the cut-off, nothing is emitted and the upper state is kept
+    lam = default_lambda_hat(gas)
+    low, states = _through(gas, bg, [(1, -1e-3, 0.0)], 0.0, -0.8)
+    U0 = states[-1]
+    U1 = State(U0.rho + 2e-4, U0.u, U0.v - 1e-4, U0.p)
+    U2 = State(U0.rho, U0.u, U0.v + gap, U0.p)
+    lo = Front(NP_FAMILY, float(np.linalg.norm(U1 - U0)), 0.5, -0.3, lam, 3, U0, U1)
+    up = Front(NP_FAMILY, float(np.linalg.norm(U2 - U1)), 0.5, -0.3, lam - 1e-3, 2, U1, U2)
+    top, above = _through(gas, U2, [(4, 1e-3, 0.0)], 0.0, -0.1)
+    slice_ = SolutionSlice(0.4, low + [lo, up] + top, above[-1])
+    out, rec = tracking.resolve_event(slice_, Event("interaction", 0.5, 1), _stress_wall(),
+                                      EngineConfig(nu=10), gas, 1.0, lam)
+    sigma = float(np.linalg.norm(U2 - U0))
+    if gap > tracking._ZERO_STRENGTH:
+        merged = [Front(NP_FAMILY, sigma, 0.5, -0.3, lam, 2, U0, U2)]
+    else:
+        assert sigma <= tracking._ZERO_STRENGTH
+        merged = []
+    assert (rec.kind, rec.solver) == ("interaction", "SRS")
+    assert rec.incoming == ((NP_FAMILY, lo.sigma), (NP_FAMILY, up.sigma))
+    assert rec.outgoing == tuple((f.family, f.sigma) for f in merged)
+    assert out.fronts == low + merged + top
+    assert out.states == [states[0]] + [U0] * len(merged) + [U2, above[-1]]
     assert_slice_invariants([out])
 
 
