@@ -638,11 +638,13 @@ def run_stability(cfg: ExperimentConfig) -> StabilityReport:
     Each case perturbs the baseline by the configured magnitudes, runs
     both trackers at the largest grid scaling, and reports the worst
     station ratio output-gap / input-gap, stations sampled at quarters
-    of the domain.
+    of the domain.  The moved wall parts from the baseline wall at
+    mid-domain, so the wall-only and joint runs take over the baseline
+    and data-only runs up to there (``run``'s `prefix`).
     """
     if cfg.scenario != "stability":
         raise ConfigError(f"scenario {cfg.scenario!r} is not 'stability'")
-    gas = cfg.gas(cfg.tau_grid[0])
+    gas = cfg.gas(max(cfg.tau_grid))
     base_wall, base_data = wedge_problem(cfg)
     base_traj = run(base_data, base_wall, cfg.engine, gas)
     lam_hat = base_traj.lambda_hat
@@ -650,8 +652,8 @@ def run_stability(cfg: ExperimentConfig) -> StabilityReport:
     moved_data = _perturbed_data(base_data, cfg.data_perturbation)
     moved_wall = _shifted_corner_wall(cfg, cfg.boundary_perturbation)
 
-    def one_case(name, data, wall):
-        traj = run(data, wall, cfg.engine, gas)
+    def one_case(name, traj):
+        data, wall = traj.data, traj.boundary
         input_delta = (_data_l1_gap(base_data, data)
                        + wall_mismatch(base_wall, wall, 0.0, 2.0 * cfg.engine.x_end))
         out = 0.0
@@ -663,9 +665,10 @@ def run_stability(cfg: ExperimentConfig) -> StabilityReport:
                                        traj.slice_at(x), (lo, hi)))
         return StabilityRow(name, float(input_delta), float(out))
 
-    rows = (one_case("data", moved_data, base_wall),
-            one_case("boundary", base_data, moved_wall),
-            one_case("both", moved_data, moved_wall))
+    data_traj = run(moved_data, base_wall, cfg.engine, gas)
+    rows = (one_case("data", data_traj),
+            one_case("boundary", run(base_data, moved_wall, cfg.engine, gas, prefix=base_traj)),
+            one_case("both", run(moved_data, moved_wall, cfg.engine, gas, prefix=data_traj)))
     return StabilityReport(rows, max(r.ratio for r in rows))
 
 

@@ -25,6 +25,7 @@ front through a corner.
 
 from __future__ import annotations
 
+import copy
 import io
 import math
 import operator
@@ -325,8 +326,8 @@ class EngineConfig:
     np_boundary: str = "absorb"  # or "resolve"
 
     def __post_init__(self):
-        if not (isinstance(self.h, Real) and self.h > 0.0):
-            raise ValueError(f"engine key h={self.h!r} must be positive")
+        if isinstance(self.h, bool) or not (isinstance(self.h, Real) and self.h > 0.0):
+            raise ValueError(f"engine key h={self.h!r} must be a positive number")
         if isinstance(self.nu, bool) or not isinstance(self.nu, Integral) or self.nu < 1:
             raise ValueError(f"engine key nu={self.nu!r} must be an integer >= 1")
         if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
@@ -335,7 +336,8 @@ class EngineConfig:
         if rho is not None and (isinstance(rho, bool) or not isinstance(rho, Real)
                                 or not rho >= 0.0):
             raise ValueError(f"engine key rho_threshold={rho!r} must be null or a number >= 0")
-        if not (isinstance(self.x_end, Real) and self.x_end > 0.0):
+        if isinstance(self.x_end, bool) or not (isinstance(self.x_end, Real)
+                                                and self.x_end > 0.0):
             raise ValueError(f"engine key x_end={self.x_end!r} must be a positive number")
         if self.np_boundary not in ("absorb", "resolve"):
             raise ValueError(f"engine key np_boundary={self.np_boundary!r} "
@@ -386,6 +388,16 @@ class SliceLog(Sequence):
         self.xs.append(slice_.x)
         self._edits.append(tuple(edits))
 
+    def head(self, n: int) -> SliceLog:
+        """A new log of the first `n` >= 1 slices; it shares this log's
+        edit tuples and checkpoints, and appending to it leaves this one
+        as it is."""
+        out = copy.copy(self)
+        out.xs = self.xs[:n]
+        out._edits = self._edits[:n]
+        out._checkpoints = self._checkpoints[:-(-n // _CHECKPOINT_INTERVAL)]
+        return out
+
     def __len__(self) -> int:
         return len(self.xs)
 
@@ -431,14 +443,16 @@ class SliceLog(Sequence):
 class Trajectory:
     """A run: its set-up, its stored slices and one record per event.
 
-    ``slices`` is the :class:`SliceLog` of the slices after
-    initialisation, after every event and at ``x_end``.
-    :func:`write_trajectory` also takes a list of some of them.
+    ``data`` is the inflow data the run started from.  ``slices`` is the
+    :class:`SliceLog` of the slices after initialisation, after every
+    event and at ``x_end``.  :func:`write_trajectory` also takes a list
+    of some of them.
     """
 
     gas: GasParams
     cfg: EngineConfig
     boundary: BoundaryPolyline
+    data: InitialData
     slices: SliceLog
     records: list
     rho_threshold: float
@@ -969,27 +983,50 @@ def _resolve_corner(slice_, event, boundary, cfg, gas):
 # ---------------------------------------------------------------------------
 
 def run(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
-        gas: GasParams) -> Trajectory:
+        gas: GasParams, prefix: Trajectory | None = None) -> Trajectory:
     """Track all fronts from x = 0 to x = x_end.
 
     Stores the slice after every event plus the final slice at x_end in
     a :class:`SliceLog`: after each event the live slice's pending edits
     move into the log.  Deterministic for fixed inputs: the only
     randomness is the seeded tie-breaking perturbation stream.
-    """
-    slice0 = initialize(data, boundary, cfg, gas)
-    v0 = float(sum(abs(f.sigma) for f in slice0.fronts))
-    rho_threshold = cfg.rho_threshold
-    if rho_threshold is None:
-        rho_threshold = 2.0 ** (-cfg.nu) * v0
-    lambda_hat = default_lambda_hat(gas)
-    rng = np.random.default_rng(cfg.seed)
 
-    log = SliceLog(slice0)
-    records: list = []
-    cur = slice0
-    cur.edits = []
-    for _ in range(_MAX_EVENTS):
+    `prefix` is an earlier run of the same data, `cfg` and `gas` over
+    another wall.  The run takes over its stored slices and records up
+    to where the two walls part (see :func:`_shared_slices`) and tracks
+    on from there; the result is the same as without it.
+    """
+    k = -1 if prefix is None else _shared_slices(prefix, data, boundary, cfg, gas)
+    if k < 0:
+        cur = initialize(data, boundary, cfg, gas)
+        rho_threshold = cfg.rho_threshold
+        if rho_threshold is None:
+            rho_threshold = 2.0 ** (-cfg.nu) * float(sum(abs(f.sigma) for f in cur.fronts))
+        lambda_hat = default_lambda_hat(gas)
+        log, records = SliceLog(cur), []
+        cur.edits = []
+    else:
+        log, records = prefix.slices.head(k + 1), prefix.records[:k]
+        sl = log[k]
+        # bounds made at a slice's station hold at every later one, and the
+        # scan finds the same events with any valid bounds
+        cur = SolutionSlice(sl.x, sl.fronts, sl.top_state, _pair_columns(sl.fronts, sl.x), [])
+        rho_threshold, lambda_hat = prefix.rho_threshold, prefix.lambda_hat
+    _track(cur, log, records, boundary, cfg, gas, rho_threshold, lambda_hat,
+           np.random.default_rng(cfg.seed))
+    return Trajectory(gas, cfg, boundary, data, log, records, rho_threshold, lambda_hat)
+
+
+def _track(cur: SolutionSlice, log: SliceLog, records: list, boundary: BoundaryPolyline,
+           cfg: EngineConfig, gas: GasParams, rho_threshold: float, lambda_hat: float,
+           rng) -> None:
+    """Track from the live slice `cur`, the last of `log`, to x_end.
+
+    Appends each later stored slice to `log` and each event's record to
+    `records`; the budget of ``_MAX_EVENTS`` events counts the records
+    already there.
+    """
+    for _ in range(_MAX_EVENTS - len(records)):
         try:
             event, cur = next_event(cur, boundary, cfg, gas, lambda_hat, rng)
         except (SolverError, CurveError) as exc:
@@ -999,8 +1036,7 @@ def run(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
             ) from exc
         if event.kind == "end":
             log.append(SolutionSlice(cfg.x_end, cur.fronts, cur.top_state), cur.edits)
-            return Trajectory(gas, cfg, boundary, log, records,
-                              rho_threshold, lambda_hat)
+            return
         try:
             cur, rec = resolve_event(cur, event, boundary, cfg, gas,
                                      rho_threshold, lambda_hat)
@@ -1013,6 +1049,62 @@ def run(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
         log.append(cur, edits)
         records.append(rec)
     raise SolverError(f"event budget {_MAX_EVENTS} exhausted at x={cur.x}")
+
+
+def _parting_station(a: BoundaryPolyline, b: BoundaryPolyline) -> float:
+    """The station of the first corner where walls `a` and `b` differ.
+
+    +inf for equal walls and 0 for walls of different corner spacing.
+    Below it the walls have the same segments, corners and turning
+    angles, so every wall hit or corner that one wall adds to an event
+    scan and the other does not lies at or after it, less the 1e-14
+    slack of :func:`_wall_hit`.
+    """
+    if a.h != b.h:
+        return 0.0
+    corners_a, corners_b = _corner_rows(a), _corner_rows(b)
+    for ra, rb in zip(corners_a, corners_b):
+        if ra != rb:
+            return ra[0]
+    return math.inf if a.k_star == b.k_star else corners_a[min(a.k_star, b.k_star)][0]
+
+
+def _corner_rows(wall: BoundaryPolyline) -> list:
+    """(x, g, theta, omega) of each corner of `wall`, as floats."""
+    xs, gs, _, thetas = wall._floats
+    return list(zip(xs, gs, thetas, wall.omegas.tolist()))
+
+
+def _same_data(a: InitialData, b: InitialData) -> bool:
+    """Whether `a` and `b` are the same data; ``==`` would compare the
+    break arrays elementwise."""
+    return a.states == b.states and np.array_equal(a.breaks, b.breaks)
+
+
+def _shared_slices(prefix: Trajectory, data: InitialData, boundary: BoundaryPolyline,
+                   cfg: EngineConfig, gas: GasParams) -> int:
+    """Index of the last stored slice of `prefix` that a run over
+    `boundary` makes as well, or -1 if it shares none.
+
+    The flow is hyperbolic in x.  While the earliest event lies below
+    the parting station (:func:`_parting_station`) less
+    ``2*_COINCIDENCE_TOL``, it and every event within
+    ``_COINCIDENCE_TOL`` of it are the same over both walls, so both
+    runs resolve the same events.  The shared slices stop before the
+    first one a coincidence perturbation leads to: up to there neither
+    run has drawn from its seeded stream, so the run goes on with a
+    fresh one.
+    """
+    if prefix.cfg != cfg or prefix.gas != gas or not _same_data(prefix.data, data):
+        raise ValueError("prefix run has other inflow data, engine settings or gas")
+    cut = _parting_station(prefix.boundary, boundary) - 2.0 * _COINCIDENCE_TOL
+    log = prefix.slices
+    k = -1
+    for i in range(len(prefix.records) + 1):
+        if not (log.xs[i] < cut and len(log._edits[i]) <= 1):
+            break
+        k = i
+    return k
 
 
 # ---------------------------------------------------------------------------

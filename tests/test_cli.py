@@ -135,7 +135,8 @@ def test_unknown_config_key_exits_2(runner, tmp_path):
 
 @pytest.mark.parametrize("key, value", [("h", 0), ("np_boundary", "resovle"), ("nu", -3),
                                         ("seed", -1), ("seed", 1.5),
-                                        ("rho_threshold", "abc"), ("x_end", "a")])
+                                        ("rho_threshold", "abc"), ("x_end", "a"),
+                                        ("h", True), ("x_end", True)])
 def test_bad_engine_value_exits_2(runner, tmp_path, key, value):
     # the engine rejects the value itself; the CLI names the key on one line
     engine = {key: value}

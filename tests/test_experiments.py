@@ -329,6 +329,24 @@ def test_run_stability_rows():
     assert rep.max_ratio < 50.0
 
 
+def test_readme_stability_rows_are_pinned():
+    # the README's stability config, row for row to the last bit
+    from hyperwedge.tracking import EngineConfig
+    cfg = ExperimentConfig(scenario="stability", tau_grid=(0.1,), engine=EngineConfig(nu=8))
+    rows = [(r.case, r.input_delta, r.output_delta) for r in run_stability(cfg).rows]
+    assert rows == [("data", 0.0016, 0.0035575127475564795),
+                    ("boundary", 0.0015001655122109693, 0.0010196405811695554),
+                    ("both", 0.003100165512210969, 0.004577544834725531)]
+
+
+def test_run_stability_uses_the_largest_tau():
+    from hyperwedge.tracking import EngineConfig
+    reports = [run_stability(ExperimentConfig(scenario="stability", tau_grid=grid,
+                                              engine=EngineConfig(nu=8)))
+               for grid in ((0.025, 0.1), (0.1, 0.025), (0.1,))]
+    assert reports[0] == reports[1] == reports[2]
+
+
 # ---------------------------------------------------------------------------
 # CSV emission
 # ---------------------------------------------------------------------------

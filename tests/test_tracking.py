@@ -831,3 +831,112 @@ def test_coincidence_failure_names_station_and_front_count():
         "coincidence after 64 perturbations; slice has 37 fronts"
     )
     assert str(info.value.__cause__) == "could not break event coincidence after 64 perturbations"
+
+
+# ---------------------------------------------------------------------------
+# runs that take over a twin run's slices up to where the walls part
+# ---------------------------------------------------------------------------
+
+def _short_curved_case():
+    """The curved case tracked to x = 0.6, past its 128th event."""
+    data, wall, cfg, gas = _curved_case()
+    return data, wall, replace(cfg, x_end=0.6), gas
+
+
+def _turned(wall, x_c, dslope=-0.01):
+    """`wall` with its slope turned by `dslope` from the corner at `x_c` on."""
+    def g(x):
+        return wall.g_at(x) + (dslope * (x - x_c) if x > x_c else 0.0)
+
+    return approximate_boundary(g, wall.h, x_max=float(wall.xs[-1]))
+
+
+def _assert_prefixed_like_fresh(data, wall, cfg, gas, prefix):
+    """run(..., prefix=) gives the fresh run's export and records and
+    leaves `prefix` as it was; returns the index of the last slice it
+    took over, -1 for none."""
+    before = export_trajectory(prefix)
+    got = run(data, wall, cfg, gas, prefix=prefix)
+    fresh = run(data, wall, cfg, gas)
+    assert export_trajectory(got) == export_trajectory(fresh)
+    assert got.records == fresh.records
+    assert (got.rho_threshold, got.lambda_hat) == (fresh.rho_threshold, fresh.lambda_hat)
+    assert export_trajectory(prefix) == before
+    k = tracking._shared_slices(prefix, data, wall, cfg, gas)
+    n = max(k, 0)
+    assert all(a is b for a, b in zip(got.records[:n], prefix.records))
+    assert all(a is not b for a, b in zip(got.records[n:], prefix.records[n:]))
+    return k
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_prefixed_stability_runs_match_fresh_runs(seed):
+    # the wall-only case resumes from the baseline run, the joint case
+    # from the data-only run; both share everything before mid-domain
+    from hyperwedge.experiments import _perturbed_data, _shifted_corner_wall
+
+    cfg = ExperimentConfig(scenario="stability", engine=EngineConfig(nu=8, seed=seed))
+    wall, data = wedge_problem(cfg)
+    gas = cfg.gas(0.1)
+    moved_wall = _shifted_corner_wall(cfg, cfg.boundary_perturbation)
+    assert tracking._parting_station(wall, moved_wall) == 0.5
+    for d in (data, _perturbed_data(data, cfg.data_perturbation)):
+        k = _assert_prefixed_like_fresh(d, moved_wall, cfg.engine, gas,
+                                        run(d, wall, cfg.engine, gas))
+        assert k > 0
+
+
+def test_prefixed_curved_wall_run_parting_mid_run():
+    data, wall, cfg, gas = _short_curved_case()
+    turned = _turned(wall, 0.5)
+    assert tracking._parting_station(wall, turned) == 0.5
+    prefix = run(data, wall, cfg, gas)
+    k = _assert_prefixed_like_fresh(data, turned, cfg, gas, prefix)
+    assert 2 * tracking._CHECKPOINT_INTERVAL < k < len(prefix.records)
+
+
+@pytest.mark.parametrize("other", [wedge_wall(slope=-0.02), wedge_wall(h=1.0 / 64.0)],
+                         ids=["angle", "spacing"])
+def test_prefixed_run_parting_at_the_leading_edge_shares_nothing(other):
+    data, cfg = stepped_data(_GAS), EngineConfig(nu=8)
+    assert tracking._parting_station(wedge_wall(), other) == 0.0
+    assert _assert_prefixed_like_fresh(data, other, cfg, _GAS,
+                                       run(data, wedge_wall(), cfg, _GAS)) == -1
+
+
+_SAME_WALL_CASES = {"curved": _short_curved_case, "kinked-wedge-ars": _kinked_wedge_case}
+
+
+@pytest.mark.parametrize("case", sorted(_SAME_WALL_CASES))
+def test_prefixed_run_over_the_same_wall(case):
+    # without a perturbation every event slice is taken over; the kinked
+    # wedge perturbs a speed on its way to slice 2, so only slice 1 is
+    data, wall, cfg, gas = _SAME_WALL_CASES[case]()
+    prefix = run(data, wall, cfg, gas)
+    assert tracking._parting_station(wall, wall) == math.inf
+    k = _assert_prefixed_like_fresh(data, wall, cfg, gas, prefix)
+    assert k == (len(prefix.records) if case == "curved" else 1)
+
+
+def test_prefix_of_another_setup_is_refused():
+    data, wall, cfg, gas = _short_curved_case()
+    prefix = run(data, wall, cfg, gas)
+    for args in ((stepped_data(_GAS, amp=5e-4, seed=3, n=4), cfg, gas),
+                 (data, replace(cfg, seed=3), gas),
+                 (data, cfg, replace(gas, tau=0.05))):
+        with pytest.raises(ValueError, match="prefix"):
+            run(args[0], wall, args[1], args[2], prefix=prefix)
+
+
+def test_prefix_is_cut_before_a_perturbation_edit():
+    # a no-op speed perturbation added by hand to slice 100's edits: the
+    # run takes over slices 0..99 and makes slice 100 itself
+    data, wall, cfg, gas = _short_curved_case()
+    prefix = run(data, wall, cfg, gas)
+    log = prefix.slices.head(len(prefix.slices))
+    j = 100
+    fronts = log[j - 1].fronts
+    log._edits[j] = ((0, 1, [fronts[0]], None),) + log._edits[j]
+    hand = replace(prefix, slices=log)
+    assert list(hand.slices) == list(prefix.slices)
+    assert _assert_prefixed_like_fresh(data, wall, cfg, gas, hand) == j - 1
