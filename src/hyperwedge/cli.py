@@ -12,6 +12,7 @@ failures.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 
@@ -69,9 +70,12 @@ def _parse_state(text: str) -> State:
     if len(parts) != 4:
         _fail(_CONFIG_EXIT, f"state must be rho,u,v,p — got {text!r}")
     try:
-        return State(*(float(p) for p in parts))
+        values = [float(p) for p in parts]
     except ValueError as exc:
         _fail(_CONFIG_EXIT, f"bad state {text!r}: {exc}")
+    if not all(math.isfinite(x) for x in values):
+        _fail(_CONFIG_EXIT, f"bad state {text!r}: every component must be finite")
+    return State(*values)
 
 
 @click.group()

@@ -221,7 +221,7 @@ def _rarefaction(U: State, gas: GasParams, family: int, sigma: float) -> State:
     def rhs(w):
         return acoustic_field(*w, gas, family)
 
-    w = U.as_array().tolist()
+    w = [float(U.rho), float(U.u), float(U.v), float(U.p)]
     if abs(sigma) < _TINY_SIGMA:
         # two classic RK4 steps; local error ~ (sigma/2)^5 per step
         h = sigma / 2.0
@@ -268,7 +268,7 @@ def _shock_solve(U: State, gas: GasParams, family: int, sigma: float):
     ``s*(F_x(W) - F_x(U)) = F_y(W) - F_y(U)`` and the fifth pins the
     parameterisation, ``lam_j(W) - lam_j(U) = sigma``.
     """
-    w = U.as_array().tolist()
+    w = [float(U.rho), float(U.u), float(U.v), float(U.p)]
     (X0, X1, X2, X3), (Y0, Y1, Y2, Y3), lam0 = flux_and_slope(*w, gas, family)
 
     def F(z):  # written out for speed: the same floats as a loop over components
@@ -283,6 +283,16 @@ def _shock_solve(U: State, gas: GasParams, family: int, sigma: float):
     z0.append(lam0 + 0.5 * sigma)
     z = damped_newton(F, z0)
     return State(z[0], z[1], z[2], z[3]), float(z[4])
+
+
+def _shock_front(U: State, gas: GasParams, family: int, sigma: float):
+    """:func:`_shock_solve` with the post state on plain floats.
+
+    The same values; numpy scalars would carry into every front, slope
+    and station built from the state.
+    """
+    W, s = _shock_solve(U, gas, family, sigma)
+    return State(float(W.rho), float(W.u), float(W.v), float(W.p)), s
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +324,7 @@ def wave_curve(U: State, family: int, sigma: float, gas: GasParams) -> State:
         raise ValueError(f"unknown family {family}")
     if sigma > 0.0:
         return _rarefaction(U, gas, family, sigma)
-    return _shock_solve(U, gas, family, sigma)[0]
+    return _shock_front(U, gas, family, sigma)[0]
 
 
 def wave_front(U: State, family: int, sigma: float, gas: GasParams) -> tuple[State, float]:
@@ -335,7 +345,7 @@ def wave_front(U: State, family: int, sigma: float, gas: GasParams) -> tuple[Sta
     if family not in GENUINE_FAMILIES:
         raise ValueError(f"unknown family {family}")
     if sigma < 0.0:
-        return _shock_solve(U, gas, family, sigma)
+        return _shock_front(U, gas, family, sigma)
     W = U if sigma == 0.0 else _rarefaction(U, gas, family, sigma)
     return W, eigenvalue(W if family == 1 else U, gas, family)
 
@@ -365,7 +375,7 @@ def hugoniot_curve(U: State, family: int, q: float, gas: GasParams) -> State:
         return _contact(U, gas, family, q)
     if family not in GENUINE_FAMILIES:
         raise ValueError(f"unknown family {family}")
-    return _shock_solve(U, gas, family, q)[0]
+    return _shock_front(U, gas, family, q)[0]
 
 
 def hugoniot_compose(U: State, qs, gas: GasParams) -> State:

@@ -186,14 +186,18 @@ def check_state(U: State, gas: GasParams, where: str = "") -> None:
 
 def _check_values(rho: float, u: float, p: float, gas: GasParams, where: str = "") -> None:
     """:func:`check_state` on the components of a state."""
-    tag = f" ({where})" if where else ""
     if not rho > 0.0:
-        raise DomainError(f"nonpositive density {rho}{tag}")
+        raise DomainError(f"nonpositive density {rho}{_tag(where)}")
     if not p > 0.0:
-        raise DomainError(f"nonpositive pressure {p}{tag}")
+        raise DomainError(f"nonpositive pressure {p}{_tag(where)}")
     t = gas.t2
     if t > 0.0 and not 1.0 + t * u > 0.0:
-        raise DomainError(f"nonpositive mass-flux factor at u={u}{tag}")
+        raise DomainError(f"nonpositive mass-flux factor at u={u}{_tag(where)}")
+
+
+def _tag(where: str) -> str:
+    """The `` (where)`` suffix of a domain error, empty without `where`."""
+    return f" ({where})" if where else ""
 
 
 def mass_flux_factor(U: State, gas: GasParams) -> float:
@@ -263,12 +267,6 @@ def flux_values(rho: float, u: float, v: float, p: float,
     density so small that ``(gamma - 1) * rho`` rounds to 0.
     """
     _check_values(rho, u, p, gas)
-    return _flux_lists(rho, u, v, p, gas)
-
-
-def _flux_lists(rho: float, u: float, v: float, p: float,
-                gas: GasParams) -> tuple[list, list]:
-    """:func:`flux_values` without the domain checks."""
     m = 1.0 + gas.t2 * u
     B = _bernoulli(rho, u, v, p, gas)
     return ([rho * m, rho * u * m + p, rho * v * m, rho * m * B],
@@ -282,14 +280,51 @@ def flux_and_slope(rho: float, u: float, v: float, p: float,
 
     The jump-condition residual of a shock needs both at every Newton
     iterate.  Equal to the two separate calls bit for bit, and raises
-    what either of them raises.
+    what either of them raises, first what :func:`flux_values` raises.
+    Written out flat, with no further Python call, for speed: the
+    operations and their order are those of :func:`flux_values`, then
+    :func:`_acoustic_ingredients` past its state checks and
+    :func:`_root_slope`, with the common terms (``m``, ``gamma*p``,
+    ``m*m``) formed once.
     """
     if family not in GENUINE_FAMILIES:
         raise ValueError(f"unknown family {family}")
-    _check_values(rho, u, p, gas)
-    fx, fy = _flux_lists(rho, u, v, p, gas)
-    t, m, c2, den, disc = _hyperbolic_terms(rho, u, v, p, gas)
-    return fx, fy, _root_slope(v, m, c2, den, disc, family)
+    if not rho > 0.0:
+        raise DomainError(f"nonpositive density {rho}")
+    if not p > 0.0:
+        raise DomainError(f"nonpositive pressure {p}")
+    t = gas.t2
+    m = 1.0 + t * u
+    if t > 0.0 and not m > 0.0:
+        raise DomainError(f"nonpositive mass-flux factor at u={u}")
+    g = gas.gamma
+    # float(rho): a numpy scalar would warn as the quotients overflow
+    r = float(rho)
+    den = (g - 1.0) * r
+    if den == 0.0:
+        raise DomainError(f"enthalpy term undefined at density {rho}")
+    gp = g * p
+    h = gp / den
+    if h == math.inf:
+        raise DomainError(f"enthalpy term overflows at density {rho}")
+    B = u + 0.5 * v * v + h + 0.5 * t * u * u
+    c2 = gp / r
+    if c2 == math.inf:
+        raise DomainError(f"sound speed overflows at density {rho}")
+    mm = m * m
+    den = mm - t * c2
+    if den <= 0.0:
+        raise DomainError(
+            f"acoustic denominator (1+t*u)^2 - t*c^2 = {den} <= 0; "
+            "state outside hyperbolic region"
+        )
+    disc = mm + t * (v * v - c2)
+    if disc <= 0.0:
+        raise DomainError(f"acoustic discriminant {disc} <= 0")
+    sgn = -1.0 if family == 1 else 1.0
+    lam = (m * v + sgn * (math.sqrt(c2) * math.sqrt(disc))) / den
+    return ([rho * m, rho * u * m + p, rho * v * m, rho * m * B],
+            [rho * v, rho * u * v, rho * v * v + p, rho * v * B], lam)
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +334,6 @@ def flux_and_slope(rho: float, u: float, v: float, p: float,
 def _acoustic_ingredients(rho: float, u: float, v: float, p: float, gas: GasParams):
     """Common quantities for the acoustic pair; raises outside hyperbolic domain."""
     _check_values(rho, u, p, gas)
-    return _hyperbolic_terms(rho, u, v, p, gas)
-
-
-def _hyperbolic_terms(rho: float, u: float, v: float, p: float, gas: GasParams):
-    """:func:`_acoustic_ingredients` past the :func:`check_state` checks."""
     t = gas.t2
     m = 1.0 + t * u
     # float(rho): a numpy scalar would warn as the quotient overflows
@@ -479,20 +509,8 @@ def normalization_coefficient(U: State, gas: GasParams, family: int) -> float:
     """
     if family in CONTACT_FAMILIES:
         return 1.0
-    return _acoustic_scale(U.rho, U.u, U.v, U.p, gas, family)[0]
-
-
-def _acoustic_scale(rho: float, u: float, v: float, p: float,
-                    gas: GasParams, family: int) -> tuple[float, list]:
-    """``(1 / (grad(lam) . r~), r~)`` for family 1 or 4."""
-    lam = acoustic_slope(rho, u, v, p, gas, family)
-    grad = _acoustic_gradient(rho, u, v, p, gas, family, lam)
-    raw = _acoustic_raw(rho, u, v, p, gas, family, lam)
-    # np.dot, not a Python sum: BLAS rounds the 4-term sum its own way
-    slope = float(np.dot(grad, raw))
-    if slope == 0.0:
-        raise DomainError(f"family {family} loses genuine nonlinearity at this state")
-    return 1.0 / slope, raw
+    # the raw field's third component is 1.0, so the scaled one is the scale
+    return acoustic_field(U.rho, U.u, U.v, U.p, gas, family)[2]
 
 
 def eigenvector(U: State, gas: GasParams, family: int) -> np.ndarray:
@@ -508,9 +526,62 @@ def acoustic_field(rho: float, u: float, v: float, p: float,
 
     Raises what :func:`acoustic_slope` raises, and :class:`DomainError`
     where the field degenerates (``D = 0`` or ``grad(lam) . r~ = 0``).
+
+    Written out flat, with no further Python call but the differencing
+    fallback at ``Dp = 0``, for speed: the operations and their order
+    are those of :func:`acoustic_slope`, :func:`_acoustic_gradient` and
+    :func:`_acoustic_raw`, scaled by ``1 / (grad(lam) . r~)``, with the
+    common terms (``m``, ``m*m``, ``den``, ``D``, ``1 + t*lam^2``)
+    formed once.
     """
-    scale, raw = _acoustic_scale(rho, u, v, p, gas, family)
-    return [scale * r for r in raw]
+    if family not in GENUINE_FAMILIES:
+        raise ValueError(f"unknown family {family}")
+    if not rho > 0.0:
+        raise DomainError(f"nonpositive density {rho}")
+    if not p > 0.0:
+        raise DomainError(f"nonpositive pressure {p}")
+    t = gas.t2
+    m = 1.0 + t * u
+    if t > 0.0 and not m > 0.0:
+        raise DomainError(f"nonpositive mass-flux factor at u={u}")
+    # float(rho): a numpy scalar would warn as the quotient overflows
+    c2 = gas.gamma * p / float(rho)
+    if c2 == math.inf:
+        raise DomainError(f"sound speed overflows at density {rho}")
+    mm = m * m
+    den = mm - t * c2
+    if den <= 0.0:
+        raise DomainError(
+            f"acoustic denominator (1+t*u)^2 - t*c^2 = {den} <= 0; "
+            "state outside hyperbolic region"
+        )
+    disc = mm + t * (v * v - c2)
+    if disc <= 0.0:
+        raise DomainError(f"acoustic discriminant {disc} <= 0")
+    sgn = -1.0 if family == 1 else 1.0
+    lam = (m * v + sgn * (math.sqrt(c2) * math.sqrt(disc))) / den
+    D = m * lam - v
+    Dp = den * lam - m * v
+    one_tl2 = 1.0 + t * lam * lam
+    if Dp == 0.0:
+        # degenerate tangency; fall back to differencing
+        grad = grad_eigenvalue_fd(State(rho, u, v, p), gas, family).tolist()
+    else:
+        grad = [
+            -one_tl2 * c2 / (2.0 * Dp * rho),
+            -t * D * lam / Dp,
+            D / Dp,
+            gas.gamma * one_tl2 / (2.0 * Dp * rho),
+        ]
+    if D == 0.0:
+        raise DomainError(f"degenerate acoustic direction (D=0) for family {family}")
+    raw = [one_tl2 * rho / D, -lam, 1.0, D * rho]
+    # np.dot, not a Python sum: BLAS rounds the 4-term sum its own way
+    slope = float(np.dot(grad, raw))
+    if slope == 0.0:
+        raise DomainError(f"family {family} loses genuine nonlinearity at this state")
+    scale = 1.0 / slope
+    return [scale * raw[0], scale * -lam, scale, scale * raw[3]]
 
 
 def eigenvector_matrix(U: State, gas: GasParams) -> np.ndarray:

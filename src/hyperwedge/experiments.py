@@ -557,7 +557,8 @@ def wedge_problem(cfg: ExperimentConfig) -> tuple[BoundaryPolyline, InitialData]
     amplitude = cfg.data_amplitude
     states = [cfg.gas(0.0).background()]
     for _ in range(n_steps):
-        d = rng.uniform(-amplitude, amplitude, 4)
+        # plain floats: numpy scalars would carry into every front and station
+        d = rng.uniform(-amplitude, amplitude, 4).tolist()
         prev = states[-1]
         states.append(State(prev.rho * (1.0 + d[0]), prev.u + d[1],
                             prev.v + d[2], prev.p * (1.0 + d[3])))

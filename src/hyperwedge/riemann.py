@@ -61,7 +61,7 @@ class SolverError(RuntimeError):
 
 def _check_trust(U: State, gas: GasParams, label: str) -> None:
     dev = np.max(np.abs(U - gas.background()))
-    if dev >= TRUST_RADIUS:
+    if not dev < TRUST_RADIUS:  # a NaN component fails too
         raise SolverError(
             f"{label} deviates {dev:.4f} from background, outside trust radius {TRUST_RADIUS}"
         )

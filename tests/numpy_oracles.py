@@ -9,6 +9,10 @@ program must match them in every float and in the number of residual
 evaluations (``test_curves``, ``test_riemann``).  ``solve_riemann`` and
 ``emit_riemann`` are also the interior solve and its front emission as
 they were before each acoustic wave was solved once per call.
+``flux_and_slope`` and ``acoustic_field`` are the chains of ``euler``
+helpers that the program's flat kernels of those names were written out
+from: the flat kernels must match them in every float and in every
+error text (``test_euler``).
 """
 
 import numpy as np
@@ -151,6 +155,27 @@ def normalization_coefficient(U, gas, family):
 
 def eigenvector(U, gas, family):
     return normalization_coefficient(U, gas, family) * eigenvector_raw(U, gas, family)
+
+
+def flux_and_slope(rho, u, v, p, gas, family):
+    """``euler.flux_and_slope`` as :func:`euler.flux_values` then
+    :func:`euler.acoustic_slope`."""
+    if family not in euler.GENUINE_FAMILIES:
+        raise ValueError(f"unknown family {family}")
+    fx, fy = euler.flux_values(rho, u, v, p, gas)
+    return fx, fy, euler.acoustic_slope(rho, u, v, p, gas, family)
+
+
+def acoustic_field(rho, u, v, p, gas, family):
+    """``euler.acoustic_field`` as the slope, gradient and raw-field helpers."""
+    lam = euler.acoustic_slope(rho, u, v, p, gas, family)
+    grad = euler._acoustic_gradient(rho, u, v, p, gas, family, lam)
+    raw = euler._acoustic_raw(rho, u, v, p, gas, family, lam)
+    slope = float(np.dot(grad, raw))
+    if slope == 0.0:
+        raise DomainError(f"family {family} loses genuine nonlinearity at this state")
+    scale = 1.0 / slope
+    return [scale * r for r in raw]
 
 
 def shock_solve(U, gas, family, sigma):

@@ -72,6 +72,19 @@ def test_riemann_malformed_state_exits_2(runner):
     assert "error:" in res.stderr
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("side", ["--below", "--above"])
+def test_riemann_nonfinite_state_exits_2(runner, side, k, value):
+    parts = BG.split(",")
+    parts[k] = value
+    states = {"--below": BG, "--above": BG, side: ",".join(parts)}
+    res = runner.invoke(main, ["riemann", "--below", states["--below"],
+                               "--above", states["--above"]])
+    assert res.exit_code == 2
+    assert "must be finite" in res.stderr
+
+
 def test_riemann_bad_gas_exits_2(runner):
     # tau must stay below the inverse-slope parameter.
     res = runner.invoke(main, ["riemann", "--below", BG, "--above", BG,

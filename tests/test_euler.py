@@ -1,12 +1,15 @@
 """State algebra, fluxes, and eigen-structure."""
 
 import math
+import struct
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hyperwedge import euler
 from hyperwedge.euler import (
     CONTACT_FAMILIES,
     FAMILIES,
@@ -278,3 +281,103 @@ def test_acoustic_kernels_reject_den_and_disc_nonpositive(w, disc_nonpositive):
                 kernel(*w, _TAU, j)
         with pytest.raises(DomainError):
             eigenvalue(State(*w), _TAU, j)
+
+
+# ---------------------------------------------------------------------------
+# flat kernels: the helper chains they were written out from, float for
+# float and text for text
+# ---------------------------------------------------------------------------
+
+_FLAT_KERNELS = ((flux_and_slope, oracle.flux_and_slope),
+                 (acoustic_field, oracle.acoustic_field))
+
+
+def _bits(values):
+    return [(type(x), struct.pack("<d", x)) for x in values]
+
+
+@pytest.mark.parametrize("gas", _GASES)
+def test_flat_kernels_equal_their_helper_chains(gas):
+    # plain floats, and the numpy scalars a state built from arrays holds
+    for U in trust_box_states(gas, 40, seed=12):
+        for w in ((U.rho, U.u, U.v, U.p), tuple(np.float64(a) for a in (U.rho, U.u, U.v, U.p))):
+            for j in GENUINE_FAMILIES:
+                fx, fy, lam = flux_and_slope(*w, gas, j)
+                want_fx, want_fy, want_lam = oracle.flux_and_slope(*w, gas, j)
+                assert _bits(fx + fy + [lam]) == _bits(want_fx + want_fy + [want_lam])
+                assert (_bits(acoustic_field(*w, gas, j))
+                        == _bits(oracle.acoustic_field(*w, gas, j)))
+
+
+# a gas stub with t = tau^2 < 0: for a real gas disc >= den in floating
+# point (see above), so the disc check is reached only this way
+_NEGATIVE_T = types.SimpleNamespace(gamma=1.4, t2=-1.0)
+_GAMMA3 = GasParams(gamma=3.0, a_inf=2.0, tau=0.1)
+_TAU0 = GasParams(gamma=1.4, a_inf=2.0, tau=0.0)
+
+
+@pytest.mark.parametrize("kernels, gas, w, text", [
+    pytest.param(_FLAT_KERNELS, _TAU, (0.0, 0.0, 0.0, _PB), "nonpositive density",
+                 id="density"),
+    pytest.param(_FLAT_KERNELS, _TAU, (1.0, 0.0, 0.0, -0.1), "nonpositive pressure",
+                 id="pressure"),
+    pytest.param(_FLAT_KERNELS, _TAU, (1.0, -1.0e3, 0.0, _PB), "mass-flux factor",
+                 id="mass-flux factor"),
+    pytest.param(_FLAT_KERNELS[:1], _TAU, (5e-324, 0.0, 0.0, _PB), "enthalpy term undefined",
+                 id="subnormal density, fluxes"),
+    pytest.param(_FLAT_KERNELS[:1], _TAU, (1e-310, 0.0, 0.0, _PB), "enthalpy term overflows",
+                 id="enthalpy overflow"),
+    pytest.param(_FLAT_KERNELS[1:], _TAU, (5e-324, 0.0, 0.0, _PB), "sound speed overflows",
+                 id="subnormal density, field"),
+    # gamma - 1 > 1: gamma*p/rho overflows while gamma*p/((gamma-1)*rho) does not
+    pytest.param(_FLAT_KERNELS, _GAMMA3, (1.2e-308, 0.0, 0.0, 1.0), "sound speed overflows",
+                 id="sound-speed overflow"),
+    pytest.param(_FLAT_KERNELS, _TAU, (1.0, 0.0, 0.5, 71.5), "acoustic denominator",
+                 id="den"),
+    pytest.param(_FLAT_KERNELS, _NEGATIVE_T, (1.0, 0.0, 10.0, _PB), "acoustic discriminant",
+                 id="disc"),
+    # tau = 0 and the root far below an ulp of v: lam rounds to v, so
+    # D = Dp = 0; the differencing fallback runs, then D = 0 raises
+    pytest.param(_FLAT_KERNELS[1:], _TAU0, (1.0, 0.0, 1.0e14, 1.0e-5), "(D=0)",
+                 id="D"),
+])
+def test_flat_kernels_raise_their_helper_chains_texts(kernels, gas, w, text):
+    for flat, chain in kernels:
+        for j in GENUINE_FAMILIES:
+            with pytest.raises(DomainError) as want:
+                chain(*w, gas, j)
+            with pytest.raises(DomainError) as got:
+                flat(*w, gas, j)
+            assert text in str(want.value)
+            assert str(got.value) == str(want.value)
+
+
+# Dp = den*lam - m*v rounds to 0 at this state while D = m*lam - v = 16:
+# the gradient comes from differencing
+_DP_ZERO = (1.0, 6.222931879889604e+16, -9.051006296082482e+16, 1.0e-5)
+
+
+def test_acoustic_field_differencing_fallback(monkeypatch):
+    calls = []
+    fd = euler.grad_eigenvalue_fd
+
+    def spy(U, gas, family):
+        calls.append(U)
+        return fd(U, gas, family)
+
+    monkeypatch.setattr(euler, "grad_eigenvalue_fd", spy)
+    got = acoustic_field(*_DP_ZERO, _TAU, 1)
+    assert calls == [State(*_DP_ZERO)]
+    assert _bits(got) == _bits(oracle.acoustic_field(*_DP_ZERO, _TAU, 1))
+    assert calls == [State(*_DP_ZERO)] * 2  # the helper chain takes it too
+
+
+def test_acoustic_field_loss_of_genuine_nonlinearity(monkeypatch):
+    # a zero gradient from the fallback makes grad(lam) . r~ = 0
+    monkeypatch.setattr(euler, "grad_eigenvalue_fd", lambda U, gas, family: np.zeros(4))
+    with pytest.raises(DomainError) as want:
+        oracle.acoustic_field(*_DP_ZERO, _TAU, 1)
+    with pytest.raises(DomainError) as got:
+        acoustic_field(*_DP_ZERO, _TAU, 1)
+    assert "loses genuine nonlinearity" in str(want.value)
+    assert str(got.value) == str(want.value)

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +31,13 @@ from hyperwedge.experiments import (
     run_special_solution,
     run_stability,
     special_pair,
+    wedge_problem,
     write_coeffs_csv,
     write_rate_csv,
     write_stability_csv,
 )
 from hyperwedge.riemann import sample_riemann_fan, solve_riemann
+from hyperwedge.tracking import run
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +316,21 @@ def test_run_convergence_wedge_rate():
     # errors listed against the descending tau grid
     assert fit.taus == (0.1, 0.05, 0.025)
     assert fit.errors[0] > fit.errors[1] > fit.errors[2]
+
+
+def test_wedge_run_carries_plain_floats():
+    # numpy scalars in the inflow data or in a shock's post state would
+    # carry into every front, slope and station built from them
+    cfg = ExperimentConfig(scenario="wedge")
+    boundary, data = wedge_problem(cfg)
+    traj = run(data, boundary, cfg.engine, cfg.gas(cfg.tau_grid[0]))
+    assert len(traj.records) == 44
+    assert all(type(r.x) is float for r in traj.records)
+    fronts = [f for s in traj.slices for f in s.fronts]
+    assert fronts
+    for f in fronts:
+        values = (f.sigma, f.x0, f.y0, f.speed, *astuple(f.below), *astuple(f.above))
+        assert all(type(v) is float for v in values), f
 
 
 def test_run_stability_rows():

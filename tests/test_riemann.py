@@ -91,6 +91,21 @@ def test_trust_region_enforced(gas, bg):
         hugoniot_decompose(far, bg, gas)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", range(4))
+def test_trust_check_rejects_nonfinite_components(gas, bg, k, value):
+    # a NaN deviation compares false with the radius, so it must fail the
+    # check by not being inside it, not by exceeding it
+    w = [bg.rho, bg.u, bg.v, bg.p]
+    w[k] = value
+    bad = State(*w)
+    for U_b, U_a, label in ((bad, bg, "lower state"), (bg, bad, "upper state")):
+        with pytest.raises(SolverError, match=f"{label} deviates .* outside trust radius"):
+            solve_riemann(U_b, U_a, gas)
+    with pytest.raises(SolverError, match="boundary state deviates .* outside trust radius"):
+        solve_boundary_riemann(bad, 0.0, gas)
+
+
 def test_boundary_solve_trivial_and_slip(gas, bg):
     assert abs(solve_boundary_riemann(bg, 0.0, gas)) < 1e-12
     theta = -8e-3
