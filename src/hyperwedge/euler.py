@@ -180,7 +180,16 @@ class FluxPair(NamedTuple):
 
 
 def check_state(U: State, gas: GasParams, where: str = "") -> None:
-    """Raise :class:`DomainError` if `U` is outside the physical domain."""
+    """Raise :class:`DomainError` if `U` is outside the physical domain.
+
+    A NaN or infinite component is named here; the flat kernels skip
+    this test, so a non-finite input must be caught before them.
+    """
+    if not math.isfinite(U.rho + U.u + U.v + U.p):  # one test on the common path
+        for name in ("rho", "u", "v", "p"):
+            value = getattr(U, name)
+            if not math.isfinite(value):
+                raise DomainError(f"non-finite {name} {value}{_tag(where)}")
     _check_values(U.rho, U.u, U.p, gas, where)
 
 

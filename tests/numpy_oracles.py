@@ -207,7 +207,7 @@ def integrate_field(rhs, y0, length):
     if length == 0.0:
         return y
     s = 0.0
-    h = length / 8.0
+    h = length
     direction = 1.0 if length > 0 else -1.0
     k = [None] * 6
     while direction * (length - s) > 1.0e-16 * abs(length):

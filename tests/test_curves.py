@@ -21,6 +21,7 @@ from hyperwedge.euler import (
     fluxes,
 )
 from hyperwedge.curves import (
+    DELTA_TRUST,
     CurveError,
     compose_wave_curves,
     damped_newton,
@@ -282,6 +283,17 @@ def test_wave_curves_match_numpy_formulation(tau):
                 assert wave_front(U, j, sig, gas) == want
 
 
+@pytest.mark.parametrize("sigma", (0.01, -0.01))
+def test_wave_curve_rejects_a_nonfinite_input(gas, sigma):
+    # the flat kernels do not test finiteness; a NaN v or an infinite u
+    # used to surface from an iterate as "nonpositive density nan"
+    pb = gas.p_background
+    with pytest.raises(DomainError, match=r"^non-finite v nan \(wave_curve input\)$"):
+        wave_curve(State(1.0, 0.0, math.nan, pb), 1, sigma, gas)
+    with pytest.raises(DomainError, match=r"^non-finite u inf \(wave_front input\)$"):
+        wave_front(State(1.0, math.inf, 0.0, pb), 4, sigma, gas)
+
+
 def test_integrate_field_matches_numpy_formulation(gas, bg):
     U = wave_curve(bg, 2, 3e-3, gas)
     for j in GENUINE_FAMILIES:
@@ -314,6 +326,69 @@ def test_damped_newton_halves_past_domain_errors(gas0):
     z = damped_newton(F, [4.0])
     assert z[0] == pytest.approx(1.0, abs=1e-10)
     assert len(rejected) == 2 and all(r <= 0.0 for r in rejected)
+
+
+# ---------------------------------------------------------------------------
+# adaptive rarefactions: the first trial step is the whole wave
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tau", (0.0, 0.1))
+def test_weak_rarefaction_takes_one_cash_karp_step(tau, monkeypatch):
+    gas = GasParams(gamma=1.4, a_inf=2.0, tau=tau)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return acoustic_field(*args)
+
+    monkeypatch.setattr(curves, "acoustic_field", counted)
+    for U in trust_box_states(gas, 4, seed=7):
+        for j in GENUINE_FAMILIES:
+            for sigma in (curves._TINY_SIGMA, 1e-4, 1e-3):
+                calls.clear()
+                wave_curve(U, j, sigma, gas)
+                assert len(calls) == 6, (U, j, sigma)
+
+
+def test_rejected_step_keeps_its_first_stage(gas, bg):
+    # y does not move on a rejected step, so rhs(y) is not evaluated
+    # again: no two evaluations share an argument, and a retry costs 5
+    for length in (1e-2, 3e-2, -3e-2, DELTA_TRUST):
+        args = []
+
+        def field(w):
+            args.append(tuple(w))
+            return acoustic_field(*w, gas, 4)
+
+        curves._integrate_field(field, bg.as_array().tolist(), length)
+        assert len(set(args)) == len(args)
+        assert len(args) % 6 != 0  # at least one step was rejected
+
+
+def _fixed_step_rarefaction(U, gas, j, sigma, n=512):
+    """`n` classic RK4 steps along the normalised field."""
+    w = [U.rho, U.u, U.v, U.p]
+    h = sigma / n
+    for _ in range(n):
+        k1 = acoustic_field(*w, gas, j)
+        k2 = acoustic_field(*[a + 0.5 * h * b for a, b in zip(w, k1)], gas, j)
+        k3 = acoustic_field(*[a + 0.5 * h * b for a, b in zip(w, k2)], gas, j)
+        k4 = acoustic_field(*[a + h * b for a, b in zip(w, k3)], gas, j)
+        w = [a + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(w, k1, k2, k3, k4)]
+    return np.array(w)
+
+
+@pytest.mark.parametrize("tau", (0.0, 0.1))
+def test_rarefaction_matches_a_fine_fixed_step_integration(tau):
+    gas = GasParams(gamma=1.4, a_inf=2.0, tau=tau)
+    for U in trust_box_states(gas, 3, seed=3):
+        for j in GENUINE_FAMILIES:
+            for sigma in (2e-5, 1e-3, 1e-2, 3e-2, DELTA_TRUST):
+                got = wave_curve(U, j, sigma, gas).as_array()
+                want = _fixed_step_rarefaction(U, gas, j, sigma)
+                # relative to the state's size: u and v may be near zero
+                assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)), (U, j, sigma)
 
 
 # ---------------------------------------------------------------------------

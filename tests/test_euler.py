@@ -3,6 +3,7 @@
 import math
 import struct
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,6 +151,14 @@ def test_check_state_rejects_bad_states(gas):
         check_state(State(-1.0, 0.0, 0.0, gas.p_background), gas)
     with pytest.raises(DomainError):
         check_state(State(1.0, 0.0, 0.0, -0.1), gas)
+
+
+@pytest.mark.parametrize("name, value", [("rho", math.nan), ("u", math.inf),
+                                         ("v", math.nan), ("p", -math.inf)])
+def test_check_state_names_a_nonfinite_component(gas, name, value):
+    U = replace(gas.background(), **{name: value})
+    with pytest.raises(DomainError, match=f"^non-finite {name} {value} \\(here\\)$"):
+        check_state(U, gas, "here")
 
 
 def test_gas_params_validation():

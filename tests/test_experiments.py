@@ -347,14 +347,14 @@ def test_run_stability_rows():
     assert rep.max_ratio < 50.0
 
 
-def test_readme_stability_rows_are_pinned():
-    # the README's stability config, row for row to the last bit
+def test_readme_stability_rows_are_pinned(tmp_path):
+    # the README's stability config, byte for byte the pinned stability.csv
+    # that the CI job also diffs the installed command's output against
     from hyperwedge.tracking import EngineConfig
     cfg = ExperimentConfig(scenario="stability", tau_grid=(0.1,), engine=EngineConfig(nu=8))
-    rows = [(r.case, r.input_delta, r.output_delta) for r in run_stability(cfg).rows]
-    assert rows == [("data", 0.0016, 0.0035575127475564795),
-                    ("boundary", 0.0015001655122109693, 0.0010196405811695554),
-                    ("both", 0.003100165512210969, 0.004577544834725531)]
+    write_stability_csv(run_stability(cfg), str(tmp_path / "stability.csv"))
+    pinned = Path(__file__).with_name("stability_rows.csv")
+    assert (tmp_path / "stability.csv").read_bytes() == pinned.read_bytes()
 
 
 def test_run_stability_uses_the_largest_tau():
