@@ -92,15 +92,21 @@ def damped_newton(F, x0):
     :class:`DomainError` from a trial step halves it; one at `x0` or in
     a Jacobian column propagates.
 
-    Returns the solution as an array.  Raises :class:`CurveError` on
-    failure.
+    The linear solve stays ``np.linalg.solve``.  The special solution's
+    ``beta3_correction`` (about -1.1e-10) is a strength of about 3e-17,
+    rescaled, so it carries LAPACK's rounding of the solve: under a
+    Python elimination it moved by a relative 8.9e-5, and that
+    elimination was also slower at five unknowns.
+
+    Returns the solution as a list of floats.  Raises
+    :class:`CurveError` on failure.
     """
     x = [float(a) for a in x0]
     f = F(x)
     best_norm = _nan_max(list(map(abs, f)))
     for _ in range(_NEWTON_MAXIT):
         if best_norm <= _NEWTON_TOL:
-            return np.array(x)
+            return x
         cols = []
         for k, xk in enumerate(x):
             h = _NEWTON_FD_STEP * (1.0 + abs(xk))
@@ -129,7 +135,7 @@ def damped_newton(F, x0):
                 f"Newton line search stalled at residual {best_norm:.3e}"
             )
     if best_norm <= _NEWTON_TOL:
-        return np.array(x)
+        return x
     raise CurveError(f"Newton failed to converge: residual {best_norm:.3e} "
                      f"after {_NEWTON_MAXIT} iterations")
 
@@ -276,6 +282,9 @@ def _shock_solve(U: State, gas: GasParams, family: int, sigma: float):
     z = (rho, u, v, p, s).  Four equations impose
     ``s*(F_x(W) - F_x(U)) = F_y(W) - F_y(U)`` and the fifth pins the
     parameterisation, ``lam_j(W) - lam_j(U) = sigma``.
+
+    Returns the post state and the slope on plain floats: numpy scalars
+    would carry into every front, slope and station built from them.
     """
     w = [float(U.rho), float(U.u), float(U.v), float(U.p)]
     (X0, X1, X2, X3), (Y0, Y1, Y2, Y3), lam0 = flux_and_slope(*w, gas, family)
@@ -290,18 +299,8 @@ def _shock_solve(U: State, gas: GasParams, family: int, sigma: float):
     r = acoustic_field(*w, gas, family)
     z0 = [a + sigma * b for a, b in zip(w, r)]
     z0.append(lam0 + 0.5 * sigma)
-    z = damped_newton(F, z0)
-    return State(z[0], z[1], z[2], z[3]), float(z[4])
-
-
-def _shock_front(U: State, gas: GasParams, family: int, sigma: float):
-    """:func:`_shock_solve` with the post state on plain floats.
-
-    The same values; numpy scalars would carry into every front, slope
-    and station built from the state.
-    """
-    W, s = _shock_solve(U, gas, family, sigma)
-    return State(float(W.rho), float(W.u), float(W.v), float(W.p)), s
+    rho, u, v, p, s = damped_newton(F, z0)
+    return State(rho, u, v, p), s
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +332,7 @@ def wave_curve(U: State, family: int, sigma: float, gas: GasParams) -> State:
         raise ValueError(f"unknown family {family}")
     if sigma > 0.0:
         return _rarefaction(U, gas, family, sigma)
-    return _shock_front(U, gas, family, sigma)[0]
+    return _shock_solve(U, gas, family, sigma)[0]
 
 
 def wave_front(U: State, family: int, sigma: float, gas: GasParams) -> tuple[State, float]:
@@ -354,7 +353,7 @@ def wave_front(U: State, family: int, sigma: float, gas: GasParams) -> tuple[Sta
     if family not in GENUINE_FAMILIES:
         raise ValueError(f"unknown family {family}")
     if sigma < 0.0:
-        return _shock_front(U, gas, family, sigma)
+        return _shock_solve(U, gas, family, sigma)
     W = U if sigma == 0.0 else _rarefaction(U, gas, family, sigma)
     return W, eigenvalue(W if family == 1 else U, gas, family)
 
@@ -384,7 +383,7 @@ def hugoniot_curve(U: State, family: int, q: float, gas: GasParams) -> State:
         return _contact(U, gas, family, q)
     if family not in GENUINE_FAMILIES:
         raise ValueError(f"unknown family {family}")
-    return _shock_front(U, gas, family, q)[0]
+    return _shock_solve(U, gas, family, q)[0]
 
 
 def hugoniot_compose(U: State, qs, gas: GasParams) -> State:

@@ -171,6 +171,14 @@ class State:
     def __sub__(self, other: "State") -> np.ndarray:
         return self.as_array() - other.as_array()
 
+    def l1_gap(self, other: "State") -> float:
+        """``float(np.abs(self - other).sum())`` on plain floats.
+
+        The same float: numpy sums four elements left to right, as here.
+        """
+        return float(abs(self.rho - other.rho) + abs(self.u - other.u)
+                     + abs(self.v - other.v) + abs(self.p - other.p))
+
 
 class FluxPair(NamedTuple):
     """Streamwise and transverse flux vectors at one state."""
@@ -541,7 +549,10 @@ def acoustic_field(rho: float, u: float, v: float, p: float,
     are those of :func:`acoustic_slope`, :func:`_acoustic_gradient` and
     :func:`_acoustic_raw`, scaled by ``1 / (grad(lam) . r~)``, with the
     common terms (``m``, ``m*m``, ``den``, ``D``, ``1 + t*lam^2``)
-    formed once.
+    formed once.  The dot product is the plain left-to-right sum of the
+    four products, not ``np.dot``: that costs more than the rest of the
+    kernel, and its rounding follows the BLAS core (an FMA chain on
+    some, this sum on others).
     """
     if family not in GENUINE_FAMILIES:
         raise ValueError(f"unknown family {family}")
@@ -585,8 +596,8 @@ def acoustic_field(rho: float, u: float, v: float, p: float,
     if D == 0.0:
         raise DomainError(f"degenerate acoustic direction (D=0) for family {family}")
     raw = [one_tl2 * rho / D, -lam, 1.0, D * rho]
-    # np.dot, not a Python sum: BLAS rounds the 4-term sum its own way
-    slope = float(np.dot(grad, raw))
+    # float(): numpy-scalar inputs give a numpy-scalar sum
+    slope = float(grad[0] * raw[0] + grad[1] * raw[1] + grad[2] * raw[2] + grad[3] * raw[3])
     if slope == 0.0:
         raise DomainError(f"family {family} loses genuine nonlinearity at this state")
     scale = 1.0 / slope

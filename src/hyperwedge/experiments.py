@@ -426,8 +426,18 @@ def fan_l1_distance(solA: RiemannSolution, gasA: GasParams,
     Both solutions start from the same lower state.  Constant-by-constant
     intervals are summed exactly; intervals meeting a rarefaction fan are
     integrated per component with a sign-change split so the absolute
-    value never hides cancellation.
+    value never hides cancellation.  Both solutions are sampled once per
+    slope, for all four components.
     """
+    samples = {}
+
+    def sample(z):
+        pair = samples.get(z)
+        if pair is None:
+            pair = samples[z] = (sample_riemann_fan(solA, U_b, z, gasA),
+                                 sample_riemann_fan(solB, U_b, z, gasB))
+        return pair
+
     pts = sorted(set(_fan_breakpoints(solA) + _fan_breakpoints(solB)))
     grid = [pts[0] - 0.5, *pts, pts[-1] + 0.5]
     total = 0.0
@@ -436,16 +446,15 @@ def fan_l1_distance(solA: RiemannSolution, gasA: GasParams,
             continue
         zm = 0.5 * (zl + zr)
         if not (_inside_fan(solA, zm) or _inside_fan(solB, zm)):
-            dU = (sample_riemann_fan(solA, U_b, zm, gasA)
-                  - sample_riemann_fan(solB, U_b, zm, gasB))
-            total += float(np.abs(dU).sum()) * (zr - zl)
+            UA, UB = sample(zm)
+            total += UA.l1_gap(UB) * (zr - zl)
             continue
         shrink = 1.0e-12 * (zr - zl)
         zlo, zhi = zl + shrink, zr - shrink
         for comp in range(4):
             def diff(z):
-                return float(sample_riemann_fan(solA, U_b, z, gasA).as_array()[comp]
-                             - sample_riemann_fan(solB, U_b, z, gasB).as_array()[comp])
+                UA, UB = sample(z)
+                return float(UA.as_array()[comp] - UB.as_array()[comp])
             cuts = [zlo]
             flo, fhi = diff(zlo), diff(zhi)
             if flo * fhi < 0.0:
@@ -629,7 +638,7 @@ def _data_l1_gap(dataU: InitialData, dataV: InitialData) -> float:
     edges = [-1.6, *map(float, dataU.breaks), 0.0]
     total = 0.0
     for (a, b), su, sv in zip(zip(edges, edges[1:]), dataU.states, dataV.states):
-        total += float(np.abs(su - sv).sum()) * (b - a)
+        total += su.l1_gap(sv) * (b - a)
     return total
 
 

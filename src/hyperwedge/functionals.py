@@ -376,7 +376,7 @@ def l1_distance(sliceU: SolutionSlice, sliceV: SolutionSlice, domain) -> float:
         ym = 0.5 * (a + b)
         su = statesU[bisect.bisect_right(ysU, ym)]
         sv = statesV[bisect.bisect_right(ysV, ym)]
-        total += float(np.abs(su - sv).sum()) * (b - a)
+        total += su.l1_gap(sv) * (b - a)
     return total
 
 
@@ -391,7 +391,7 @@ def bv_total_variation(slice_: SolutionSlice, quantity: str = "state",
     total = 0.0
     for f in slice_.fronts:
         if quantity == "state":
-            total += float(np.abs(f.above - f.below).sum())
+            total += f.above.l1_gap(f.below)
         elif quantity == "flow_slope":
             if gas is None:
                 raise ValueError("flow_slope variation needs gas parameters")

@@ -148,10 +148,10 @@ def solve_riemann(U_b: State, U_a: State, gas: GasParams) -> RiemannSolution:
     except CurveError as exc:
         raise SolverError(f"interior Riemann solve failed: {exc}") from exc
 
-    m1, slope1 = acoustic(U_b, 1, float(sig[0]))
+    m1, slope1 = acoustic(U_b, 1, sig[0])
     m2 = wave_curve(m1, 2, sig[1], gas)
     m3 = wave_curve(m2, 3, sig[2], gas)
-    top, slope4 = acoustic(m3, 4, float(sig[3]))
+    top, slope4 = acoustic(m3, 4, sig[3])
     speeds = (
         _fan_span(U_b, 1, sig[0], gas) if sig[0] > 0.0 else slope1,
         flow_slope(m1, gas),
@@ -161,7 +161,7 @@ def solve_riemann(U_b: State, U_a: State, gas: GasParams) -> RiemannSolution:
     flat = [x for s in speeds for x in ((s,) if np.isscalar(s) else s)]
     if any(b - a < -1.0e-9 for a, b in zip(flat, flat[1:])):
         raise SolverError(f"wave slopes not ordered: {speeds}")
-    return RiemannSolution(sig, (m1, m2, m3), speeds,
+    return RiemannSolution(np.array(sig), (m1, m2, m3), speeds,
                            ((U_b, m1, slope1), (m3, top, slope4)))
 
 
@@ -201,10 +201,9 @@ def _slip_strength(post, theta: float, start: float, gas: GasParams, label: str)
         return [bc_residual(post(z[0]), theta, gas)]
 
     try:
-        z = damped_newton(F, [start])
+        return damped_newton(F, [start])[0]
     except CurveError as exc:
         raise SolverError(f"{label} failed: {exc}") from exc
-    return float(z[0])
 
 
 def _background_boundary_gain(gas: GasParams) -> float:
@@ -254,7 +253,7 @@ def hugoniot_decompose(U: State, V: State, gas: GasParams) -> np.ndarray:
 
     q0 = np.linalg.solve(eigenvector_matrix(U, gas), target - U.as_array())
     try:
-        return damped_newton(F, q0)
+        return np.array(damped_newton(F, q0))
     except CurveError as exc:
         raise SolverError(f"jump decomposition failed: {exc}") from exc
 

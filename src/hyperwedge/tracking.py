@@ -497,11 +497,15 @@ def _emit_wave(U_below: State, family: int, sigma: float, x: float, y: float,
 
 def _np_front(U_below: State, U_above: State, x: float, y: float,
               generation: int, lambda_hat: float):
-    """Non-physical carrier for the gap between two states (or None if tiny)."""
-    # sqrt of np.dot: what np.linalg.norm computes, without its overhead
-    d = (U_above.rho - U_below.rho, U_above.u - U_below.u,
-         U_above.v - U_below.v, U_above.p - U_below.p)
-    gap = math.sqrt(float(np.dot(d, d)))
+    """Non-physical carrier for the gap between two states (or None if tiny).
+
+    Its strength is the Euclidean norm of the state difference, its
+    squares summed left to right in Python: ``np.dot`` would cost more
+    than the rest of the carrier, and rounds as the BLAS core does.
+    """
+    d0, d1 = U_above.rho - U_below.rho, U_above.u - U_below.u
+    d2, d3 = U_above.v - U_below.v, U_above.p - U_below.p
+    gap = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3)
     if gap <= _ZERO_STRENGTH:
         return None
     return Front(NP_FAMILY, gap, x, y, lambda_hat, generation, U_below, U_above)

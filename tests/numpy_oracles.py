@@ -2,7 +2,10 @@
 
 They are kept here, as they were, as oracles: the program's float-level
 kernels must reproduce every bit of them (``test_euler``,
-``test_curves``).  ``damped_newton`` is the Newton iteration on numpy
+``test_curves``).  One thing changed with the kernels: the 4-term
+normalisation ``grad(lam) . r~`` is summed left to right (``_dot4``), as
+``euler.acoustic_field`` sums it, not by ``np.dot``, whose rounding
+follows the BLAS core.  ``damped_newton`` is the Newton iteration on numpy
 arrays that the program's plain-float one replaced; ``shock_solve`` and
 the Riemann solvers here run their array residuals through it, so the
 program must match them in every float and in the number of residual
@@ -149,8 +152,12 @@ def eigenvector_raw(U, gas, family):
 def normalization_coefficient(U, gas, family):
     if family in (2, 3):
         return 1.0
-    return 1.0 / float(np.dot(grad_eigenvalue(U, gas, family),
-                              eigenvector_raw(U, gas, family)))
+    return 1.0 / _dot4(grad_eigenvalue(U, gas, family), eigenvector_raw(U, gas, family))
+
+
+def _dot4(a, b):
+    """The 4-term dot product summed left to right, as ``euler.acoustic_field`` sums it."""
+    return float(a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3])
 
 
 def eigenvector(U, gas, family):
@@ -171,7 +178,7 @@ def acoustic_field(rho, u, v, p, gas, family):
     lam = euler.acoustic_slope(rho, u, v, p, gas, family)
     grad = euler._acoustic_gradient(rho, u, v, p, gas, family, lam)
     raw = euler._acoustic_raw(rho, u, v, p, gas, family, lam)
-    slope = float(np.dot(grad, raw))
+    slope = _dot4(grad, raw)
     if slope == 0.0:
         raise DomainError(f"family {family} loses genuine nonlinearity at this state")
     scale = 1.0 / slope

@@ -365,6 +365,27 @@ def test_run_stability_uses_the_largest_tau():
     assert reports[0] == reports[1] == reports[2]
 
 
+class _NumpyWithoutDot:
+    """``numpy`` with ``dot`` raising: BLAS rounds ``np.dot`` by its core."""
+
+    def __getattr__(self, name):
+        if name == "dot":
+            raise AssertionError("np.dot called on a per-wave path")
+        return getattr(np, name)
+
+
+def test_default_drivers_run_without_np_dot(monkeypatch):
+    # the acoustic field, the carrier gap and the L1 sums are plain-float
+    # sums, so their rounding does not depend on the BLAS core
+    import hyperwedge.euler
+    import hyperwedge.functionals
+    import hyperwedge.tracking
+    for module in (hyperwedge.euler, hyperwedge.tracking, hyperwedge.functionals):
+        monkeypatch.setattr(module, "np", _NumpyWithoutDot())
+    assert run_convergence(ExperimentConfig(scenario="wedge")).errors
+    assert run_stability(ExperimentConfig(scenario="stability")).rows
+
+
 # ---------------------------------------------------------------------------
 # CSV emission
 # ---------------------------------------------------------------------------

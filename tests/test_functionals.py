@@ -1,5 +1,6 @@
 """Glimm and Lyapunov functionals, distances, diagnostics."""
 
+import bisect
 import csv
 import io
 import math
@@ -202,6 +203,35 @@ def test_l1_matches_cellwise_quadrature(gas):
             y = a + (b - a) * (k + 0.5) / n
             total += np.sum(np.abs(state_at(sA, y) - state_at(sB, y))) * (b - a) / n
     assert got == pytest.approx(total, rel=1e-8)
+
+
+def _numpy_l1_distance(sliceU, sliceV, lo, hi):
+    """``l1_distance`` as it was, each interval's 1-norm a numpy sum."""
+    ysU = [f.y_at(sliceU.x) for f in sliceU.fronts]
+    ysV = [f.y_at(sliceV.x) for f in sliceV.fronts]
+    edges = sorted({lo, hi, *(y for y in ysU + ysV if lo < y < hi)})
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        ym = 0.5 * (a + b)
+        su = sliceU.states[bisect.bisect_right(ysU, ym)]
+        sv = sliceV.states[bisect.bisect_right(ysV, ym)]
+        total += float(np.abs(su - sv).sum()) * (b - a)
+    return total
+
+
+@pytest.mark.parametrize("seed", (3, 11))
+def test_l1_distance_and_bv_equal_their_numpy_sums(gas, seed):
+    # numpy sums four elements left to right, as the plain-float 1-norm does
+    cfg = EngineConfig(nu=8, x_end=1.0, seed=seed)
+    tA = run(stepped_data(gas, amp=1e-3, seed=seed), wedge_wall(), cfg, gas)
+    tB = run(stepped_data(gas, amp=1e-3, seed=seed + 1), wedge_wall(), cfg, gas)
+    for x in (0.1, 0.35, 0.6, 0.85, 1.0):
+        sA, sB = tA.slice_at(x), tB.slice_at(x)
+        lo, hi = -1.5, tA.boundary.g_at(x) - 1e-9
+        assert l1_distance(sA, sB, (lo, hi)) == _numpy_l1_distance(sA, sB, lo, hi) > 0.0
+        for s in (sA, sB):
+            want = sum(float(np.abs(f.above - f.below).sum()) for f in s.fronts)
+            assert bv_total_variation(s, "state", gas) == want
 
 
 def test_l1_metric_sanity(gas, bg):

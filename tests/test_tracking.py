@@ -168,7 +168,8 @@ def test_rarefaction_pieces_stay_below_sampling_width(gas):
 
 def test_np_front_gap_is_the_state_difference_norm(bg):
     # the carrier's strength against the norm of the array difference of
-    # its two states, from state gaps of 1e-16 to 1e-2 and none at all
+    # its two states, squares summed left to right, from state gaps of
+    # 1e-16 to 1e-2 and none at all; within 1e-15 of np.linalg.norm
     rng = np.random.default_rng(5)
     base = bg.as_array()
     sizes = []
@@ -176,7 +177,9 @@ def test_np_front_gap_is_the_state_difference_norm(bg):
         w_lo, w_up = base + rng.normal(size=(2, 4)) * 10.0 ** rng.uniform(-16.0, -2.0)
         lo = State.from_array(w_lo)
         for up in (State.from_array(w_up), lo):
-            want = float(np.linalg.norm(up - lo))
+            d = up - lo
+            want = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3])
+            assert want == pytest.approx(float(np.linalg.norm(d)), rel=1e-15, abs=0.0)
             npf = tracking._np_front(lo, up, 0.3, -0.2, 1, 2.0)
             sizes.append(want)
             if want <= tracking._ZERO_STRENGTH:
