@@ -104,9 +104,10 @@ class GasParams:
     Parameters
     ----------
     gamma : float
-        Adiabatic exponent, > 1.
+        Adiabatic exponent, finite and > 1.
     a_inf : float
-        Background speed parameter; the background sound speed is 1/a_inf.
+        Background speed parameter, finite and > 0; the background sound
+        speed is 1/a_inf.
     tau : float
         Scaling parameter in [0, a_inf).  ``tau = 0`` selects the
         small-disturbance limit system.
@@ -117,10 +118,10 @@ class GasParams:
     tau: float = 0.0
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise DomainError(f"gamma must exceed 1, got {self.gamma}")
-        if not self.a_inf > 0.0:
-            raise DomainError(f"a_inf must be positive, got {self.a_inf}")
+        if not 1.0 < self.gamma < math.inf:
+            raise DomainError(f"gamma must be finite and exceed 1, got {self.gamma}")
+        if not 0.0 < self.a_inf < math.inf:
+            raise DomainError(f"a_inf must be positive and finite, got {self.a_inf}")
         if not (0.0 <= self.tau < self.a_inf):
             raise DomainError(
                 f"tau must lie in [0, a_inf), got tau={self.tau}, a_inf={self.a_inf}"

@@ -77,9 +77,10 @@ _SCENARIOS = ("special", "wedge", "riemann-pair", "stability")
 class ExperimentConfig:
     """One experiment: scenario, gas, scaling grid, engine knobs, outputs.
 
-    ``tau_grid`` is the scaling-parameter sweep; the zero-limit system is
-    always run/solved in addition where a comparison needs it.  Scenario
-    parameters not used by the selected scenario are ignored.
+    ``tau_grid`` is the scaling-parameter sweep, at least one value; the
+    zero-limit system is always run/solved in addition where a comparison
+    needs it.  Every float field must be finite.  Scenario parameters not
+    used by the selected scenario are ignored.
     """
 
     scenario: str
@@ -97,8 +98,9 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             val = getattr(self, f.name)
-            if f.type == "float" and (isinstance(val, bool) or not isinstance(val, Real)):
-                raise ConfigError(f"{f.name}={val!r} must be a number")
+            if f.type == "float" and (isinstance(val, bool) or not isinstance(val, Real)
+                                      or not math.isfinite(val)):
+                raise ConfigError(f"{f.name} must be a finite number, got {val!r}")
         if self.scenario not in _SCENARIOS:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; expected one of {_SCENARIOS}")
@@ -106,6 +108,8 @@ class ExperimentConfig:
             GasParams(self.gamma, self.a_inf)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
+        if not self.tau_grid:
+            raise ConfigError("tau_grid is empty; it needs at least one value")
         for tau in self.tau_grid:
             if not 0.0 < tau < self.a_inf:
                 raise ConfigError(

@@ -33,7 +33,6 @@ from .euler import (
     GasParams,
     eigenvalue,
     entropy_pair,
-    flow_slope,
 )
 from .riemann import (
     boundary_hugoniot_q1,
@@ -57,7 +56,6 @@ __all__ = [
     "wall_mismatch",
     "l1_distance",
     "bv_total_variation",
-    "flow_slope_trace",
     "entropy_production_check",
     "FunctionalTrace",
     "glimm_trace",
@@ -185,15 +183,12 @@ class LyapunovWeights:
     """Weights for the two-slice distance functional, sized from the background.
 
     ``w4`` scales jump-decomposition component 4; components 1-3 have
-    weight one.  ``kb_jump`` records the measured magnitude of the wall
-    jump-reflection coefficient that sized ``w4``.  The level weights
-    take ``_KAPPA`` per unit of crossing strength, slice potential,
-    fast-family strength and corner tail; the wall-mismatch tail takes
-    ``_KAPPA * w4``.
+    weight one.  The level weights take ``_KAPPA`` per unit of crossing
+    strength, slice potential, fast-family strength and corner tail; the
+    wall-mismatch tail takes ``_KAPPA * w4``.
     """
 
     w4: float
-    kb_jump: float
 
     @classmethod
     def from_background(cls, gas: GasParams) -> "LyapunovWeights":
@@ -225,8 +220,7 @@ class LyapunovWeights:
                 lo = mid
             else:
                 hi = mid
-        w4 = _SAFETY * hi
-        return cls(w4, kb)
+        return cls(_SAFETY * hi)
 
     def component_weight(self, j: int) -> float:
         return self.w4 if j == 4 else 1.0
@@ -380,87 +374,12 @@ def l1_distance(sliceU: SolutionSlice, sliceV: SolutionSlice, domain) -> float:
     return total
 
 
-def bv_total_variation(slice_: SolutionSlice, quantity: str = "state",
-                       gas: GasParams | None = None) -> float:
-    """Total variation in y of a slice quantity.
-
-    ``state``: sum over fronts of the 1-norm of the state jump;
-    ``flow_slope``: jumps of v/(1+tau^2 u) (needs `gas`);
-    ``pressure``: jumps of p.
-    """
+def bv_total_variation(slice_: SolutionSlice) -> float:
+    """Total variation in y of the state: the 1-norms of the front jumps, summed."""
     total = 0.0
     for f in slice_.fronts:
-        if quantity == "state":
-            total += f.above.l1_gap(f.below)
-        elif quantity == "flow_slope":
-            if gas is None:
-                raise ValueError("flow_slope variation needs gas parameters")
-            total += abs(flow_slope(f.above, gas) - flow_slope(f.below, gas))
-        elif quantity == "pressure":
-            total += abs(f.above.p - f.below.p)
-        else:
-            raise ValueError(f"unknown quantity {quantity!r}")
+        total += f.above.l1_gap(f.below)
     return total
-
-
-def flow_slope_trace(traj: Trajectory, Y, x_range) -> dict:
-    """Trace of (flow slope, pressure) along a curve y = Y(x).
-
-    The trace is piecewise constant in x, changing where fronts cross the
-    curve or at events; crossings are located by bisection inside each
-    inter-event slab.  Returns the exact L1 norms in x and the total
-    variations of both trace components over `x_range`.
-    """
-    x_lo, x_hi = float(x_range[0]), float(x_range[1])
-    gas = traj.gas
-    cuts = {x_lo, x_hi}
-    stations = traj.slices.xs
-    for sx in stations:
-        if x_lo < sx < x_hi:
-            cuts.add(sx)
-    for sl in traj.slices:
-        k = bisect.bisect_right(stations, sl.x)
-        nxt = stations[k] if k < len(stations) else traj.cfg.x_end
-        a, b = max(sl.x, x_lo), min(nxt, x_hi)
-        if b <= a:
-            continue
-        for f in sl.fronts:
-            fa = f.y_at(a) - Y(a)
-            fb = f.y_at(b) - Y(b)
-            if fa == 0.0 or fa * fb < 0.0:
-                lo_, hi_ = a, b
-                for _ in range(80):
-                    mid = 0.5 * (lo_ + hi_)
-                    if (f.y_at(lo_) - Y(lo_)) * (f.y_at(mid) - Y(mid)) <= 0.0:
-                        hi_ = mid
-                    else:
-                        lo_ = mid
-                cuts.add(0.5 * (lo_ + hi_))
-    grid = sorted(cuts)
-    if grid[0] < 0.0:
-        raise ValueError(f"station {grid[0]} outside [0, {traj.cfg.x_end}]")
-    # the midpoints ascend, so one walk over the slices finds the one
-    # that :meth:`Trajectory.slice_at` would replay for each
-    slices = iter(traj.slices)
-    sl, nxt = next(slices), next(slices, None)
-    slopes, press, widths = [], [], []
-    for a, b in zip(grid, grid[1:]):
-        xm = 0.5 * (a + b)
-        x = min(xm, traj.cfg.x_end)
-        while nxt is not None and nxt.x <= x:
-            sl, nxt = nxt, next(slices, None)
-        ys = np.array([f.y_at(x) for f in sl.fronts])
-        k = int(np.searchsorted(ys, Y(xm), side="left"))
-        st = sl.states[k]
-        slopes.append(flow_slope(st, gas))
-        press.append(st.p)
-        widths.append(b - a)
-    l1_slope = float(sum(abs(s) * dx for s, dx in zip(slopes, widths)))
-    l1_press = float(sum(abs(p) * dx for p, dx in zip(press, widths)))
-    bv_slope = float(sum(abs(b - a) for a, b in zip(slopes, slopes[1:])))
-    bv_press = float(sum(abs(b - a) for a, b in zip(press, press[1:])))
-    return {"l1_slope": l1_slope, "l1_pressure": l1_press,
-            "bv_slope": bv_slope, "bv_pressure": bv_press}
 
 
 def entropy_production_check(slice_: SolutionSlice, gas: GasParams) -> list:

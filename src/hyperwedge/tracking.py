@@ -65,7 +65,6 @@ __all__ = [
     "SliceLog",
     "Trajectory",
     "approximate_boundary",
-    "approximate_initial_data",
     "initialize",
     "next_event",
     "resolve_event",
@@ -82,8 +81,6 @@ _COINCIDENCE_TOL = 1.0e-12
 #: speed gaps below this between coincident fronts are rounding noise,
 #: not a crossing (genuine zero-width crossings have O(1) speed gaps)
 _PARALLEL_TOL = 1.0e-12
-#: the interval of y that :func:`approximate_initial_data` samples
-_DATA_SUPPORT = (-1.5, 0.0)
 #: stored slices from one whole front list of a :class:`SliceLog` to the next
 _CHECKPOINT_INTERVAL = 64
 #: a pair's collision bound lies this far, per unit of its rounding-error
@@ -225,48 +222,16 @@ class InitialData:
             raise ValueError("breaks must be strictly increasing and nonpositive")
 
 
-def approximate_initial_data(U0, nu: int) -> InitialData:
-    """Piecewise-constant sampling of inflow data with L1 error < 2^-nu.
-
-    `U0` may already be an :class:`InitialData` (returned unchanged up to
-    merging of equal neighbours) or a callable y -> State on
-    ``_DATA_SUPPORT``.  A callable is sampled at spacing fine enough that
-    the cell-midpoint interpolant is within 2^-nu of the data in L1;
-    since the values are pointwise values of the data, total variation
-    cannot increase.
-    """
-    if isinstance(U0, InitialData):
-        breaks, states = list(U0.breaks), list(U0.states)
-    else:
-        lo, hi = _DATA_SUPPORT
-        probe = np.linspace(lo, hi, 2049)
-        vals = [U0(y).as_array() for y in probe]
-        tv = float(sum(np.abs(b - a).sum() for a, b in zip(vals, vals[1:])))
-        delta = 2.0 ** (-nu) / (tv + 1.0)
-        n = min(int(math.ceil((hi - lo) / delta)), 4096)
-        edges = np.linspace(lo, hi, n + 1)
-        states = [U0(0.5 * (a + b)) for a, b in zip(edges, edges[1:])]
-        breaks = list(edges[1:-1])
-    # merge equal neighbours
-    mb, ms = [], [states[0]]
-    for y, s in zip(breaks, states[1:]):
-        if s == ms[-1]:
-            continue
-        mb.append(float(y))
-        ms.append(s)
-    return InitialData(np.array(mb), tuple(ms))
-
-
 @dataclass
 class SolutionSlice:
     """The piecewise-constant solution at one station x.
 
     A slice is its fronts and its wall state: the state below front k is
     ``fronts[k].below``, and ``top_state`` is adjacent to the wall and
-    satisfies the slip condition there up to any absorbed non-physical
-    strength (see ``EngineConfig.np_boundary``).  Front positions are
-    functions of x, so advancing the slice between events is just a
-    change of the ``x`` field.
+    satisfies the slip condition there up to the non-physical strength
+    the wall has absorbed since its last physical event.  Front
+    positions are functions of x, so advancing the slice between events
+    is just a change of the ``x`` field.
 
     ``columns`` is a (2, m) array, m >= n, that guides the event scan.
     Column i < n - 1 is the pair (fronts[i], fronts[i + 1]).  Row 0 is
@@ -303,19 +268,17 @@ class EngineConfig:
 
     ``nu`` controls both the rarefaction sampling (pieces of strength at
     most 1/nu) and, unless overridden, the simplified-solver threshold
-    ``rho_threshold = 2^-nu * (initial total strength)``.  Two values are
-    fixed, not set: the non-physical front slope, 1.2x the largest
-    family-4 slope over the trust-box corners (:func:`default_lambda_hat`),
-    and the budget of ``_MAX_EVENTS`` events per run.
+    ``rho_threshold = 2^-nu * (initial total strength)``; an infinite
+    ``rho_threshold`` simplifies every interaction.  ``h`` and ``x_end``
+    are positive and finite.  Two values are fixed, not set: the
+    non-physical front slope, 1.2x the largest family-4 slope over the
+    trust-box corners (:func:`default_lambda_hat`), and the budget of
+    ``_MAX_EVENTS`` events per run.
 
-    ``np_boundary`` picks what happens when a non-physical carrier meets
-    the wall.  ``absorb`` (default) drops it: the slice functional then
-    decreases by exactly the carried strength, at the price of an
-    O(2^-nu) slip-condition error that the next physical wall event
-    removes.  ``resolve`` re-solves the wall condition immediately,
-    emitting a reflected 1-front; the slip condition stays exact but the
-    emitted strength can exceed the absorbed one, so the functional may
-    tick up by a comparable amount.
+    A non-physical carrier that meets the wall is absorbed: it emits no
+    front, so the slice functional decreases by exactly the carried
+    strength, at the price of an O(2^-nu) slip-condition error that the
+    next physical wall event removes.
     """
 
     h: float = 1.0 / 32.0
@@ -323,11 +286,12 @@ class EngineConfig:
     rho_threshold: float | None = None
     x_end: float = 1.0
     seed: int = 0
-    np_boundary: str = "absorb"  # or "resolve"
 
     def __post_init__(self):
-        if isinstance(self.h, bool) or not (isinstance(self.h, Real) and self.h > 0.0):
-            raise ValueError(f"engine key h={self.h!r} must be a positive number")
+        for key in ("h", "x_end"):
+            val = getattr(self, key)
+            if isinstance(val, bool) or not (isinstance(val, Real) and 0.0 < val < math.inf):
+                raise ValueError(f"engine key {key}={val!r} must be a positive finite number")
         if isinstance(self.nu, bool) or not isinstance(self.nu, Integral) or self.nu < 1:
             raise ValueError(f"engine key nu={self.nu!r} must be an integer >= 1")
         if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
@@ -336,12 +300,6 @@ class EngineConfig:
         if rho is not None and (isinstance(rho, bool) or not isinstance(rho, Real)
                                 or not rho >= 0.0):
             raise ValueError(f"engine key rho_threshold={rho!r} must be null or a number >= 0")
-        if isinstance(self.x_end, bool) or not (isinstance(self.x_end, Real)
-                                                and self.x_end > 0.0):
-            raise ValueError(f"engine key x_end={self.x_end!r} must be a positive number")
-        if self.np_boundary not in ("absorb", "resolve"):
-            raise ValueError(f"engine key np_boundary={self.np_boundary!r} "
-                             f"must be 'absorb' or 'resolve'")
 
 
 @dataclass(frozen=True)
@@ -950,16 +908,13 @@ def _resolve_boundary(slice_, event, boundary, cfg, gas):
         raise SolverError("only the top front can reach the wall")
     xh = event.x
     yh = boundary.g_at(xh)
-    theta = boundary.theta_at(xh)
     U_below = f.below
 
     if f.family == NP_FAMILY:
-        # an absorbed carrier emits nothing: strength 0 is no wave at all
-        sigma = (0.0 if cfg.np_boundary == "absorb"
-                 else solve_boundary_riemann(U_below, theta, gas))
-        kind, emech = "np_boundary", 0.0
+        # the wall absorbs a carrier: strength 0 is no wave at all
+        sigma, kind, emech = 0.0, "np_boundary", 0.0
     elif f.family in (2, 3, 4):
-        sigma = reflect_at_boundary(U_below, f.family, f.sigma, theta, gas)
+        sigma = reflect_at_boundary(U_below, f.family, f.sigma, boundary.theta_at(xh), gas)
         kind, emech = "boundary", abs(f.sigma)
     else:
         raise SolverError(f"family-1 front reached the wall at x={xh}")

@@ -92,6 +92,14 @@ def test_riemann_bad_gas_exits_2(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("option, key", [("--a", "a_inf"), ("--gamma", "gamma")])
+def test_riemann_nonfinite_gas_exits_2(runner, option, key):
+    res = runner.invoke(main, ["riemann", "--below", BG, "--above", BG, option, "inf"])
+    assert res.exit_code == 2
+    assert res.stderr.startswith(f"error: {key} must")
+    assert len(res.stderr.splitlines()) == 1
+
+
 def test_special_writes_rate_and_coeffs(runner, tmp_path):
     out = tmp_path / "out"
     res = runner.invoke(main, ["special", "--eps", "1e-3",
@@ -146,10 +154,11 @@ def test_unknown_config_key_exits_2(runner, tmp_path):
     assert "error:" in res.stderr
 
 
-@pytest.mark.parametrize("key, value", [("h", 0), ("np_boundary", "resovle"), ("nu", -3),
+@pytest.mark.parametrize("key, value", [("h", 0), ("nu", -3),
                                         ("seed", -1), ("seed", 1.5),
                                         ("rho_threshold", "abc"), ("x_end", "a"),
-                                        ("h", True), ("x_end", True)])
+                                        ("h", True), ("x_end", True),
+                                        ("h", float("inf")), ("x_end", float("inf"))])
 def test_bad_engine_value_exits_2(runner, tmp_path, key, value):
     # the engine rejects the value itself; the CLI names the key on one line
     engine = {key: value}
@@ -163,8 +172,25 @@ def test_bad_engine_value_exits_2(runner, tmp_path, key, value):
     assert len(res.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, payload, key", [
+    ("simulate", {"scenario": "wedge", "tau_grid": []}, "tau_grid"),
+    ("converge", {"scenario": "wedge", "tau_grid": []}, "tau_grid"),
+    ("stability", {"scenario": "stability", "tau_grid": []}, "tau_grid"),
+    ("simulate", {"scenario": "wedge", "engine": {"np_boundary": "absorb"}}, "np_boundary"),
+], ids=["simulate-empty-grid", "converge-empty-grid", "stability-empty-grid",
+        "retired-np-boundary"])
+def test_config_rejected_before_any_run_exits_2(runner, tmp_path, command, payload, key):
+    cfg = _cfg_file(tmp_path, payload)
+    res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error:") and key in res.stderr
+    assert len(res.stderr.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key, value", [("engine", 5), ("tau_grid", 0.1),
-                                        ("tau_grid", ["x"]), ("gamma", "x")])
+                                        ("tau_grid", ["x"]), ("gamma", "x"),
+                                        ("wedge_angle", float("nan"))])
 def test_wrongly_shaped_config_value_exits_2(runner, tmp_path, key, value):
     cfg = _cfg_file(tmp_path, {"scenario": "wedge", key: value})
     res = runner.invoke(main, ["converge", "--config", cfg,
@@ -174,7 +200,8 @@ def test_wrongly_shaped_config_value_exits_2(runner, tmp_path, key, value):
     assert len(res.stderr.splitlines()) == 1
 
 
-@pytest.mark.parametrize("key, value", [("gamma", 0.5), ("a_inf", -1)])
+@pytest.mark.parametrize("key, value", [("gamma", 0.5), ("a_inf", -1),
+                                        ("a_inf", float("inf"))])
 def test_bad_gas_in_config_exits_2(runner, tmp_path, key, value):
     # the config builds the gas, so the error names the gas key, not the
     # tau grid, and comes before any run
@@ -187,7 +214,9 @@ def test_bad_gas_in_config_exits_2(runner, tmp_path, key, value):
 
 
 @pytest.mark.parametrize("option, value, key", [("--gamma", "0.5", "gamma"),
-                                                ("--a", "-1", "a_inf")])
+                                                ("--a", "-1", "a_inf"),
+                                                ("--gamma", "inf", "gamma"),
+                                                ("--a", "inf", "a_inf")])
 def test_special_bad_gas_exits_2(runner, tmp_path, option, value, key):
     res = runner.invoke(main, ["special", option, value,
                                "--out", str(tmp_path / "out")])

@@ -69,9 +69,10 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"scenario": "wedge", "wedge_slope": 0.01}))
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json(str(path))
-    # the last two are retired keys: the carrier slope and the event
-    # budget are fixed, not set
-    for engine in ({"n_events": 3}, {"lambda_hat": 2.0}, {"max_events": 10}):
+    # the last three are retired keys: the carrier slope and the event
+    # budget are fixed, not set, and the wall always absorbs a carrier
+    for engine in ({"n_events": 3}, {"lambda_hat": 2.0}, {"max_events": 10},
+                   {"np_boundary": "absorb"}):
         path.write_text(json.dumps({"scenario": "wedge", "engine": engine}))
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(str(path))

@@ -25,7 +25,6 @@ from hyperwedge.functionals import (
     LyapunovWeights,
     bv_total_variation,
     entropy_production_check,
-    flow_slope_trace,
     glimm_functional,
     glimm_parts,
     glimm_trace,
@@ -231,7 +230,7 @@ def test_l1_distance_and_bv_equal_their_numpy_sums(gas, seed):
         assert l1_distance(sA, sB, (lo, hi)) == _numpy_l1_distance(sA, sB, lo, hi) > 0.0
         for s in (sA, sB):
             want = sum(float(np.abs(f.above - f.below).sum()) for f in s.fronts)
-            assert bv_total_variation(s, "state", gas) == want
+            assert bv_total_variation(s) == want
 
 
 def test_l1_metric_sanity(gas, bg):
@@ -249,15 +248,12 @@ def test_l1_metric_sanity(gas, bg):
     assert dab == l1_distance(b, a, dom)
 
 
-def test_bv_total_variation(gas, bg):
-    assert bv_total_variation(const_slice([bg], []), "state", gas) == 0.0
+def test_bv_total_variation(bg):
+    assert bv_total_variation(const_slice([bg], [])) == 0.0
     hi = State(1.001, 2e-3, -1e-3, bg.p * 1.001)
     s = const_slice([bg, hi], [-0.5])
-    assert bv_total_variation(s, "state", gas) == pytest.approx(
+    assert bv_total_variation(s) == pytest.approx(
         float(np.sum(np.abs(hi - bg))))
-    assert bv_total_variation(s, "pressure", gas) == pytest.approx(abs(hi.p - bg.p))
-    assert bv_total_variation(s, "flow_slope", gas) == pytest.approx(
-        abs(flow_slope(hi, gas) - flow_slope(bg, gas)))
 
 
 def test_bv_bounded_along_runs(gas):
@@ -269,7 +265,7 @@ def test_bv_bounded_along_runs(gas):
     data_bv = sum(float(np.sum(np.abs(b - a)))
                   for a, b in zip(data.states, data.states[1:]))
     budget = data_bv + abs(math.tan(-0.01))
-    worst = max(bv_total_variation(s, "state", gas) for s in traj.slices)
+    worst = max(bv_total_variation(s) for s in traj.slices)
     assert worst <= 10.0 * budget
 
 
@@ -320,36 +316,6 @@ def test_lyapunov_equivalence_and_near_decrease(gas):
 # ---------------------------------------------------------------------------
 # traces and entropy
 # ---------------------------------------------------------------------------
-
-def test_flow_slope_trace_constant_run(gas):
-    data = InitialData(np.array([]), (gas.background(),))
-    traj = run(data, flat_wall(), EngineConfig(nu=8, x_end=1.0), gas)
-    out = flow_slope_trace(traj, lambda x: -0.5, (0.0, 1.0))
-    assert out["bv_slope"] == 0.0 and out["bv_pressure"] == 0.0
-    assert out["l1_slope"] == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        flow_slope_trace(traj, lambda x: -0.5, (-0.1, 1.0))
-
-
-def test_flow_slope_invariant_across_contact_band(gas, bg):
-    # data jump that is a pure shear contact: slope trace sees nothing
-    top = wave_curve(bg, 2, 1e-3, gas)
-    data = InitialData(np.array([-0.7]), (bg, top))
-    traj = run(data, flat_wall(), EngineConfig(nu=8, x_end=1.0), gas)
-    out = flow_slope_trace(traj, lambda x: -0.7 + 0.05 * x, (0.0, 1.0))
-    assert out["bv_slope"] < 1e-12
-    assert out["bv_pressure"] < 1e-12
-
-
-def test_flow_slope_trace_tracks_wall_change(gas):
-    # traces along nearby curves differ by at most C * curve gap
-    cfg = EngineConfig(nu=8, x_end=1.0, seed=3)
-    traj = run(stepped_data(gas, amp=2e-4, seed=3), wedge_wall(), cfg, gas)
-    base = flow_slope_trace(traj, lambda x: -0.5, (0.0, 1.0))
-    moved = flow_slope_trace(traj, lambda x: -0.5 + 1e-3, (0.0, 1.0))
-    gap = abs(base["l1_slope"] - moved["l1_slope"])
-    assert gap <= 50.0 * 1e-3
-
 
 def test_entropy_shock_contact_and_carrier(gas, bg):
     shock_top = wave_curve(bg, 1, -2e-3, gas)

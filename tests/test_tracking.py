@@ -29,7 +29,6 @@ from hyperwedge.tracking import (
     InitialData,
     SolutionSlice,
     approximate_boundary,
-    approximate_initial_data,
     default_lambda_hat,
     export_trajectory,
     next_event,
@@ -89,21 +88,6 @@ def test_initial_data_validation():
         InitialData(np.array([-0.2, -0.5]), (bgs, bgs, bgs))
     with pytest.raises(ValueError):
         InitialData(np.array([0.5]), (bgs, bgs))
-
-
-def test_approximate_initial_data_merges_and_samples():
-    bgs = _GAS.background()
-    other = State(1.001, 0.0, 0.0, bgs.p)
-    d = InitialData(np.array([-1.0, -0.5]), (bgs, bgs, other))
-    merged = approximate_initial_data(d, nu=8)
-    assert len(merged.states) == 2 and merged.breaks[0] == -0.5
-
-    def profile(y):
-        return bgs if y < -0.75 else other
-
-    sampled = approximate_initial_data(profile, nu=8)
-    assert sampled.states[0] == bgs and sampled.states[-1] == other
-    assert abs(sampled.breaks[0] - (-0.75)) < 0.01
 
 
 def test_lambda_hat_clears_characteristic_speeds(gas):
@@ -238,23 +222,8 @@ def test_slice_at_replays_front_lines(gas):
         traj.slice_at(1.5)
 
 
-def test_slip_condition_after_boundary_events(gas):
-    # with exact wall resolution the top state obeys the slip condition
-    # after every event; the default absorb mode only guarantees it up to
-    # the dropped carrier strength
-    cfg = EngineConfig(nu=8, x_end=1.0, np_boundary="resolve")
-    traj = run(stepped_data(gas, amp=2e-4, seed=5), wedge_wall(), cfg, gas)
-    assert any(r.kind == "boundary" for r in traj.records)
-    # the carriers that reach the wall are re-solved, not absorbed
-    assert sum(r.kind == "np_boundary" and bool(r.outgoing) for r in traj.records) >= 5
-    assert_slice_invariants(traj.slices)
-    for s in traj.slices:
-        theta = traj.boundary.theta_at(s.x)
-        assert abs(bc_residual(s.top_state, theta, gas)) < 1e-9
-
-
 def test_absorb_mode_slip_error_bounded(gas):
-    cfg = EngineConfig(nu=8, x_end=1.0, np_boundary="absorb")
+    cfg = EngineConfig(nu=8, x_end=1.0)
     traj = run(stepped_data(gas, amp=2e-4, seed=5), wedge_wall(), cfg, gas)
     worst = 0.0
     for s in traj.slices:
