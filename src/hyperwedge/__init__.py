@@ -24,10 +24,8 @@ from .euler import (
     entropy_pair,
     flow_slope,
     fluxes,
-    grad_eigenvalue,
     mass_flux_factor,
     normalization_coefficient,
-    sound_speed,
 )
 
 __version__ = "0.1.0"

@@ -58,16 +58,12 @@ __all__ = [
     "flux_and_slope",
     "bernoulli",
     "mass_flux_factor",
-    "sound_speed",
     "flow_slope",
     "bc_residual",
     "eigenvalues",
     "eigenvalue",
     "acoustic_slope",
-    "char_residual",
-    "grad_eigenvalue",
     "grad_eigenvalue_fd",
-    "eigenvector_raw",
     "normalization_coefficient",
     "eigenvector",
     "acoustic_field",
@@ -223,13 +219,6 @@ def mass_flux_factor(U: State, gas: GasParams) -> float:
     return 1.0 + gas.t2 * U.u
 
 
-def sound_speed(U: State, gas: GasParams) -> float:
-    """Local sound speed ``c = sqrt(gamma*p/rho)``."""
-    if U.p <= 0.0 or U.rho <= 0.0:
-        raise DomainError(f"sound speed undefined at rho={U.rho}, p={U.p}")
-    return float(np.sqrt(gas.gamma * U.p / U.rho))
-
-
 def bernoulli(U: State, gas: GasParams) -> float:
     """Transported invariant ``B = u + v^2/2 + gamma*p/((gamma-1)rho) + tau^2*u^2/2``."""
     return _bernoulli(U.rho, U.u, U.v, U.p, gas)
@@ -301,9 +290,8 @@ def flux_and_slope(rho: float, u: float, v: float, p: float,
     what either of them raises, first what :func:`flux_values` raises.
     Written out flat, with no further Python call, for speed: the
     operations and their order are those of :func:`flux_values`, then
-    :func:`_acoustic_ingredients` past its state checks and
-    :func:`_root_slope`, with the common terms (``m``, ``gamma*p``,
-    ``m*m``) formed once.
+    :func:`acoustic_slope` past its state checks, with the common terms
+    (``m``, ``gamma*p``, ``m*m``) formed once.
     """
     if family not in GENUINE_FAMILIES:
         raise ValueError(f"unknown family {family}")
@@ -349,34 +337,6 @@ def flux_and_slope(rho: float, u: float, v: float, p: float,
 # characteristic fields
 # ---------------------------------------------------------------------------
 
-def _acoustic_ingredients(rho: float, u: float, v: float, p: float, gas: GasParams):
-    """Common quantities for the acoustic pair; raises outside hyperbolic domain."""
-    _check_values(rho, u, p, gas)
-    t = gas.t2
-    m = 1.0 + t * u
-    # float(rho): a numpy scalar would warn as the quotient overflows
-    c2 = gas.gamma * p / float(rho)
-    if c2 == math.inf:
-        raise DomainError(f"sound speed overflows at density {rho}")
-    den = m * m - t * c2
-    if den <= 0.0:
-        raise DomainError(
-            f"acoustic denominator (1+t*u)^2 - t*c^2 = {den} <= 0; "
-            "state outside hyperbolic region"
-        )
-    disc = m * m + t * (v * v - c2)
-    if disc <= 0.0:
-        raise DomainError(f"acoustic discriminant {disc} <= 0")
-    return t, m, c2, den, disc
-
-
-def _root_slope(v: float, m: float, c2: float, den: float, disc: float, family: int) -> float:
-    """Root of the characteristic polynomial for family 1 (lower) or 4 (upper)."""
-    root = math.sqrt(c2) * math.sqrt(disc)
-    sgn = -1.0 if family == 1 else 1.0
-    return (m * v + sgn * root) / den
-
-
 def eigenvalues(U: State, gas: GasParams) -> np.ndarray:
     """All four characteristic slopes at a state, ordered by family.
 
@@ -385,10 +345,9 @@ def eigenvalues(U: State, gas: GasParams) -> np.ndarray:
     index, so the returned array is ``[lam1, lam2, lam3, lam4]`` with
     ``lam1 <= lam2 == lam3 <= lam4``.
     """
-    t, m, c2, den, disc = _acoustic_ingredients(U.rho, U.u, U.v, U.p, gas)
-    mid = U.v / m
-    lam1 = _root_slope(U.v, m, c2, den, disc, 1)
-    lam4 = _root_slope(U.v, m, c2, den, disc, 4)
+    lam1 = acoustic_slope(U.rho, U.u, U.v, U.p, gas, 1)
+    lam4 = acoustic_slope(U.rho, U.u, U.v, U.p, gas, 4)
+    mid = U.v / (1.0 + gas.t2 * U.u)
     return np.array([lam1, mid, mid, lam4])
 
 
@@ -409,70 +368,32 @@ def acoustic_slope(rho: float, u: float, v: float, p: float,
     """
     if family not in GENUINE_FAMILIES:
         raise ValueError(f"unknown family {family}")
-    t, m, c2, den, disc = _acoustic_ingredients(rho, u, v, p, gas)
-    return _root_slope(v, m, c2, den, disc, family)
-
-
-def char_residual(U: State, gas: GasParams, lam: float) -> float:
-    """Residual of the acoustic characteristic polynomial at slope `lam`.
-
-    Vanishes when `lam` is an acoustic (family 1 or 4) slope at `U`:
-
-        (m^2 - t*c^2)*lam^2 - 2*m*v*lam + (v^2 - c^2)
-    """
-    t, m, c2, den, _ = _acoustic_ingredients(U.rho, U.u, U.v, U.p, gas)
-    return float(den * lam * lam - 2.0 * m * U.v * lam + (U.v * U.v - c2))
-
-
-def grad_eigenvalue(U: State, gas: GasParams, family: int) -> np.ndarray:
-    """Gradient of a family's characteristic slope w.r.t. (rho, u, v, p).
-
-    Closed forms.  For the acoustic pair, with ``D = m*lam - v`` and
-    ``Dp = (m^2 - t*c^2)*lam - m*v`` (= half the lam-derivative of the
-    characteristic polynomial):
-
-        d(lam)/d(rho) = -(1 + t*lam^2) * c^2 / (2 * Dp * rho)
-        d(lam)/d(u)   = -t * D * lam / Dp
-        d(lam)/d(v)   =  D / Dp
-        d(lam)/d(p)   =  gamma * (1 + t*lam^2) / (2 * Dp * rho)
-
-    For the degenerate pair the slope is v/m, hence
-    ``(0, -t*v/m^2, 1/m, 0)``.
-    """
-    t = gas.t2
-    if family in CONTACT_FAMILIES:
-        m = mass_flux_factor(U, gas)
-        return np.array([0.0, -t * U.v / (m * m), 1.0 / m, 0.0])
-    lam = eigenvalue(U, gas, family)
-    return np.array(_acoustic_gradient(U.rho, U.u, U.v, U.p, gas, family, lam))
-
-
-def _acoustic_gradient(rho: float, u: float, v: float, p: float,
-                       gas: GasParams, family: int, lam: float) -> list:
-    """Acoustic branch of :func:`grad_eigenvalue`, given the slope `lam`."""
+    _check_values(rho, u, p, gas)
     t = gas.t2
     m = 1.0 + t * u
-    c2 = gas.gamma * p / rho
-    D = m * lam - v
-    Dp = (m * m - t * c2) * lam - m * v
-    if Dp == 0.0:
-        # degenerate tangency; fall back to differencing
-        return grad_eigenvalue_fd(State(rho, u, v, p), gas, family).tolist()
-    one_tl2 = 1.0 + t * lam * lam
-    return [
-        -one_tl2 * c2 / (2.0 * Dp * rho),
-        -t * D * lam / Dp,
-        D / Dp,
-        gas.gamma * one_tl2 / (2.0 * Dp * rho),
-    ]
+    # float(rho): a numpy scalar would warn as the quotient overflows
+    c2 = gas.gamma * p / float(rho)
+    if c2 == math.inf:
+        raise DomainError(f"sound speed overflows at density {rho}")
+    den = m * m - t * c2
+    if den <= 0.0:
+        raise DomainError(
+            f"acoustic denominator (1+t*u)^2 - t*c^2 = {den} <= 0; "
+            "state outside hyperbolic region"
+        )
+    disc = m * m + t * (v * v - c2)
+    if disc <= 0.0:
+        raise DomainError(f"acoustic discriminant {disc} <= 0")
+    sgn = -1.0 if family == 1 else 1.0
+    return (m * v + sgn * (math.sqrt(c2) * math.sqrt(disc))) / den
 
 
 def grad_eigenvalue_fd(U: State, gas: GasParams, family: int) -> np.ndarray:
     """Centred finite-difference gradient of a characteristic slope.
 
-    Step per component: ``1e-6 * (1 + |component|)``.  Used as a
-    cross-check of :func:`grad_eigenvalue` and as its fallback at
-    parameter degeneracies.
+    Step per component: ``1e-6 * (1 + |component|)``.
+    :func:`acoustic_field` falls back to it where its closed-form
+    gradient degenerates (``Dp = 0``).
     """
     w = U.as_array()
     out = np.empty(4)
@@ -485,36 +406,6 @@ def grad_eigenvalue_fd(U: State, gas: GasParams, family: int) -> np.ndarray:
         lm = eigenvalue(State.from_array(wm), gas, family)
         out[k] = (lp - lm) / (2.0 * h)
     return out
-
-
-def eigenvector_raw(U: State, gas: GasParams, family: int) -> np.ndarray:
-    """Unnormalised right eigenvector of one family.
-
-    For the acoustic pair, with ``lam`` the family slope and
-    ``D = m*lam - v``:
-
-        r~ = ( (1 + t*lam^2)*rho/D,  -lam,  1,  D*rho )
-
-    For the shear field (family 2): ``(0, m, t*v, 0)``; for the entropy
-    field (family 3): ``(1, 0, 0, 0)``.
-    """
-    t = gas.t2
-    if family == 2:
-        return np.array([0.0, mass_flux_factor(U, gas), t * U.v, 0.0])
-    if family == 3:
-        return np.array([1.0, 0.0, 0.0, 0.0])
-    lam = eigenvalue(U, gas, family)
-    return np.array(_acoustic_raw(U.rho, U.u, U.v, U.p, gas, family, lam))
-
-
-def _acoustic_raw(rho: float, u: float, v: float, p: float,
-                  gas: GasParams, family: int, lam: float) -> list:
-    """Acoustic branch of :func:`eigenvector_raw`, given the slope `lam`."""
-    t = gas.t2
-    D = (1.0 + t * u) * lam - v
-    if D == 0.0:
-        raise DomainError(f"degenerate acoustic direction (D=0) for family {family}")
-    return [(1.0 + t * lam * lam) * rho / D, -lam, 1.0, D * rho]
 
 
 def normalization_coefficient(U: State, gas: GasParams, family: int) -> float:
@@ -532,9 +423,17 @@ def normalization_coefficient(U: State, gas: GasParams, family: int) -> float:
 
 
 def eigenvector(U: State, gas: GasParams, family: int) -> np.ndarray:
-    """Normalised right eigenvector (see :func:`normalization_coefficient`)."""
-    if family in CONTACT_FAMILIES:
-        return eigenvector_raw(U, gas, family)
+    """Normalised right eigenvector (see :func:`normalization_coefficient`).
+
+    The shear field (family 2) is ``(0, m, t*v, 0)`` and the entropy
+    field (family 3) is ``e_rho = (1, 0, 0, 0)``.  Their common slope
+    ``v/m`` has the gradient ``(0, -t*v/m^2, 1/m, 0)``, orthogonal to
+    both; the acoustic pair is :func:`acoustic_field`.
+    """
+    if family == 2:
+        return np.array([0.0, mass_flux_factor(U, gas), gas.t2 * U.v, 0.0])
+    if family == 3:
+        return np.array([1.0, 0.0, 0.0, 0.0])
     return np.array(acoustic_field(U.rho, U.u, U.v, U.p, gas, family))
 
 
@@ -542,18 +441,34 @@ def acoustic_field(rho: float, u: float, v: float, p: float,
                    gas: GasParams, family: int) -> list:
     """:func:`eigenvector` of family 1 or 4 on plain floats, as a 4-list.
 
+    Closed forms.  With ``lam`` the family slope, ``D = m*lam - v`` and
+    ``Dp = (m^2 - t*c^2)*lam - m*v`` (= half the lam-derivative of the
+    characteristic polynomial), the gradient of the slope with respect
+    to ``(rho, u, v, p)`` is
+
+        d(lam)/d(rho) = -(1 + t*lam^2) * c^2 / (2 * Dp * rho)
+        d(lam)/d(u)   = -t * D * lam / Dp
+        d(lam)/d(v)   =  D / Dp
+        d(lam)/d(p)   =  gamma * (1 + t*lam^2) / (2 * Dp * rho)
+
+    (:func:`grad_eigenvalue_fd` where ``Dp = 0``), the unnormalised right
+    eigenvector is
+
+        r~ = ( (1 + t*lam^2)*rho/D,  -lam,  1,  D*rho ),
+
+    and the field is ``r~ / (grad(lam) . r~)``, so ``grad(lam) . r = 1``.
+
     Raises what :func:`acoustic_slope` raises, and :class:`DomainError`
     where the field degenerates (``D = 0`` or ``grad(lam) . r~ = 0``).
 
     Written out flat, with no further Python call but the differencing
-    fallback at ``Dp = 0``, for speed: the operations and their order
-    are those of :func:`acoustic_slope`, :func:`_acoustic_gradient` and
-    :func:`_acoustic_raw`, scaled by ``1 / (grad(lam) . r~)``, with the
-    common terms (``m``, ``m*m``, ``den``, ``D``, ``1 + t*lam^2``)
-    formed once.  The dot product is the plain left-to-right sum of the
-    four products, not ``np.dot``: that costs more than the rest of the
-    kernel, and its rounding follows the BLAS core (an FMA chain on
-    some, this sum on others).
+    fallback at ``Dp = 0``, for speed: the slope takes the operations of
+    :func:`acoustic_slope` in their order, with the common terms (``m``,
+    ``m*m``, ``den``, ``D``, ``1 + t*lam^2``) formed once.  The dot
+    product is the plain left-to-right sum of the four products, not
+    ``np.dot``: that costs more than the rest of the kernel, and its
+    rounding follows the BLAS core (an FMA chain on some, this sum on
+    others).
     """
     if family not in GENUINE_FAMILIES:
         raise ValueError(f"unknown family {family}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from numbers import Real
@@ -71,16 +72,18 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 _SCENARIOS = ("special", "wedge", "riemann-pair", "stability")
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: scenario, gas, scaling grid, engine knobs, outputs.
 
-    ``tau_grid`` is the scaling-parameter sweep, at least one value; the
-    zero-limit system is always run/solved in addition where a comparison
-    needs it.  Every float field must be finite.  Scenario parameters not
-    used by the selected scenario are ignored.
+    ``tau_grid`` is the scaling-parameter sweep, at least one value and
+    no value twice; the rate drivers need three.  The zero-limit system
+    is always run/solved in addition where a comparison needs it.  Every
+    float field must be finite.  Scenario parameters not used by the
+    selected scenario are ignored.
     """
 
     scenario: str
@@ -98,8 +101,10 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             val = getattr(self, f.name)
+            # a comparison, not math.isfinite: that raises OverflowError
+            # on an int too large for a float
             if f.type == "float" and (isinstance(val, bool) or not isinstance(val, Real)
-                                      or not math.isfinite(val)):
+                                      or not -_FLOAT_MAX <= val <= _FLOAT_MAX):
                 raise ConfigError(f"{f.name} must be a finite number, got {val!r}")
         if self.scenario not in _SCENARIOS:
             raise ConfigError(
@@ -110,6 +115,8 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         if not self.tau_grid:
             raise ConfigError("tau_grid is empty; it needs at least one value")
+        if len(set(self.tau_grid)) < len(self.tau_grid):
+            raise ConfigError(f"tau_grid={list(self.tau_grid)!r} repeats a value")
         for tau in self.tau_grid:
             if not 0.0 < tau < self.a_inf:
                 raise ConfigError(
@@ -156,7 +163,10 @@ class ExperimentConfig:
             grid = raw["tau_grid"]
             if not (isinstance(grid, list) and all(type(t) in (int, float) for t in grid)):
                 raise ConfigError(f"tau_grid={grid!r} must be a list of numbers")
-            raw = dict(raw, tau_grid=tuple(float(t) for t in grid))
+            try:
+                raw = dict(raw, tau_grid=tuple(float(t) for t in grid))
+            except OverflowError:
+                raise ConfigError("tau_grid holds an integer too large for a float") from None
         try:
             return cls(**raw)
         except TypeError as exc:
@@ -184,8 +194,8 @@ class RateFit:
     def from_errors(cls, taus, errors, eps: float, x: float) -> "RateFit":
         taus = tuple(float(t) for t in taus)
         errors = tuple(float(e) for e in errors)
-        if len(taus) < 3:
-            raise ConfigError(f"rate fit needs >= 3 grid points, got {len(taus)}")
+        if len(set(taus)) < 3:
+            raise ConfigError(f"rate fit needs >= 3 distinct grid points, got {len(set(taus))}")
         if min(errors) <= 0.0:
             raise ConfigError("rate fit needs positive errors")
         slope, intercept = np.polyfit(np.log(taus), np.log(errors), 1)
@@ -455,10 +465,10 @@ def fan_l1_distance(solA: RiemannSolution, gasA: GasParams,
             continue
         shrink = 1.0e-12 * (zr - zl)
         zlo, zhi = zl + shrink, zr - shrink
-        for comp in range(4):
+        for name in ("rho", "u", "v", "p"):
             def diff(z):
                 UA, UB = sample(z)
-                return float(UA.as_array()[comp] - UB.as_array()[comp])
+                return float(getattr(UA, name) - getattr(UB, name))
             cuts = [zlo]
             flo, fhi = diff(zlo), diff(zhi)
             if flo * fhi < 0.0:
@@ -467,6 +477,14 @@ def fan_l1_distance(solA: RiemannSolution, gasA: GasParams,
             for a_, b_ in zip(cuts, cuts[1:]):
                 total += _quad(lambda z: abs(diff(z)), a_, b_)
     return total * x
+
+
+def _rate_grid(cfg: ExperimentConfig) -> tuple:
+    """``tau_grid`` largest first; a rate fit needs at least three values."""
+    if len(cfg.tau_grid) < 3:
+        raise ConfigError(
+            f"tau_grid needs >= 3 values for a rate fit, got {len(cfg.tau_grid)}")
+    return tuple(sorted(cfg.tau_grid, reverse=True))
 
 
 def run_special_solution(cfg: ExperimentConfig) -> SpecialReport:
@@ -505,6 +523,7 @@ def run_special_solution(cfg: ExperimentConfig) -> SpecialReport:
     """
     if cfg.scenario != "special":
         raise ConfigError(f"scenario {cfg.scenario!r} is not 'special'")
+    taus = _rate_grid(cfg)
     gas0 = cfg.gas(0.0)
     U_b, U_a, _sigma_pin = special_pair(cfg.eps, gas0)
     sol0 = solve_riemann(U_b, U_a, gas0)
@@ -518,8 +537,6 @@ def run_special_solution(cfg: ExperimentConfig) -> SpecialReport:
         return {"E": E, "betas": betas}
 
     results = {tau: one_tau(tau) for tau in cfg.tau_grid}
-
-    taus = tuple(sorted(cfg.tau_grid, reverse=True))
     errors = tuple(results[t]["E"] for t in taus)
     fit = RateFit.from_errors(taus, errors, cfg.eps, cfg.x_station)
 
@@ -598,8 +615,8 @@ def run_convergence(cfg: ExperimentConfig) -> RateFit:
     """
     if cfg.scenario != "wedge":
         raise ConfigError(f"scenario {cfg.scenario!r} is not 'wedge'")
+    taus = _rate_grid(cfg)
     boundary, data = wedge_problem(cfg)
-    taus = tuple(sorted(cfg.tau_grid, reverse=True))
     trajs = {tau: run(data, boundary, cfg.engine, cfg.gas(tau))
              for tau in (0.0, *taus)}
 

@@ -29,6 +29,7 @@ import copy
 import io
 import math
 import operator
+import sys
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -290,7 +291,10 @@ class EngineConfig:
     def __post_init__(self):
         for key in ("h", "x_end"):
             val = getattr(self, key)
-            if isinstance(val, bool) or not (isinstance(val, Real) and 0.0 < val < math.inf):
+            # <= float max, not < inf: an int too large for a float compares
+            # exactly here, where the run would overflow converting it
+            if isinstance(val, bool) or not (isinstance(val, Real)
+                                             and 0.0 < val <= sys.float_info.max):
                 raise ValueError(f"engine key {key}={val!r} must be a positive finite number")
         if isinstance(self.nu, bool) or not isinstance(self.nu, Integral) or self.nu < 1:
             raise ValueError(f"engine key nu={self.nu!r} must be an integer >= 1")

@@ -12,10 +12,14 @@ program must match them in every float and in the number of residual
 evaluations (``test_curves``, ``test_riemann``).  ``solve_riemann`` and
 ``emit_riemann`` are also the interior solve and its front emission as
 they were before each acoustic wave was solved once per call.
-``flux_and_slope`` and ``acoustic_field`` are the chains of ``euler``
-helpers that the program's flat kernels of those names were written out
-from: the flat kernels must match them in every float and in every
-error text (``test_euler``).
+``flux_and_slope`` and ``acoustic_field`` are the flat kernels of those
+names as chains of steps: ``euler.flux_values`` and
+``euler.acoustic_slope`` (themselves checked against :func:`fluxes` and
+:func:`eigenvalue` here), then, for the field, this module's closed-form
+gradient and raw eigenvector at that slope.  The flat kernels must match
+them in every float, type and error text (``test_euler``).  ``euler``
+keeps no second formulation of the gradient or the raw field, so the one
+here is the only reference for them.
 """
 
 import numpy as np
@@ -123,19 +127,30 @@ def eigenvalues(U, gas):
 
 
 def grad_eigenvalue(U, gas, family):
+    """Gradient of an acoustic slope w.r.t. ``(rho, u, v, p)``, closed form."""
+    return np.array(_gradient(U.rho, U.u, U.v, U.p, gas, family, eigenvalue(U, gas, family)))
+
+
+def _gradient(rho, u, v, p, gas, family, lam):
+    """:func:`grad_eigenvalue` given the slope `lam`, as a 4-list.
+
+    Where ``Dp = 0`` it takes ``euler.grad_eigenvalue_fd``, looked up at
+    call time, so a test that replaces it sees both kernels call it.
+    """
     t = gas.t2
-    lam = eigenvalue(U, gas, family)
-    m = 1.0 + t * U.u
-    c2 = gas.gamma * U.p / U.rho
-    D = m * lam - U.v
-    Dp = (m * m - t * c2) * lam - m * U.v
+    m = 1.0 + t * u
+    c2 = gas.gamma * p / rho
+    D = m * lam - v
+    Dp = (m * m - t * c2) * lam - m * v
+    if Dp == 0.0:
+        return euler.grad_eigenvalue_fd(State(rho, u, v, p), gas, family).tolist()
     one_tl2 = 1.0 + t * lam * lam
-    return np.array([
-        -one_tl2 * c2 / (2.0 * Dp * U.rho),
+    return [
+        -one_tl2 * c2 / (2.0 * Dp * rho),
         -t * D * lam / Dp,
         D / Dp,
-        gas.gamma * one_tl2 / (2.0 * Dp * U.rho),
-    ])
+        gas.gamma * one_tl2 / (2.0 * Dp * rho),
+    ]
 
 
 def eigenvector_raw(U, gas, family):
@@ -144,9 +159,16 @@ def eigenvector_raw(U, gas, family):
         return np.array([0.0, 1.0 + t * U.u, t * U.v, 0.0])
     if family == 3:
         return np.array([1.0, 0.0, 0.0, 0.0])
-    lam = eigenvalue(U, gas, family)
-    D = (1.0 + t * U.u) * lam - U.v
-    return np.array([(1.0 + t * lam * lam) * U.rho / D, -lam, 1.0, D * U.rho])
+    return np.array(_raw(U.rho, U.u, U.v, U.p, gas, family, eigenvalue(U, gas, family)))
+
+
+def _raw(rho, u, v, p, gas, family, lam):
+    """The acoustic branch of :func:`eigenvector_raw` given the slope `lam`."""
+    t = gas.t2
+    D = (1.0 + t * u) * lam - v
+    if D == 0.0:
+        raise DomainError(f"degenerate acoustic direction (D=0) for family {family}")
+    return [(1.0 + t * lam * lam) * rho / D, -lam, 1.0, D * rho]
 
 
 def normalization_coefficient(U, gas, family):
@@ -174,10 +196,11 @@ def flux_and_slope(rho, u, v, p, gas, family):
 
 
 def acoustic_field(rho, u, v, p, gas, family):
-    """``euler.acoustic_field`` as the slope, gradient and raw-field helpers."""
+    """``euler.acoustic_field`` as :func:`euler.acoustic_slope`, then this
+    module's gradient and raw field at that slope."""
     lam = euler.acoustic_slope(rho, u, v, p, gas, family)
-    grad = euler._acoustic_gradient(rho, u, v, p, gas, family, lam)
-    raw = euler._acoustic_raw(rho, u, v, p, gas, family, lam)
+    grad = _gradient(rho, u, v, p, gas, family, lam)
+    raw = _raw(rho, u, v, p, gas, family, lam)
     slope = _dot4(grad, raw)
     if slope == 0.0:
         raise DomainError(f"family {family} loses genuine nonlinearity at this state")

@@ -158,7 +158,9 @@ def test_unknown_config_key_exits_2(runner, tmp_path):
                                         ("seed", -1), ("seed", 1.5),
                                         ("rho_threshold", "abc"), ("x_end", "a"),
                                         ("h", True), ("x_end", True),
-                                        ("h", float("inf")), ("x_end", float("inf"))])
+                                        ("h", float("inf")), ("x_end", float("inf")),
+                                        pytest.param("h", 10**400, id="h-401-digits"),
+                                        pytest.param("x_end", 10**400, id="x_end-401-digits")])
 def test_bad_engine_value_exits_2(runner, tmp_path, key, value):
     # the engine rejects the value itself; the CLI names the key on one line
     engine = {key: value}
@@ -177,8 +179,12 @@ def test_bad_engine_value_exits_2(runner, tmp_path, key, value):
     ("converge", {"scenario": "wedge", "tau_grid": []}, "tau_grid"),
     ("stability", {"scenario": "stability", "tau_grid": []}, "tau_grid"),
     ("simulate", {"scenario": "wedge", "engine": {"np_boundary": "absorb"}}, "np_boundary"),
+    ("converge", {"scenario": "wedge", "tau_grid": [0.1, 0.1, 0.1]}, "tau_grid"),
+    ("simulate", {"scenario": "wedge", "tau_grid": [0.1, 0.05, 0.1]}, "tau_grid"),
+    ("converge", {"scenario": "wedge", "tau_grid": [0.1, 0.05]}, "tau_grid"),
 ], ids=["simulate-empty-grid", "converge-empty-grid", "stability-empty-grid",
-        "retired-np-boundary"])
+        "retired-np-boundary", "converge-repeated-grid", "simulate-repeated-grid",
+        "converge-two-value-grid"])
 def test_config_rejected_before_any_run_exits_2(runner, tmp_path, command, payload, key):
     cfg = _cfg_file(tmp_path, payload)
     res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path / "out")])
@@ -190,7 +196,14 @@ def test_config_rejected_before_any_run_exits_2(runner, tmp_path, command, paylo
 
 @pytest.mark.parametrize("key, value", [("engine", 5), ("tau_grid", 0.1),
                                         ("tau_grid", ["x"]), ("gamma", "x"),
-                                        ("wedge_angle", float("nan"))])
+                                        ("wedge_angle", float("nan")),
+                                        # an int too large for a float
+                                        pytest.param("tau_grid", [0.1, 0.05, 10**400],
+                                                     id="tau_grid-401-digits"),
+                                        pytest.param("wedge_angle", 10**400,
+                                                     id="wedge_angle-401-digits"),
+                                        pytest.param("data_amplitude", 10**400,
+                                                     id="data_amplitude-401-digits")])
 def test_wrongly_shaped_config_value_exits_2(runner, tmp_path, key, value):
     cfg = _cfg_file(tmp_path, {"scenario": "wedge", key: value})
     res = runner.invoke(main, ["converge", "--config", cfg,
@@ -222,6 +235,16 @@ def test_special_bad_gas_exits_2(runner, tmp_path, option, value, key):
                                "--out", str(tmp_path / "out")])
     assert res.exit_code == 2
     assert res.stderr.startswith(f"error: {key} must")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid", ["0.1,0.1,0.1", "0.1,0.05"])
+def test_special_bad_grid_exits_2(runner, tmp_path, grid):
+    # a repeated value or fewer than three: no fit, and nothing solved
+    res = runner.invoke(main, ["special", "--tau", grid, "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error: tau_grid")
+    assert len(res.stderr.splitlines()) == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import hyperwedge
+import hyperwedge.experiments as experiments
 from hyperwedge.curves import wave_curve
 from hyperwedge.euler import GasParams, State
 from hyperwedge.experiments import (
@@ -90,6 +91,8 @@ def test_config_validation():
         ExperimentConfig(scenario="wedge", data_amplitude=0.2)
     with pytest.raises(ConfigError):
         ExperimentConfig(scenario="wedge", x_station=5.0)
+    with pytest.raises(ConfigError, match="^tau_grid=.* repeats a value$"):
+        ExperimentConfig(scenario="wedge", tau_grid=(0.1, 0.05, 0.1))
 
 
 def test_rate_fit_recovers_power_law():
@@ -99,6 +102,22 @@ def test_rate_fit_recovers_power_law():
     assert fit.slope == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(ConfigError):
         RateFit.from_errors((0.1, 0.05), (1e-4, 2.5e-5), 1e-3, 1.0)
+    # three points on two abscissae are not three grid points
+    with pytest.raises(ConfigError, match="distinct"):
+        RateFit.from_errors((0.1, 0.1, 0.05), (1e-4, 1e-4, 2.5e-5), 1e-3, 1.0)
+
+
+@pytest.mark.parametrize("driver, scenario", [(run_convergence, "wedge"),
+                                              (run_special_solution, "special")])
+def test_rate_drivers_reject_a_short_grid_before_any_solve(monkeypatch, driver, scenario):
+    calls = []
+    monkeypatch.setattr(experiments, "run", lambda *a, **k: calls.append("run"))
+    monkeypatch.setattr(experiments, "solve_riemann",
+                        lambda *a, **k: calls.append("solve_riemann"))
+    cfg = ExperimentConfig(scenario=scenario, tau_grid=(0.1, 0.05))
+    with pytest.raises(ConfigError, match="^tau_grid needs >= 3 values for a rate fit, got 2$"):
+        driver(cfg)
+    assert calls == []
 
 
 def test_coefficient_row_rel_err():
