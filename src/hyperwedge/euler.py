@@ -142,7 +142,7 @@ class GasParams:
         return replace(self, tau=tau)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class State:
     """Primitive state (rho, u, v, p).
 

@@ -89,9 +89,13 @@ _CHECKPOINT_INTERVAL = 64
 _BOUND_EPS = 64.0 * 2.0 ** -52
 #: events one run may resolve before it gives up
 _MAX_EVENTS = 200_000
+#: largest ``EngineConfig.nu``: ``2.0**-nu`` stays a normal float, and a
+#: rarefaction within the curves' trust radius (strength at most
+#: ``DELTA_TRUST`` = 0.1) is sampled into at most 100 fronts
+_MAX_NU = 1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Front:
     """One straight-line discontinuity.
 
@@ -270,11 +274,11 @@ class EngineConfig:
     ``nu`` controls both the rarefaction sampling (pieces of strength at
     most 1/nu) and, unless overridden, the simplified-solver threshold
     ``rho_threshold = 2^-nu * (initial total strength)``; an infinite
-    ``rho_threshold`` simplifies every interaction.  ``h`` and ``x_end``
-    are positive and finite.  Two values are fixed, not set: the
-    non-physical front slope, 1.2x the largest family-4 slope over the
-    trust-box corners (:func:`default_lambda_hat`), and the budget of
-    ``_MAX_EVENTS`` events per run.
+    ``rho_threshold`` simplifies every interaction.  ``nu`` is at most
+    ``_MAX_NU``; ``h`` and ``x_end`` are positive and finite.  Two values
+    are fixed, not set: the non-physical front slope, 1.2x the largest
+    family-4 slope over the trust-box corners (:func:`default_lambda_hat`),
+    and the budget of ``_MAX_EVENTS`` events per run.
 
     A non-physical carrier that meets the wall is absorbed: it emits no
     front, so the slice functional decreases by exactly the carried
@@ -296,8 +300,9 @@ class EngineConfig:
             if isinstance(val, bool) or not (isinstance(val, Real)
                                              and 0.0 < val <= sys.float_info.max):
                 raise ValueError(f"engine key {key}={val!r} must be a positive finite number")
-        if isinstance(self.nu, bool) or not isinstance(self.nu, Integral) or self.nu < 1:
-            raise ValueError(f"engine key nu={self.nu!r} must be an integer >= 1")
+        nu = self.nu
+        if isinstance(nu, bool) or not isinstance(nu, Integral) or not 1 <= nu <= _MAX_NU:
+            raise ValueError(f"engine key nu={nu!r} must be an integer in [1, {_MAX_NU}]")
         if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
             raise ValueError(f"engine key seed={self.seed!r} must be an integer >= 0")
         rho = self.rho_threshold
@@ -313,17 +318,39 @@ class Event:
     index: int = -1  # lower front index (interaction) or corner number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventRecord:
-    """Bookkeeping for one resolved event (consumed by the functional tests)."""
+    """Bookkeeping for one resolved event (consumed by the functional tests).
+
+    A record references the fronts the run's :class:`SliceLog` already
+    holds rather than copying them: ``removed`` is the fronts the event
+    took out, ``(f_lo, f_up)`` for an interaction, ``(f,)`` at the wall
+    and none at a corner, and ``new_fronts`` is the very list in the
+    event's slice edit.  A corner's signed turning angle is ``omega``
+    (None for every other event).  ``incoming`` and ``outgoing`` are the
+    ``(family, sigma)`` pairs derived from these; a corner comes in as
+    ``((0, omega),)``.
+    """
 
     kind: str
     solver: str
     x: float
     y: float
-    incoming: tuple
-    outgoing: tuple
+    removed: tuple
+    # a list, left out of the hash so that records stay hashable
+    new_fronts: list = field(hash=False)
     emech: float
+    omega: float | None = None
+
+    @property
+    def incoming(self) -> tuple:
+        if self.omega is not None:
+            return ((0, self.omega),)
+        return tuple((f.family, f.sigma) for f in self.removed)
+
+    @property
+    def outgoing(self) -> tuple:
+        return tuple((f.family, f.sigma) for f in self.new_fronts)
 
 
 class SliceLog(Sequence):
@@ -825,7 +852,6 @@ def _resolve_interaction(slice_, event, cfg, gas, rho_threshold, lambda_hat):
     xh = event.x
     yh = f_lo.y_at(xh)
     U0, U2 = f_lo.below, f_up.above
-    incoming = ((f_lo.family, f_lo.sigma), (f_up.family, f_up.sigma))
     emech = pair_potential(f_lo, f_up)
     np_involved = NP_FAMILY in (f_lo.family, f_up.family)
 
@@ -852,8 +878,7 @@ def _resolve_interaction(slice_, event, cfg, gas, rho_threshold, lambda_hat):
         new_fronts = _srs_fronts(f_lo, f_up, U0, U2, xh, yh, gas, cfg.nu, lambda_hat)
         solver = "SRS"
 
-    rec = EventRecord("interaction", solver, xh, yh, incoming,
-                      tuple((f.family, f.sigma) for f in new_fronts), emech)
+    rec = EventRecord("interaction", solver, xh, yh, (f_lo, f_up), new_fronts, emech)
     return (i, i + 2, new_fronts, None), rec
 
 
@@ -924,8 +949,7 @@ def _resolve_boundary(slice_, event, boundary, cfg, gas):
         raise SolverError(f"family-1 front reached the wall at x={xh}")
     new_fronts, top = _emit_wave(U_below, 1, sigma, xh, yh, f.generation, gas, cfg.nu)
 
-    rec = EventRecord(kind, "boundary", xh, yh, ((f.family, f.sigma),),
-                      tuple((fr.family, fr.sigma) for fr in new_fronts), emech)
+    rec = EventRecord(kind, "boundary", xh, yh, (f,), new_fronts, emech)
     return (i, i + 1, new_fronts, top), rec
 
 
@@ -937,8 +961,7 @@ def _resolve_corner(slice_, event, boundary, cfg, gas):
     sigma1 = solve_boundary_riemann(U_top, float(boundary.thetas[k]), gas)
     new_fronts, top = _emit_wave(U_top, 1, sigma1, xh, yh, 1, gas, cfg.nu)
     omega = float(boundary.omegas[k])
-    rec = EventRecord("corner", "boundary", xh, yh, ((0, omega),),
-                      tuple((fr.family, fr.sigma) for fr in new_fronts), abs(omega))
+    rec = EventRecord("corner", "boundary", xh, yh, (), new_fronts, abs(omega), omega)
     n = len(slice_.fronts)
     return (n, n, new_fronts, top), rec
 

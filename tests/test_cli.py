@@ -160,7 +160,9 @@ def test_unknown_config_key_exits_2(runner, tmp_path):
                                         ("h", True), ("x_end", True),
                                         ("h", float("inf")), ("x_end", float("inf")),
                                         pytest.param("h", 10**400, id="h-401-digits"),
-                                        pytest.param("x_end", 10**400, id="x_end-401-digits")])
+                                        pytest.param("x_end", 10**400, id="x_end-401-digits"),
+                                        ("nu", 1001),
+                                        pytest.param("nu", 10**400, id="nu-401-digits")])
 def test_bad_engine_value_exits_2(runner, tmp_path, key, value):
     # the engine rejects the value itself; the CLI names the key on one line
     engine = {key: value}

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import sys
 import tracemalloc
 from bisect import bisect_right
 from dataclasses import replace
@@ -19,7 +20,7 @@ from hyperwedge.euler import (
     fluxes,
 )
 import hyperwedge.tracking as tracking
-from hyperwedge.curves import wave_front
+from hyperwedge.curves import DELTA_TRUST, wave_front
 from hyperwedge.experiments import ExperimentConfig, wedge_problem
 from hyperwedge.riemann import SolverError
 from hyperwedge.tracking import (
@@ -616,6 +617,60 @@ def test_slice_log_retains_under_half_the_eager_slices():
         tracemalloc.stop()
     assert eager == _run_and_full_scan("curved")[1]
     assert 0 < log_bytes < 0.5 * eager_bytes
+
+
+def test_records_reference_the_fronts_of_their_edits():
+    # between them the cases make every kind of event; each record holds
+    # the very fronts its slice edit took out (after any perturbation
+    # edits before it) and the edit's own list of new fronts
+    kinds = set()
+    for case in sorted(_RUN_CASES):
+        traj = _run_and_full_scan(case)[0]
+        log, wall = traj.slices, traj.boundary
+        assert len(log) == len(traj.records) + 2
+        for k, (sl, rec) in enumerate(zip(log, traj.records), start=1):
+            *perturbations, edit = log._edits[k]
+            fronts, top_state = sl.fronts, sl.top_state
+            for p in perturbations:
+                fronts, top_state = tracking._edited(fronts, top_state, p)
+            start, stop, new_fronts, _ = edit
+            removed = fronts[start:stop]
+            assert rec.new_fronts is new_fronts
+            assert len(rec.removed) == len(removed)
+            assert all(a is b for a, b in zip(rec.removed, removed))
+            assert rec.outgoing == tuple((f.family, f.sigma) for f in new_fronts)
+            if rec.kind == "corner":
+                assert not removed
+                assert rec.omega == float(wall.omegas[wall.segment_index(rec.x)]) != 0.0
+                assert rec.incoming == ((0, rec.omega),)
+            else:
+                assert rec.omega is None
+                assert rec.incoming == tuple((f.family, f.sigma) for f in removed)
+            kinds.add((rec.kind, rec.solver))
+    assert kinds == {("interaction", "SRS"), ("interaction", "ARS"), ("boundary", "boundary"),
+                     ("np_boundary", "boundary"), ("corner", "boundary")}
+
+
+def test_per_event_dataclasses_have_no_instance_dict():
+    # one State, Front and EventRecord per front, per event: a field added
+    # without slots would bring a dict back to each of them
+    rec = next(r for r in _run_and_full_scan("curved")[0].records if r.new_fronts)
+    front = rec.new_fronts[0]
+    state = front.below
+    for obj, name, value in ((state, "rho", 2.0), (front, "speed", 0.5), (rec, "x", 0.25)):
+        assert not hasattr(obj, "__dict__")
+        moved = replace(obj, **{name: value})
+        assert getattr(moved, name) == value
+        assert replace(moved, **{name: getattr(obj, name)}) == obj
+    assert hash(rec) == hash(replace(rec, new_fronts=list(rec.new_fronts)))
+
+
+def test_nu_bound_keeps_the_threshold_normal_and_the_fans_small():
+    # the bound's reasons; one past it is refused in test_cli.py
+    nu = tracking._MAX_NU
+    assert EngineConfig(nu=nu).nu == nu
+    assert 2.0 ** -nu >= sys.float_info.min
+    assert tracking._pieces(1, DELTA_TRUST, nu) == 100
 
 
 def _scan_x(lo, up, x0):
