@@ -31,6 +31,8 @@ from .euler import (
     GasParams,
     State,
     acoustic_field,
+    acoustic_slope,
+    bernoulli,
     check_state,
     eigenvalue,
     flow_slope,
@@ -54,12 +56,15 @@ __all__ = [
 #: |sigma| <= DELTA_TRUST
 DELTA_TRUST = 0.1
 
-#: |sigma| below which rarefaction integration takes two fixed classic
-#: RK4 steps (error ~ sigma^5 << tolerances).  At 8 field evaluations they
-#: cost more than the 6 of one Cash-Karp step; they are kept because the
-#: Riemann Newton's ~1e-7 finite-difference columns, and with them the
-#: special solution's floats, run through them bit for bit
+#: |sigma| below which a rarefaction takes two classic RK4 steps along the
+#: normalised field (error ~ sigma^5), not its invariants: the special
+#: solution's floats run through them, and the benchmark's frozen
+#: reference holds those floats until it is re-recorded
 _TINY_SIGMA = 1.0e-5
+
+#: cap on the secant steps of a rarefaction's end state; in the trust box
+#: each stops after at most 7, once its step is at rounding level
+_SECANT_MAXIT = 20
 
 _NEWTON_TOL = 1.0e-12
 _NEWTON_MAXIT = 50
@@ -143,101 +148,39 @@ def damped_newton(F, x0):
 def _nan_max(values: list) -> float:
     """``max(values)``, NaN if any value is NaN, as ``np.max`` gives it.
 
-    ``max`` alone may skip a NaN, so a NaN residual or error estimate
-    would pass for a small one.
+    ``max`` alone may skip a NaN, so a NaN residual would pass for a
+    small one.
     """
     return math.nan if math.isnan(sum(values)) else max(values)
 
 
 # ---------------------------------------------------------------------------
-# rarefaction integration
+# rarefactions (simple-wave invariants)
 # ---------------------------------------------------------------------------
 
-# Cash-Karp embedded Runge-Kutta 4(5) tableau
-_CK_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (3.0 / 10.0, -9.0 / 10.0, 6.0 / 5.0),
-    (-11.0 / 54.0, 5.0 / 2.0, -70.0 / 27.0, 35.0 / 27.0),
-    (1631.0 / 55296.0, 175.0 / 512.0, 575.0 / 13824.0, 44275.0 / 110592.0, 253.0 / 4096.0),
-)
-_CK_B5 = (37.0 / 378.0, 0.0, 250.0 / 621.0, 125.0 / 594.0, 0.0, 512.0 / 1771.0)
-_CK_B4 = (2825.0 / 27648.0, 0.0, 18575.0 / 48384.0, 13525.0 / 55296.0,
-          277.0 / 14336.0, 1.0 / 4.0)
-
-_ODE_RTOL = 1.0e-12
-_ODE_ATOL = 1.0e-14
-
-
-def _integrate_field(rhs, y0, length):
-    """Integrate dy/ds = rhs(y) over s in [0, length], adaptive embedded 4(5).
-
-    `y0` and the values of `rhs` are 4-lists; so is the result.  `length`
-    may be negative.  Tolerances are fixed at the module level (rel
-    1e-12, abs 1e-14); step size follows the usual 0.9*err^(-1/5)
-    controller.  The first trial step is the whole wave: in the trust box
-    one step passes the error test for |length| up to about 5e-3, so a
-    weak wave costs six field evaluations.  A rejected step keeps
-    ``k[0]``, since `y` has not moved.
-    """
-    y = list(y0)
-    if length == 0.0:
-        return y
-    s = 0.0
-    h = length
-    direction = 1.0 if length > 0 else -1.0
-    k = [None] * 6
-    moved = True
-    while direction * (length - s) > 1.0e-16 * abs(length):
-        if direction * (s + h) > direction * length:
-            h = length - s
-        if moved:
-            k[0] = rhs(y)
-        for i in range(1, 6):
-            k[i] = rhs(_stage(y, h, _CK_A[i], k))
-        y5 = _stage(y, h, _CK_B5, k)
-        y4 = _stage(y, h, _CK_B4, k)
-        ratios = [abs(a - b) / (_ODE_ATOL + _ODE_RTOL * max(abs(c), abs(a)))
-                  for a, b, c in zip(y5, y4, y)]
-        err = _nan_max(ratios)  # a NaN entry rejects the step
-        moved = err <= 1.0
-        if moved:
-            s += h
-            y = y5
-            h *= min(5.0, 0.9 * err ** -0.2 if err > 0 else 5.0)
-        else:
-            h *= max(0.2, 0.9 * err ** -0.2)
-        if abs(h) < 1.0e-15 * abs(length):
-            raise CurveError("rarefaction step size underflow")
-    return y
-
-
-def _stage(y, h, coeffs, k):
-    """``y + h * sum(c_j * k_j)`` on 4-lists.
-
-    Summed term by term in tableau order from an integer 0, zero entries
-    included, which rounds exactly as the same sum over numpy arrays.
-    Written out rather than with ``sum()``: from Python 3.12 ``sum`` of
-    floats is compensated and rounds differently.
-    """
-    a0 = a1 = a2 = a3 = 0
-    for c, (k0, k1, k2, k3) in zip(coeffs, k):
-        a0 += c * k0
-        a1 += c * k1
-        a2 += c * k2
-        a3 += c * k3
-    return [y[0] + h * a0, y[1] + h * a1, y[2] + h * a2, y[3] + h * a3]
-
-
 def _rarefaction(U: State, gas: GasParams, family: int, sigma: float) -> State:
-    """Integrate the normalised field of a genuinely nonlinear family."""
+    """End state of a rarefaction, from the simple-wave invariants.
 
-    def rhs(w):
-        return acoustic_field(*w, gas, family)
-
+    The entropy ``p/rho^gamma``, ``B``, and ``phi - G`` (family 1) or
+    ``phi + G`` (family 4) stay constant across a simple wave (Courant &
+    Friedrichs, ch. IV): ``phi = atan2(tau v, m)/tau`` is the scaled flow
+    angle and ``G = f(a) - sqrt(K) f(sqrt(K) a)`` the scaled Prandtl-Meyer
+    angle ``(nu(M) - nu_max)/tau``, with ``f(x) = atan(tau x)/tau``,
+    ``K = (gamma+1)/(gamma-1)``, ``a = c/sqrt(Q^2 - tau^2 c^2)`` and
+    ``Q^2 = m^2 + tau^2 v^2 = 1 + 2 tau^2 e``, ``e = B - c^2/(gamma-1)``.
+    At ``tau = 0`` the last is ``v +/- 2c/(gamma-1)``.  Given ``c`` they
+    fix the state, with ``u = 2e/(Q+1) - 2Q (sin(tau phi/2)/tau)^2`` free of
+    cancellation, and ``c`` solves ``lam_j(W(c)) = lam_j(U) + sigma``:
+    explicitly at ``tau = 0``, else by a secant from the field's linear
+    step, stopped at rounding level.  A state leaving the hyperbolic
+    region raises :class:`DomainError`, a secant that does not converge
+    :class:`CurveError`.  Below ``_TINY_SIGMA``: two RK4 steps.
+    """
     w = [float(U.rho), float(U.u), float(U.v), float(U.p)]
     if abs(sigma) < _TINY_SIGMA:
+        def rhs(w):
+            return acoustic_field(*w, gas, family)
+
         # two classic RK4 steps; local error ~ (sigma/2)^5 per step
         h = sigma / 2.0
         for _ in range(2):
@@ -248,7 +191,56 @@ def _rarefaction(U: State, gas: GasParams, family: int, sigma: float) -> State:
             w = [a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                  for a, b1, b2, b3, b4 in zip(w, k1, k2, k3, k4)]
         return State(*w)
-    return State(*_integrate_field(rhs, w, sigma))
+    rho0, u0, v0, p0 = w
+    g, tau, t = gas.gamma, gas.tau, gas.t2
+    gm = g - 1.0
+    sk = math.sqrt((g + 1.0) / gm)
+    sgn = -1.0 if family == 1 else 1.0
+    B = bernoulli(State(*w), gas)
+    c0 = math.sqrt(g * p0 / rho0)
+
+    def angle(c):  # e, Q and G at sound speed c
+        e = B - c * c / gm
+        if t == 0.0:
+            return e, 1.0, -2.0 * c / gm
+        q2 = 1.0 + 2.0 * t * e
+        if not q2 > t * c * c:
+            raise DomainError(f"rarefaction leaves the hyperbolic region at sound speed {c}")
+        a = c / math.sqrt(q2 - t * c * c)
+        return e, math.sqrt(q2), (math.atan(tau * a) - sk * math.atan(tau * sk * a)) / tau
+
+    invariant = (v0 if t == 0.0 else math.atan2(tau * v0, 1.0 + t * u0) / tau) + sgn * angle(c0)[2]
+
+    def state(c):
+        if not c > 0.0:
+            raise CurveError(f"rarefaction reaches sound speed {c}")
+        e, Q, G = angle(c)
+        phi = invariant - sgn * G
+        r = c / c0
+        x = r ** (2.0 / gm)  # rho/rho0 at the entropy of U
+        if t == 0.0:
+            return State(rho0 * x, e - 0.5 * phi * phi, phi, p0 * x * r * r)
+        half = math.sin(0.5 * tau * phi) / tau
+        return State(rho0 * x, 2.0 * e / (Q + 1.0) - 2.0 * Q * half * half,
+                     Q * math.sin(tau * phi) / tau, p0 * x * r * r)
+
+    if t == 0.0:  # lam_j = v -/+ c
+        return state(c0 + sgn * sigma * gm / (g + 1.0))
+    lam0 = acoustic_slope(rho0, u0, v0, p0, gas, family)
+    field = acoustic_field(rho0, u0, v0, p0, gas, family)
+    c_prev, res_prev = c0, -sigma
+    c = c0 + sigma * 0.5 * c0 * (field[3] / p0 - field[0] / rho0)  # dc/dsigma along the field
+    for _ in range(_SECANT_MAXIT):
+        W = state(c)
+        res = acoustic_slope(W.rho, W.u, W.v, W.p, gas, family) - lam0 - sigma
+        # equal residuals: the secant is flat, at rounding level
+        step = 0.0 if res == res_prev else res * (c - c_prev) / (res - res_prev)
+        if abs(step) <= 2.0 ** -51 * c:
+            return W
+        c_prev, res_prev = c, res
+        c -= step
+    raise CurveError(f"rarefaction secant did not converge: residual {res:.3e} "
+                     f"after {_SECANT_MAXIT} steps")
 
 
 # ---------------------------------------------------------------------------

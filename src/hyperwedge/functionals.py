@@ -44,6 +44,7 @@ from .tracking import (
     SolutionSlice,
     Trajectory,
     pair_potential,
+    total_strength,
 )
 
 __all__ = [
@@ -256,16 +257,11 @@ def _crossing_count_weights(fronts_below, fronts_above, q):
         for f, _which in fronts_above:
             if f.family != NP_FAMILY and f.family < j:
                 a += abs(f.sigma)
-        if q[j - 1] < 0.0:
-            a += sum(abs(f.sigma) for f, which in fronts_above
-                     if which == 0 and f.family == j)
-            a += sum(abs(f.sigma) for f, which in fronts_below
-                     if which == 1 and f.family == j)
-        elif q[j - 1] > 0.0:
-            a += sum(abs(f.sigma) for f, which in fronts_below
-                     if which == 0 and f.family == j)
-            a += sum(abs(f.sigma) for f, which in fronts_above
-                     if which == 1 and f.family == j)
+        if q[j - 1] < 0.0 or q[j - 1] > 0.0:
+            first, second = ((fronts_above, fronts_below) if q[j - 1] < 0.0
+                             else (fronts_below, fronts_above))
+            a += total_strength(f.sigma for f, which in first if which == 0 and f.family == j)
+            a += total_strength(f.sigma for f, which in second if which == 1 and f.family == j)
         out[j - 1] = _KAPPA * a
     return out
 
@@ -299,9 +295,8 @@ def lyapunov_functional(sliceU: SolutionSlice, sliceV: SolutionSlice,
 
     qU = interaction_potential(sliceU.fronts)
     qV = interaction_potential(sliceV.fronts)
-    s4 = sum(abs(f.sigma) for f in sliceU.fronts
-             if f.family == 4) + sum(abs(f.sigma) for f in sliceV.fronts
-                                     if f.family == 4)
+    s4 = (total_strength(f.sigma for f in sliceU.fronts if f.family == 4)
+          + total_strength(f.sigma for f in sliceV.fronts if f.family == 4))
     base_weight = (1.0 + _KAPPA * (qU + qV) + _KAPPA * s4
                    + _KAPPA * boundaryU.corner_tail(x)
                    + _KAPPA * boundaryV.corner_tail(x))

@@ -70,6 +70,7 @@ __all__ = [
     "next_event",
     "resolve_event",
     "pair_potential",
+    "total_strength",
     "run",
     "write_trajectory",
     "export_trajectory",
@@ -170,7 +171,7 @@ class BoundaryPolyline:
     def corner_tail(self, x: float) -> float:
         """Sum of ``|omegas[k]|`` over the corners k >= 1 beyond `x`."""
         xs, ks = self._turning_corners
-        return float(sum(abs(float(self.omegas[k])) for k in ks[bisect_right(xs, x):]))
+        return total_strength(float(self.omegas[k]) for k in ks[bisect_right(xs, x):])
 
     @cached_property
     def _min_tan_from(self) -> list:
@@ -810,6 +811,15 @@ def _find_clash(near) -> set | None:
 # event resolution
 # ---------------------------------------------------------------------------
 
+def total_strength(strengths) -> float:
+    """Sum of ``|s|`` over `strengths`, added left to right: from Python
+    3.12 builtin ``sum`` compensates float sums and rounds otherwise."""
+    total = 0.0
+    for s in strengths:
+        total += abs(s)
+    return total
+
+
 def pair_potential(f_lo: Front, f_up: Front) -> float:
     """|sigma sigma'| if the ordered pair is approaching, else 0."""
     i, j = f_lo.family, f_up.family
@@ -989,7 +999,7 @@ def run(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
         cur = initialize(data, boundary, cfg, gas)
         rho_threshold = cfg.rho_threshold
         if rho_threshold is None:
-            rho_threshold = 2.0 ** (-cfg.nu) * float(sum(abs(f.sigma) for f in cur.fronts))
+            rho_threshold = 2.0 ** (-cfg.nu) * float(total_strength(f.sigma for f in cur.fronts))
         lambda_hat = default_lambda_hat(gas)
         log, records = SliceLog(cur), []
         cur.edits = []

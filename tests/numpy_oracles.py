@@ -25,9 +25,6 @@ here is the only reference for them.
 import numpy as np
 
 from hyperwedge.curves import (
-    _CK_A,
-    _CK_B4,
-    _CK_B5,
     _NEWTON_FD_STEP,
     _NEWTON_MAX_HALVINGS,
     _NEWTON_MAXIT,
@@ -231,54 +228,24 @@ def shock_solve(U, gas, family, sigma):
     return State(z[0], z[1], z[2], z[3]), float(z[4])
 
 
-def integrate_field(rhs, y0, length):
-    """``curves._integrate_field`` on numpy arrays."""
-    y = np.array(y0, dtype=float)
-    if length == 0.0:
-        return y
-    s = 0.0
-    h = length
-    direction = 1.0 if length > 0 else -1.0
-    k = [None] * 6
-    while direction * (length - s) > 1.0e-16 * abs(length):
-        if direction * (s + h) > direction * length:
-            h = length - s
-        k[0] = rhs(y)
-        for i in range(1, 6):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_CK_A[i]))
-            k[i] = rhs(yi)
-        y5 = y + h * sum(b * ki for b, ki in zip(_CK_B5, k))
-        y4 = y + h * sum(b * ki for b, ki in zip(_CK_B4, k))
-        err = np.max(np.abs(y5 - y4) / (1.0e-14 + 1.0e-12 * np.maximum(np.abs(y), np.abs(y5))))
-        if err <= 1.0:
-            s += h
-            y = y5
-            h *= min(5.0, 0.9 * err ** -0.2 if err > 0 else 5.0)
-        else:
-            h *= max(0.2, 0.9 * err ** -0.2)
-        if abs(h) < 1.0e-15 * abs(length):
-            raise CurveError("rarefaction step size underflow")
-    return y
-
-
 def rarefaction(U, gas, family, sigma):
-    """``curves._rarefaction`` with the numpy field."""
+    """``curves._rarefaction`` below ``_TINY_SIGMA`` (its two RK4 steps),
+    with the numpy field."""
+    if not abs(sigma) < _TINY_SIGMA:
+        raise ValueError(f"the RK4 steps serve |sigma| < {_TINY_SIGMA}, got {sigma}")
 
     def rhs(w):
         return eigenvector(State.from_array(w), gas, family)
 
-    w0 = U.as_array()
-    if abs(sigma) < _TINY_SIGMA:
-        w = w0
-        h = sigma / 2.0
-        for _ in range(2):
-            k1 = rhs(w)
-            k2 = rhs(w + 0.5 * h * k1)
-            k3 = rhs(w + 0.5 * h * k2)
-            k4 = rhs(w + h * k3)
-            w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return State.from_array(w)
-    return State.from_array(integrate_field(rhs, w0, sigma))
+    w = U.as_array()
+    h = sigma / 2.0
+    for _ in range(2):
+        k1 = rhs(w)
+        k2 = rhs(w + 0.5 * h * k1)
+        k3 = rhs(w + 0.5 * h * k2)
+        k4 = rhs(w + h * k3)
+        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return State.from_array(w)
 
 
 def solve_riemann(U_b, U_a, gas):

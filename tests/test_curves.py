@@ -15,6 +15,7 @@ from hyperwedge.euler import (
     State,
     acoustic_field,
     acoustic_slope,
+    bernoulli,
     eigenvalue,
     eigenvector,
     flow_slope,
@@ -260,12 +261,14 @@ def test_emit_wave_solves_each_shock_once(gas, bg, monkeypatch):
 # ---------------------------------------------------------------------------
 
 #: both signs, below and above _TINY_SIGMA (2e-6 and 8e-6 take the fixed
-#: RK4 steps, the others the adaptive Cash-Karp integration)
+#: RK4 steps, 4e-3 and 3e-2 the simple-wave invariants)
 _KERNEL_SIGMAS = (-3e-2, -4e-3, -8e-6, -2e-6, 2e-6, 8e-6, 4e-3, 3e-2)
 
 
 @pytest.mark.parametrize("tau", (0.0, 0.1))
 def test_wave_curves_match_numpy_formulation(tau):
+    # rarefactions from _TINY_SIGMA up have no numpy twin: the invariant
+    # test checks them, and here only that wave_front agrees with them
     gas = GasParams(gamma=1.4, a_inf=2.0, tau=tau)
     assert min(abs(s) for s in _KERNEL_SIGMAS) < curves._TINY_SIGMA < 4e-3
     for U in trust_box_states(gas, 4, seed=5):
@@ -277,7 +280,8 @@ def test_wave_curves_match_numpy_formulation(tau):
                     want = (jump, slope)
                     assert shock_speed(U, j, sig, gas) == slope
                 else:
-                    W = oracle.rarefaction(U, gas, j, sig)
+                    W = (oracle.rarefaction(U, gas, j, sig) if sig < curves._TINY_SIGMA
+                         else wave_curve(U, j, sig, gas))
                     want = (W, oracle.eigenvalue(W if j == 1 else U, gas, j))
                 assert wave_curve(U, j, sig, gas) == want[0]
                 assert wave_front(U, j, sig, gas) == want
@@ -292,20 +296,6 @@ def test_wave_curve_rejects_a_nonfinite_input(gas, sigma):
         wave_curve(State(1.0, 0.0, math.nan, pb), 1, sigma, gas)
     with pytest.raises(DomainError, match=r"^non-finite u inf \(wave_front input\)$"):
         wave_front(State(1.0, math.inf, 0.0, pb), 4, sigma, gas)
-
-
-def test_integrate_field_matches_numpy_formulation(gas, bg):
-    U = wave_curve(bg, 2, 3e-3, gas)
-    for j in GENUINE_FAMILIES:
-        def field(w):
-            return acoustic_field(*w, gas, j)
-
-        def np_field(w):
-            return oracle.eigenvector(State.from_array(w), gas, j)
-
-        for length in (-2e-2, -1e-4, 1e-4, 2e-2):
-            got = curves._integrate_field(field, U.as_array().tolist(), length)
-            assert got == oracle.integrate_field(np_field, U.as_array(), length).tolist()
 
 
 def test_damped_newton_halves_past_domain_errors(gas0):
@@ -329,41 +319,8 @@ def test_damped_newton_halves_past_domain_errors(gas0):
 
 
 # ---------------------------------------------------------------------------
-# adaptive rarefactions: the first trial step is the whole wave
+# rarefactions against an independent integration
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("tau", (0.0, 0.1))
-def test_weak_rarefaction_takes_one_cash_karp_step(tau, monkeypatch):
-    gas = GasParams(gamma=1.4, a_inf=2.0, tau=tau)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return acoustic_field(*args)
-
-    monkeypatch.setattr(curves, "acoustic_field", counted)
-    for U in trust_box_states(gas, 4, seed=7):
-        for j in GENUINE_FAMILIES:
-            for sigma in (curves._TINY_SIGMA, 1e-4, 1e-3):
-                calls.clear()
-                wave_curve(U, j, sigma, gas)
-                assert len(calls) == 6, (U, j, sigma)
-
-
-def test_rejected_step_keeps_its_first_stage(gas, bg):
-    # y does not move on a rejected step, so rhs(y) is not evaluated
-    # again: no two evaluations share an argument, and a retry costs 5
-    for length in (1e-2, 3e-2, -3e-2, DELTA_TRUST):
-        args = []
-
-        def field(w):
-            args.append(tuple(w))
-            return acoustic_field(*w, gas, 4)
-
-        curves._integrate_field(field, bg.as_array().tolist(), length)
-        assert len(set(args)) == len(args)
-        assert len(args) % 6 != 0  # at least one step was rejected
-
 
 def _fixed_step_rarefaction(U, gas, j, sigma, n=512):
     """`n` classic RK4 steps along the normalised field."""
@@ -389,6 +346,58 @@ def test_rarefaction_matches_a_fine_fixed_step_integration(tau):
                 want = _fixed_step_rarefaction(U, gas, j, sigma)
                 # relative to the state's size: u and v may be near zero
                 assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)), (U, j, sigma)
+
+
+def _simple_wave_invariant(U, gas, family):
+    """``phi - G`` (family 1) or ``phi + G`` (family 4) at `U`, the scaled
+    flow angle and Prandtl-Meyer angle of :func:`curves._rarefaction`,
+    from their definitions; at ``tau = 0`` ``v +/- 2c/(gamma-1)``."""
+    g, tau, t = gas.gamma, gas.tau, gas.t2
+    c2 = g * U.p / U.rho
+    sgn = 1.0 if family == 1 else -1.0
+    if tau == 0.0:
+        return U.v + sgn * 2.0 * math.sqrt(c2) / (g - 1.0)
+    k = (g + 1.0) / (g - 1.0)
+    m = 1.0 + t * U.u
+    a = math.sqrt(c2 / (m * m + t * U.v * U.v - t * c2))
+    G = (math.atan(tau * a) - math.sqrt(k) * math.atan(tau * math.sqrt(k) * a)) / tau
+    return math.atan2(tau * U.v, m) / tau - sgn * G
+
+
+@pytest.mark.parametrize("tau", (0.0, 0.0125, 0.05, 0.1, 0.4))
+def test_rarefaction_keeps_the_simple_wave_invariants(tau):
+    # bounds at rounding level: an integration of the field at a 1e-12
+    # tolerance keeps the invariants only to about 1e-14
+    gas = GasParams(gamma=1.4, a_inf=2.0, tau=tau)
+    g = gas.gamma
+    for U in trust_box_states(gas, 40, seed=17):
+        entropy = U.p / U.rho ** g
+        B = bernoulli(U, gas)
+        for j in GENUINE_FAMILIES:
+            invariant = _simple_wave_invariant(U, gas, j)
+            lam0 = eigenvalue(U, gas, j)
+            for sigma in (curves._TINY_SIGMA, 1e-4, 1e-3, 1e-2, DELTA_TRUST):
+                W = wave_curve(U, j, sigma, gas)
+                where = (U, j, sigma)
+                assert abs(W.p / W.rho ** g - entropy) <= 2e-15 * entropy, where
+                assert abs(bernoulli(W, gas) - B) <= 2e-15 * abs(B), where
+                drift = _simple_wave_invariant(W, gas, j) - invariant
+                assert abs(drift) <= 2e-15 * abs(invariant), where
+                assert abs(eigenvalue(W, gas, j) - lam0 - sigma) <= 4e-15, where
+
+
+@pytest.mark.parametrize("tau", (0.0, 0.1))
+def test_rarefaction_past_vacuum_raises_a_curve_error(tau):
+    # a family-1 wave of 0.1 from sound speed 0.012 would end at c < 0
+    gas = GasParams(gamma=1.4, a_inf=2.0, tau=tau)
+    with pytest.raises(CurveError, match=r"^rarefaction reaches sound speed -"):
+        wave_curve(State(1.0, 0.0, 0.0, 1e-4), 1, DELTA_TRUST, gas)
+
+
+def test_rarefaction_secant_that_does_not_converge_raises(gas, bg, monkeypatch):
+    monkeypatch.setattr(curves, "_SECANT_MAXIT", 1)
+    with pytest.raises(CurveError, match=r"^rarefaction secant did not converge: residual"):
+        wave_curve(bg, 4, 1e-2, gas)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Experiment drivers, configs, and CSV emission."""
 
+import builtins
 import json
 import math
 import os
@@ -404,6 +405,36 @@ def test_default_drivers_run_without_np_dot(monkeypatch):
         monkeypatch.setattr(module, "np", _NumpyWithoutDot())
     assert run_convergence(ExperimentConfig(scenario="wedge")).errors
     assert run_stability(ExperimentConfig(scenario="stability")).rows
+
+
+def _sum_without_floats(iterable, start=0):
+    """Builtin ``sum``, raising on a float item: from Python 3.12 it
+    compensates float sums, so a run's floats would follow the version."""
+    items = list(iterable)
+    if any(isinstance(a, float) for a in items):
+        raise AssertionError("builtin sum of floats")
+    return builtins.sum(items, start)
+
+
+def test_float_sums_do_not_depend_on_the_python_version(monkeypatch):
+    # the ARS/SRS threshold, the corner tail and the Lyapunov weights add
+    # their strengths left to right, not by builtin sum
+    import hyperwedge.functionals as functionals
+    import hyperwedge.tracking as tracking
+    from test_tracking import _curved_case
+    for module in (tracking, functionals):
+        monkeypatch.setattr(module, "sum", _sum_without_floats, raising=False)
+    assert run_convergence(ExperimentConfig(scenario="wedge")).errors
+    assert run_stability(ExperimentConfig(scenario="stability")).rows
+    data, wall, cfg, gas = _curved_case()
+    traj = tracking.run(data, wall, cfg, gas)
+    assert functionals.glimm_trace(traj, functionals.GlimmWeights.from_background(gas)).values
+    states = tuple(State(s.rho, s.u, s.v + 5e-4, s.p) for s in data.states)
+    twin = tracking.run(tracking.InitialData(data.breaks, states), wall, cfg, gas)
+    value = functionals.lyapunov_functional(
+        traj.slice_at(0.5), twin.slice_at(0.5), wall, wall,
+        functionals.LyapunovWeights.from_background(gas), gas, x_horizon=2.0)
+    assert value.interior > 0.0 and value.boundary_tail == 0.0
 
 
 # ---------------------------------------------------------------------------

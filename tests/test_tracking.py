@@ -600,9 +600,11 @@ def test_slice_log_replays_the_full_scan_slices(case):
 
 
 def test_slice_log_retains_under_half_the_eager_slices():
-    # the memory the log holds beyond the fronts it refers to, against a
-    # list of whole slices equal to the full-scan oracle's: an eager copy
-    # keeps every front alive while the log is dropped
+    # the memory the log and the records hold beyond the fronts they refer
+    # to, against a list of whole slices equal to the full-scan oracle's:
+    # an eager copy keeps every front alive while both are dropped (the
+    # records reference the log's fronts, so dropping the log alone frees
+    # little)
     data, wall, cfg, gas = _curved_case()
     tracemalloc.start()
     try:
@@ -611,12 +613,12 @@ def test_slice_log_retains_under_half_the_eager_slices():
         eager = [SolutionSlice(sl.x, list(sl.fronts), sl.top_state) for sl in traj.slices]
         eager_bytes = tracemalloc.get_traced_memory()[0] - before
         before = tracemalloc.get_traced_memory()[0]
-        traj.slices = None
-        log_bytes = before - tracemalloc.get_traced_memory()[0]
+        traj.slices = traj.records = None
+        freed_bytes = before - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert eager == _run_and_full_scan("curved")[1]
-    assert 0 < log_bytes < 0.5 * eager_bytes
+    assert 0 < freed_bytes < 0.5 * eager_bytes
 
 
 def test_records_reference_the_fronts_of_their_edits():
