@@ -128,12 +128,11 @@ def riemann(below, above, tau, gamma, a_inf):
         _fail(_CONFIG_EXIT, str(exc))
     sol = _guard(solve_riemann, U_b, U_a, gas)
     for j in (1, 2, 3, 4):
-        lo, hi = (float(s) for s in sol.speed_span(j))
+        lo, hi = sol.speed_span(j)
         span = f"{lo!r}" if lo == hi else f"{lo!r} .. {hi!r}"
-        click.echo(f"wave {j}: sigma={float(sol.strengths[j - 1])!r}  speed={span}")
+        click.echo(f"wave {j}: sigma={sol.strengths[j - 1]!r}  speed={span}")
     for k, U in enumerate(sol.middle_states, start=1):
-        click.echo(f"middle {k}: rho={float(U.rho)!r} u={float(U.u)!r} "
-                   f"v={float(U.v)!r} p={float(U.p)!r}")
+        click.echo(f"middle {k}: rho={U.rho!r} u={U.u!r} v={U.v!r} p={U.p!r}")
 
 
 @main.command()

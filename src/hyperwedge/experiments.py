@@ -419,8 +419,7 @@ def special_pair(eps: float, gas0: GasParams):
 def _fan_breakpoints(sol: RiemannSolution):
     pts = []
     for j in (1, 2, 3, 4):
-        lo, hi = sol.speed_span(j)
-        pts.extend([float(lo), float(hi)])
+        pts.extend(sol.speed_span(j))
     return pts
 
 
@@ -527,14 +526,13 @@ def run_special_solution(cfg: ExperimentConfig) -> SpecialReport:
     gas0 = cfg.gas(0.0)
     U_b, U_a, _sigma_pin = special_pair(cfg.eps, gas0)
     sol0 = solve_riemann(U_b, U_a, gas0)
-    sigma_a1 = float(sol0.strengths[0])
+    sigma_a1 = sol0.strengths[0]
 
     def one_tau(tau: float):
         gas = cfg.gas(tau)
         sol = solve_riemann(U_b, U_a, gas)
         E = fan_l1_distance(sol, gas, sol0, gas0, U_b, cfg.x_station)
-        betas = np.asarray(sol.strengths, dtype=float)
-        return {"E": E, "betas": betas}
+        return {"E": E, "betas": sol.strengths}
 
     results = {tau: one_tau(tau) for tau in cfg.tau_grid}
     errors = tuple(results[t]["E"] for t in taus)
@@ -545,14 +543,14 @@ def run_special_solution(cfg: ExperimentConfig) -> SpecialReport:
     t2 = coeff_tau * coeff_tau
     a = cfg.a_inf
     gm = cfg.gamma
-    deltas = (betas - np.array([sigma_a1, 0.0, 0.0, 0.0])) / (sigma_a1 * t2)
+    deltas = [(b - b0) / (sigma_a1 * t2) for b, b0 in zip(betas, (sigma_a1, 0.0, 0.0, 0.0))]
     e_coeff = results[coeff_tau]["E"] / (cfg.eps * cfg.x_station * t2)
     rows = (
         CoefficientRow("sigma_a1_over_eps", sigma_a1 / cfg.eps, -(gm + 1.0) / 2.0),
-        CoefficientRow("beta1_correction", float(deltas[0]), 7.0 / (4.0 * a * a)),
-        CoefficientRow("beta2_correction", float(deltas[1]), 0.0),
-        CoefficientRow("beta3_correction", float(deltas[2]), 0.0),
-        CoefficientRow("beta4_correction", float(deltas[3]), 1.0 / (4.0 * a * a)),
+        CoefficientRow("beta1_correction", deltas[0], 7.0 / (4.0 * a * a)),
+        CoefficientRow("beta2_correction", deltas[1], 0.0),
+        CoefficientRow("beta3_correction", deltas[2], 0.0),
+        CoefficientRow("beta4_correction", deltas[3], 1.0 / (4.0 * a * a)),
         CoefficientRow("E_coefficient", float(e_coeff),
                        (a * a + a + 2.0) / a**4),
     )
@@ -654,9 +652,9 @@ def _perturbed_data(data: InitialData, delta: float) -> InitialData:
 
 
 def _data_l1_gap(dataU: InitialData, dataV: InitialData) -> float:
-    if not np.array_equal(dataU.breaks, dataV.breaks):
+    if dataU.breaks != dataV.breaks:
         raise ValueError("paired data must share jump positions")
-    edges = [-1.6, *map(float, dataU.breaks), 0.0]
+    edges = [-1.6, *dataU.breaks, 0.0]
     total = 0.0
     for (a, b), su, sv in zip(zip(edges, edges[1:]), dataU.states, dataV.states):
         total += su.l1_gap(sv) * (b - a)

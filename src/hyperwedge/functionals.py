@@ -43,7 +43,6 @@ from .tracking import (
     BoundaryPolyline,
     SolutionSlice,
     Trajectory,
-    pair_potential,
     total_strength,
 )
 
@@ -78,11 +77,32 @@ def interaction_potential(fronts) -> float:
     negative, or when the lower front is the non-physical carrier and the
     upper one physical.  List order is the y-order (ties resolved by
     construction).
+
+    One pass bottom to top: each physical front meets the ``|sigma|``
+    sums of the fronts below it that approach it (the carriers, the
+    faster families, and its own family's negative strengths, or all of
+    them if its own is negative), kept as running sums.  The pairwise
+    sum rounds differently, by a few ulps of the total.
     """
+    carriers = 0.0
+    below = [0.0] * NP_FAMILY  # |sigma| sums per physical family 1..4
+    negative = [0.0] * NP_FAMILY  # the same over negative strengths only
     total = 0.0
-    for a in range(len(fronts)):
-        for b in range(a + 1, len(fronts)):
-            total += pair_potential(fronts[a], fronts[b])
+    for f in fronts:
+        j, s = f.family, abs(f.sigma)
+        if j == NP_FAMILY:
+            carriers += s
+            continue
+        approaching = carriers
+        for i in range(j + 1, NP_FAMILY):
+            approaching += below[i]
+        if f.sigma < 0.0:
+            approaching += below[j]
+            negative[j] += s
+        else:
+            approaching += negative[j]
+        below[j] += s
+        total += s * approaching
     return total
 
 
@@ -248,7 +268,7 @@ def _crossing_count_weights(fronts_below, fronts_above, q):
     component (negative: own-family fronts of the first slice above and
     of the second below; positive: mirrored).
     """
-    out = np.zeros(4)
+    out = []
     for j in range(1, 5):
         a = 0.0
         for f, _which in fronts_below:
@@ -262,7 +282,7 @@ def _crossing_count_weights(fronts_below, fronts_above, q):
                              else (fronts_below, fronts_above))
             a += total_strength(f.sigma for f, which in first if which == 0 and f.family == j)
             a += total_strength(f.sigma for f, which in second if which == 1 and f.family == j)
-        out[j - 1] = _KAPPA * a
+        out.append(_KAPPA * a)
     return out
 
 
@@ -318,7 +338,7 @@ def lyapunov_functional(sliceU: SolutionSlice, sliceV: SolutionSlice,
         q = hugoniot_decompose(su, sv, gas)
         below = [(f, which) for f, which, y in tagged if y < ym]
         above = [(f, which) for f, which, y in tagged if y > ym]
-        Wj = base_weight + _crossing_count_weights(below, above, q)
+        Wj = [base_weight + c for c in _crossing_count_weights(below, above, q)]
         for j in range(1, 5):
             interior += abs(q[j - 1]) * w.component_weight(j) * Wj[j - 1] * (b - a)
 
@@ -333,7 +353,7 @@ def wall_mismatch(bU: BoundaryPolyline, bV: BoundaryPolyline,
         return 0.0
     pts = {x0, x1}
     for b in (bU, bV):
-        pts.update(float(x) for x in b.xs if x0 < float(x) < x1)
+        pts.update(x for x in b.xs if x0 < x < x1)
     grid = sorted(pts)
     total = 0.0
     for a, b in zip(grid, grid[1:]):

@@ -73,8 +73,8 @@ class RiemannSolution:
 
     Attributes
     ----------
-    strengths : np.ndarray
-        Signed strengths (sigma_1 .. sigma_4).
+    strengths : tuple
+        Signed strengths (sigma_1 .. sigma_4), as floats.
     middle_states : tuple[State, State, State]
         States between consecutive waves, bottom to top.
     speeds : tuple
@@ -90,7 +90,7 @@ class RiemannSolution:
         family 4).
     """
 
-    strengths: np.ndarray
+    strengths: tuple
     middle_states: tuple
     speeds: tuple
     acoustic: tuple
@@ -161,7 +161,7 @@ def solve_riemann(U_b: State, U_a: State, gas: GasParams) -> RiemannSolution:
     flat = [x for s in speeds for x in ((s,) if np.isscalar(s) else s)]
     if any(b - a < -1.0e-9 for a, b in zip(flat, flat[1:])):
         raise SolverError(f"wave slopes not ordered: {speeds}")
-    return RiemannSolution(np.array(sig), (m1, m2, m3), speeds,
+    return RiemannSolution(tuple(sig), (m1, m2, m3), speeds,
                            ((U_b, m1, slope1), (m3, top, slope4)))
 
 
@@ -236,12 +236,13 @@ def reflect_at_boundary(U_b: State, incoming_family: int, sigma_in: float,
                           "wall reflection solve")
 
 
-def hugoniot_decompose(U: State, V: State, gas: GasParams) -> np.ndarray:
+def hugoniot_decompose(U: State, V: State, gas: GasParams) -> tuple:
     """Jump strengths (q1..q4) connecting `U` to `V` through the four loci.
 
-    Inverse of :func:`hyperwedge.curves.hugoniot_compose`.  The Newton
-    start is the linearised decomposition of V - U in the eigenbasis at
-    `U`, so nearby states converge in one or two steps.
+    Inverse of :func:`hyperwedge.curves.hugoniot_compose`, as a tuple of
+    floats.  The Newton start is the linearised decomposition of V - U
+    in the eigenbasis at `U`, so nearby states converge in one or two
+    steps.
     """
     _check_trust(U, gas, "decomposition base state")
     _check_trust(V, gas, "decomposition target state")
@@ -253,7 +254,7 @@ def hugoniot_decompose(U: State, V: State, gas: GasParams) -> np.ndarray:
 
     q0 = np.linalg.solve(eigenvector_matrix(U, gas), target - U.as_array())
     try:
-        return np.array(damped_newton(F, q0))
+        return tuple(damped_newton(F, q0))
     except CurveError as exc:
         raise SolverError(f"jump decomposition failed: {exc}") from exc
 
@@ -290,8 +291,8 @@ def sample_riemann_fan(sol: RiemannSolution, U_b: State, zeta: float,
         if zeta < lo:
             return states[j - 1]
         if zeta < hi or (zeta == hi and hi > lo):
-            return fan_state(states[j - 1], j, float(sol.strengths[j - 1]), zeta, gas)
-    return wave_curve(states[3], 4, float(sol.strengths[3]), gas)
+            return fan_state(states[j - 1], j, sol.strengths[j - 1], zeta, gas)
+    return wave_curve(states[3], 4, sol.strengths[3], gas)
 
 
 def boundary_response(gas: GasParams) -> dict:

@@ -129,54 +129,48 @@ class BoundaryPolyline:
     ``thetas[k]`` is the inclination of segment [x_k, x_{k+1}); the entry
     at index ``k_star`` is the tail inclination.  ``omegas[k]`` is the
     turning angle at corner k, with ``omegas[0]`` the leading-edge angle
-    itself (the turn from the incoming flat stream).
+    itself (the turn from the incoming flat stream).  The four are
+    tuples of floats, so walls built alike compare and hash equal.
     """
 
     h: float
-    xs: np.ndarray
-    gs: np.ndarray
-    thetas: np.ndarray
-    omegas: np.ndarray
+    xs: tuple
+    gs: tuple
+    thetas: tuple
+    omegas: tuple
     k_star: int
 
     def segment_index(self, x: float) -> int:
-        k = bisect_right(self._floats[0], x) - 1
+        k = bisect_right(self.xs, x) - 1
         return min(max(k, 0), self.k_star)
 
     def g_at(self, x: float) -> float:
-        xs, gs, tans, _ = self._floats
         k = self.segment_index(x)
-        return gs[k] + tans[k] * (x - xs[k])
+        return self.gs[k] + self._tans[k] * (x - self.xs[k])
 
     def theta_at(self, x: float) -> float:
-        return self._floats[3][self.segment_index(x)]
+        return self.thetas[self.segment_index(x)]
 
     @cached_property
-    def _floats(self) -> tuple:
-        """(xs, gs, tans, thetas) as lists of floats, ``tans[k] = tan(thetas[k])``.
-
-        The wall is looked up at every event; plain floats found with
-        ``bisect`` round as the arrays do and skip numpy's per-call cost.
-        """
-        thetas = [float(th) for th in self.thetas]
-        return ([float(x) for x in self.xs], [float(g) for g in self.gs],
-                [math.tan(th) for th in thetas], thetas)
+    def _tans(self) -> list:
+        """``tan(thetas[k])`` for every segment k."""
+        return [math.tan(th) for th in self.thetas]
 
     @cached_property
     def _turning_corners(self) -> tuple:
         """(xs, ks): the corners after the leading edge that turn the wall."""
         ks = [k for k in range(1, self.k_star + 1) if self.omegas[k] != 0.0]
-        return [float(self.xs[k]) for k in ks], ks
+        return [self.xs[k] for k in ks], ks
 
     def corner_tail(self, x: float) -> float:
         """Sum of ``|omegas[k]|`` over the corners k >= 1 beyond `x`."""
         xs, ks = self._turning_corners
-        return total_strength(float(self.omegas[k]) for k in ks[bisect_right(xs, x):])
+        return total_strength(self.omegas[k] for k in ks[bisect_right(xs, x):])
 
     @cached_property
     def _min_tan_from(self) -> list:
         """Entry k: the least ``tan(thetas[j])`` over segments j >= k."""
-        out = list(self._floats[2])
+        out = list(self._tans)
         for k in range(self.k_star - 1, -1, -1):
             out[k] = min(out[k], out[k + 1])
         return out
@@ -206,25 +200,29 @@ def approximate_boundary(g, h: float, x_max: float = 2.0) -> BoundaryPolyline:
     omegas[0] = thetas[0]
     omegas[1:] = np.diff(thetas)
     omegas[1:][np.abs(omegas[1:]) <= 1.0e-13] = 0.0  # snap arctan rounding noise
-    return BoundaryPolyline(h, xs, gs, thetas, omegas, k_star)
+    return BoundaryPolyline(h, tuple(xs.tolist()), tuple(gs.tolist()),
+                            tuple(thetas.tolist()), tuple(omegas.tolist()), k_star)
 
 
 @dataclass(frozen=True)
 class InitialData:
     """Piecewise-constant inflow data below the wall.
 
-    `breaks` are the jump heights (ascending, all <= 0) and `states` the
-    constant values bottom to top, one more than there are breaks.  The
-    topmost state occupies (breaks[-1], 0).
+    `breaks` are the jump heights (ascending, all <= 0), any sequence of
+    numbers, kept as a tuple of floats; `states` are the constant values
+    bottom to top, one more than there are breaks.  The topmost state
+    occupies (breaks[-1], 0).
     """
 
-    breaks: np.ndarray
+    breaks: tuple
     states: tuple
 
     def __post_init__(self):
-        if len(self.states) != len(self.breaks) + 1:
+        breaks = tuple(float(b) for b in self.breaks)
+        object.__setattr__(self, "breaks", breaks)
+        if len(self.states) != len(breaks) + 1:
             raise ValueError("need exactly one more state than breaks")
-        if len(self.breaks) and (np.any(np.diff(self.breaks) <= 0) or self.breaks[-1] > 0):
+        if breaks and (any(b <= a for a, b in zip(breaks, breaks[1:])) or breaks[-1] > 0):
             raise ValueError("breaks must be strictly increasing and nonpositive")
 
 
@@ -520,7 +518,6 @@ def _emit_riemann(sol, U_b: State, x: float, y: float, gens, gas: GasParams, nu:
     fronts = []
     cur = U_b
     for j, sig in zip((1, 2, 3, 4), sol.strengths):
-        sig = float(sig)
         if j in solved and abs(sig) > _ZERO_STRENGTH and _pieces(j, sig, nu) == 1:
             below, top, slope = solved[j]
             if below == cur:
@@ -535,12 +532,12 @@ def _emit_riemann(sol, U_b: State, x: float, y: float, gens, gas: GasParams, nu:
 def default_lambda_hat(gas: GasParams) -> float:
     """1.2x the largest family-4 slope over the trust-box corner states."""
     Ub = gas.background()
-    worst = -np.inf
+    worst = -math.inf
     for k in range(16):
         dev = [(TRUST_RADIUS if k >> i & 1 else -TRUST_RADIUS) for i in range(4)]
         W = State(Ub.rho + dev[0], Ub.u + dev[1], Ub.v + dev[2], Ub.p + dev[3])
         worst = max(worst, eigenvalue(W, gas, 4))
-    return 1.2 * float(worst)
+    return 1.2 * worst
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +556,7 @@ def initialize(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
     gens = dict.fromkeys((1, 2, 3, 4), 1)
     for y, target in zip(data.breaks, data.states[1:]):
         sol = solve_riemann(slice_.top_state, target, gas)
-        fronts, _ = _emit_riemann(sol, slice_.top_state, 0.0, float(y), gens, gas, cfg.nu)
+        fronts, _ = _emit_riemann(sol, slice_.top_state, 0.0, y, gens, gas, cfg.nu)
         n = len(slice_.fronts)
         slice_ = _apply_edit(slice_, 0.0, (n, n, fronts, target))
     edit, _ = _resolve_corner(slice_, Event("corner", 0.0, 0), boundary, cfg, gas)
@@ -725,7 +722,7 @@ def _wall_hit(f: Front, x_now: float, boundary: BoundaryPolyline) -> float | Non
     # the denominator test below if the least tangent ahead fails it
     if f.speed - boundary._min_tan_from[k] <= 1.0e-15:
         return None
-    xs, gs, tans, _ = boundary._floats
+    xs, gs, tans = boundary.xs, boundary.gs, boundary._tans
     while True:
         tanth = tans[k]
         denom = f.speed - tanth
@@ -965,12 +962,10 @@ def _resolve_boundary(slice_, event, boundary, cfg, gas):
 
 def _resolve_corner(slice_, event, boundary, cfg, gas):
     k = event.index
-    xh = float(boundary.xs[k])
-    yh = float(boundary.gs[k])
+    xh, yh, omega = boundary.xs[k], boundary.gs[k], boundary.omegas[k]
     U_top = slice_.top_state
-    sigma1 = solve_boundary_riemann(U_top, float(boundary.thetas[k]), gas)
+    sigma1 = solve_boundary_riemann(U_top, boundary.thetas[k], gas)
     new_fronts, top = _emit_wave(U_top, 1, sigma1, xh, yh, 1, gas, cfg.nu)
-    omega = float(boundary.omegas[k])
     rec = EventRecord("corner", "boundary", xh, yh, (), new_fronts, abs(omega), omega)
     n = len(slice_.fronts)
     return (n, n, new_fronts, top), rec
@@ -999,7 +994,7 @@ def run(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
         cur = initialize(data, boundary, cfg, gas)
         rho_threshold = cfg.rho_threshold
         if rho_threshold is None:
-            rho_threshold = 2.0 ** (-cfg.nu) * float(total_strength(f.sigma for f in cur.fronts))
+            rho_threshold = 2.0 ** (-cfg.nu) * total_strength(f.sigma for f in cur.fronts)
         lambda_hat = default_lambda_hat(gas)
         log, records = SliceLog(cur), []
         cur.edits = []
@@ -1060,23 +1055,11 @@ def _parting_station(a: BoundaryPolyline, b: BoundaryPolyline) -> float:
     """
     if a.h != b.h:
         return 0.0
-    corners_a, corners_b = _corner_rows(a), _corner_rows(b)
-    for ra, rb in zip(corners_a, corners_b):
+    rows_a = zip(a.xs, a.gs, a.thetas, a.omegas)
+    for ra, rb in zip(rows_a, zip(b.xs, b.gs, b.thetas, b.omegas)):
         if ra != rb:
             return ra[0]
-    return math.inf if a.k_star == b.k_star else corners_a[min(a.k_star, b.k_star)][0]
-
-
-def _corner_rows(wall: BoundaryPolyline) -> list:
-    """(x, g, theta, omega) of each corner of `wall`, as floats."""
-    xs, gs, _, thetas = wall._floats
-    return list(zip(xs, gs, thetas, wall.omegas.tolist()))
-
-
-def _same_data(a: InitialData, b: InitialData) -> bool:
-    """Whether `a` and `b` are the same data; ``==`` would compare the
-    break arrays elementwise."""
-    return a.states == b.states and np.array_equal(a.breaks, b.breaks)
+    return math.inf if a.k_star == b.k_star else a.xs[min(a.k_star, b.k_star)]
 
 
 def _shared_slices(prefix: Trajectory, data: InitialData, boundary: BoundaryPolyline,
@@ -1093,7 +1076,7 @@ def _shared_slices(prefix: Trajectory, data: InitialData, boundary: BoundaryPoly
     run has drawn from its seeded stream, so the run goes on with a
     fresh one.
     """
-    if prefix.cfg != cfg or prefix.gas != gas or not _same_data(prefix.data, data):
+    if prefix.cfg != cfg or prefix.gas != gas or prefix.data != data:
         raise ValueError("prefix run has other inflow data, engine settings or gas")
     cut = _parting_station(prefix.boundary, boundary) - 2.0 * _COINCIDENCE_TOL
     log = prefix.slices

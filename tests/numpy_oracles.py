@@ -19,7 +19,9 @@ names as chains of steps: ``euler.flux_values`` and
 gradient and raw eigenvector at that slope.  The flat kernels must match
 them in every float, type and error text (``test_euler``).  ``euler``
 keeps no second formulation of the gradient or the raw field, so the one
-here is the only reference for them.
+here is the only reference for them.  ``interaction_potential`` is the
+pairwise double loop that ``functionals.interaction_potential`` replaced
+with running sums; the two agree to rounding (``test_functionals``).
 """
 
 import numpy as np
@@ -40,7 +42,7 @@ from hyperwedge.curves import (
 from hyperwedge import euler
 from hyperwedge.euler import DomainError, State, bc_residual, check_state, flow_slope
 from hyperwedge.riemann import _background_boundary_gain
-from hyperwedge.tracking import _emit_wave
+from hyperwedge.tracking import _emit_wave, pair_potential
 
 
 def damped_newton(F, x0, tol=_NEWTON_TOL, max_iter=_NEWTON_MAXIT,
@@ -331,3 +333,13 @@ def boundary_hugoniot_q1(q2, q3, q4, theta, theta_prime, U, gas):
 
     x0 = -q4 + _background_boundary_gain(gas) * (theta_prime - theta)
     return float(damped_newton(F, np.array([x0]))[0])
+
+
+def interaction_potential(fronts):
+    """``functionals.interaction_potential`` as the sum of
+    ``pair_potential`` over every ordered pair, O(n^2)."""
+    total = 0.0
+    for a in range(len(fronts)):
+        for b in range(a + 1, len(fronts)):
+            total += pair_potential(fronts[a], fronts[b])
+    return total

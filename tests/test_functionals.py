@@ -34,6 +34,7 @@ from hyperwedge.functionals import (
     strength_equivalence_constant,
 )
 
+import numpy_oracles as oracle
 from test_tracking import flat_wall, stepped_data, wedge_wall
 
 _GAS = GasParams(gamma=1.4, a_inf=2.0, tau=0.1)
@@ -88,6 +89,43 @@ def test_interaction_potential_sums_ordered_pairs(gas, bg):
             + pair_potential(fronts[1], fronts[2]))
     assert interaction_potential(fronts) == pytest.approx(want)
     assert interaction_potential([]) == 0.0
+
+
+def _close_to_pairwise(fronts):
+    """The one-pass potential against the pairwise oracle: both add
+    nonnegative terms, so they part by a few ulps per front at most."""
+    want = oracle.interaction_potential(fronts)
+    got = interaction_potential(fronts)
+    assert type(got) is float
+    assert abs(got - want) <= 4.0 * len(fronts) * 2.0 ** -52 * want
+    return want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_interaction_potential_matches_pairwise_oracle(bg, seed):
+    # seeded fronts of every family, carriers among them, and same-family
+    # neighbours of both signs
+    rng = np.random.default_rng(seed)
+    families = [1, 2, 3, 4, NP_FAMILY]
+    fronts = [mkfront(families[int(rng.integers(5))], float(rng.uniform(-1e-2, 1e-2)), bg, bg)
+              for _ in range(80)]
+    assert any(f.family == NP_FAMILY for f in fronts)
+    assert any(a.family == b.family != NP_FAMILY and a.sigma * b.sigma < 0.0
+               for a, b in zip(fronts, fronts[1:]))
+    assert _close_to_pairwise(fronts) > 0.0
+    # carriers above everything physical, and same-sign rarefactions of
+    # one family, add nothing
+    physical = [f for f in fronts if f.family != NP_FAMILY]
+    carriers = [f for f in fronts if f.family == NP_FAMILY]
+    assert interaction_potential(physical + carriers) == pytest.approx(
+        oracle.interaction_potential(physical), rel=1e-13)
+    fans = [mkfront(4, abs(f.sigma), bg, bg) for f in fronts]
+    assert interaction_potential(fans) == oracle.interaction_potential(fans) == 0.0
+
+
+def test_interaction_potential_matches_pairwise_oracle_on_a_run(gas):
+    traj = run(stepped_data(gas, amp=2e-4, seed=2), wedge_wall(), EngineConfig(nu=8), gas)
+    assert max(_close_to_pairwise(sl.fronts) for sl in traj.slices) > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from hyperwedge.euler import (
 import hyperwedge.tracking as tracking
 from hyperwedge.curves import DELTA_TRUST, wave_front
 from hyperwedge.experiments import ExperimentConfig, wedge_problem
-from hyperwedge.riemann import SolverError
+from hyperwedge.riemann import SolverError, hugoniot_decompose, solve_riemann
 from hyperwedge.tracking import (
     EngineConfig,
     Event,
@@ -71,7 +71,7 @@ def test_approximate_boundary_straight_wedge():
     assert b.g_at(0.8) == pytest.approx(-0.016, abs=1e-15)
     # only the leading-edge corner turns; sampling a line adds no angles
     assert b.omegas[0] == pytest.approx(math.atan(-0.02))
-    assert np.all(b.omegas[1:] == 0.0)
+    assert len(b.omegas) == b.k_star + 1 and all(o == 0.0 for o in b.omegas[1:])
     assert b.theta_at(2.0) == b.thetas[b.k_star]
 
 
@@ -89,6 +89,26 @@ def test_initial_data_validation():
         InitialData(np.array([-0.2, -0.5]), (bgs, bgs, bgs))
     with pytest.raises(ValueError):
         InitialData(np.array([0.5]), (bgs, bgs))
+
+
+def test_walls_data_and_strengths_hold_plain_floats():
+    # tuples of floats from construction on: a numpy scalar would carry
+    # into every station and strength built from it, and arrays do not
+    # compare with ==
+    def curved():
+        return approximate_boundary(lambda x: -0.01 * x - 0.004 * x * x, 0.25, x_max=1.0)
+
+    wall = curved()
+    states = stepped_data(_GAS, amp=2e-3, seed=4).states
+    breaks = np.sort(np.random.default_rng(4).uniform(-1.4, -0.2, 3))
+    data = InitialData(breaks, states)
+    sol = solve_riemann(states[0], states[1], _GAS)
+    q = hugoniot_decompose(states[0], states[1], _GAS)
+    for values in (wall.xs, wall.gs, wall.thetas, wall.omegas, data.breaks, sol.strengths, q):
+        assert type(values) is tuple and all(type(v) is float for v in values), values
+    assert data.breaks == tuple(breaks.tolist())
+    assert curved() == wall and hash(curved()) == hash(wall)
+    assert InitialData(breaks.tolist(), states) == data
 
 
 def test_lambda_hat_clears_characteristic_speeds(gas):
