@@ -267,13 +267,22 @@ def _contact(U: State, gas: GasParams, family: int, sigma: float) -> State:
 # shocks (jump conditions + slope pin)
 # ---------------------------------------------------------------------------
 
-def _shock_solve(U: State, gas: GasParams, family: int, sigma: float):
+def _shock_solve(U: State, gas: GasParams, family: int, sigma: float, near=None):
     """Solve the jump conditions for one acoustic family.
 
     Unknowns are the post state and the discontinuity slope,
     z = (rho, u, v, p, s).  Four equations impose
     ``s*(F_x(W) - F_x(U)) = F_y(W) - F_y(U)`` and the fifth pins the
     parameterisation, ``lam_j(W) - lam_j(U) = sigma``.
+
+    Newton starts from the linear step along the field, or, with `near`
+    (a front of this family and strength solved from a nearby base
+    state), from that front shifted by the gap between the base states:
+    ``near.above + (U - near.below)`` and ``near.speed + lam_j(U) -
+    lam_j(near.below)``.  The slope shift matters: on a weak shock the
+    residual hardly sees the slope, so an unshifted one would stay off by
+    about the gap rather than ``|sigma|`` times it.  A gap of 0 starts at
+    ``near``'s own solution.
 
     Returns the post state and the slope on plain floats: numpy scalars
     would carry into every front, slope and station built from them.
@@ -288,9 +297,15 @@ def _shock_solve(U: State, gas: GasParams, family: int, sigma: float):
                 s * (a2 - X2) - (b2 - Y2), s * (a3 - X3) - (b3 - Y3),
                 lam - lam0 - sigma]
 
-    r = acoustic_field(*w, gas, family)
-    z0 = [a + sigma * b for a, b in zip(w, r)]
-    z0.append(lam0 + 0.5 * sigma)
+    if near is None:
+        r = acoustic_field(*w, gas, family)
+        z0 = [a + sigma * b for a, b in zip(w, r)]
+        z0.append(lam0 + 0.5 * sigma)
+    else:
+        b, a = near.below, near.above
+        z0 = [a.rho + (w[0] - b.rho), a.u + (w[1] - b.u), a.v + (w[2] - b.v),
+              a.p + (w[3] - b.p),
+              near.speed + (lam0 - acoustic_slope(b.rho, b.u, b.v, b.p, gas, family))]
     rho, u, v, p, s = damped_newton(F, z0)
     return State(rho, u, v, p), s
 
@@ -327,15 +342,22 @@ def wave_curve(U: State, family: int, sigma: float, gas: GasParams) -> State:
     return _shock_solve(U, gas, family, sigma)[0]
 
 
-def wave_front(U: State, family: int, sigma: float, gas: GasParams) -> tuple[State, float]:
+def wave_front(U: State, family: int, sigma: float, gas: GasParams,
+               near=None) -> tuple[State, float]:
     """Upper state and slope of the single front realising one wave.
 
     Runs the checks of :func:`wave_curve` and returns ``(state, slope)``
     from one evaluation of the curve: the jump-condition slope of a
     shock (both come out of the same Newton solve), the flow slope below
     a contact, and for a rarefaction the trailing-edge characteristic
-    slope -- of the end state for family 1, of `U` for family 4.  The
-    state equals ``wave_curve(U, family, sigma, gas)`` bit for bit.
+    slope -- of the end state for family 1, of `U` for family 4.
+
+    `near`, a front (``below``, ``above``, ``speed``) of the same family
+    and strength from a nearby base state, starts a shock's Newton from
+    its solution shifted to `U` (see :func:`_shock_solve`); rarefactions
+    and contacts ignore it.  The shock then meets the same residual
+    bound, 1e-12, from a different start.  Without `near` the state
+    equals ``wave_curve(U, family, sigma, gas)`` bit for bit.
     """
     _check_strength(sigma)
     check_state(U, gas, "wave_front input")
@@ -345,7 +367,7 @@ def wave_front(U: State, family: int, sigma: float, gas: GasParams) -> tuple[Sta
     if family not in GENUINE_FAMILIES:
         raise ValueError(f"unknown family {family}")
     if sigma < 0.0:
-        return _shock_solve(U, gas, family, sigma)
+        return _shock_solve(U, gas, family, sigma, near)
     W = U if sigma == 0.0 else _rarefaction(U, gas, family, sigma)
     return W, eigenvalue(W if family == 1 else U, gas, family)
 

@@ -463,12 +463,14 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 def _emit_wave(U_below: State, family: int, sigma: float, x: float, y: float,
-               generation: int, gas: GasParams, nu: int):
+               generation: int, gas: GasParams, nu: int, near=None):
     """Fronts realising one wave, splitting rarefactions into fan pieces.
 
     Returns (fronts, top_state).  Rarefactions of the acoustic families
     are sampled into ceil(sigma*nu) equal pieces so no piece exceeds
-    1/nu; shocks and contacts are single fronts.
+    1/nu; shocks and contacts are single fronts.  `near`, the front this
+    wave was before a carrier crossed it, warm-starts a shock's solve
+    (:func:`wave_front`).
     """
     if abs(sigma) <= _ZERO_STRENGTH:
         return [], U_below
@@ -477,7 +479,7 @@ def _emit_wave(U_below: State, family: int, sigma: float, x: float, y: float,
     fronts = []
     cur = U_below
     for _ in range(pieces):
-        nxt, speed = wave_front(cur, family, ds, gas)
+        nxt, speed = wave_front(cur, family, ds, gas, near)
         fronts.append(Front(family, ds, x, y, speed, generation, cur, nxt))
         cur = nxt
     return fronts, cur
@@ -742,7 +744,11 @@ def _wall_hit(f: Front, x_now: float, boundary: BoundaryPolyline) -> float | Non
 
 
 def _perturb_speed(f: Front, gas: GasParams, lambda_hat: float, nu: int, rng) -> Front:
-    """Replace a front's speed by exact - delta, delta in (0, 2^-(nu+2)]."""
+    """Replace a front's speed by exact - delta, delta in (0, 2^-(nu+2)].
+
+    The exact speed is solved cold: started from the front itself, a
+    tiny shock's residual would pass its own perturbed speed.
+    """
     delta = (1.0 - rng.random()) * 2.0 ** (-(nu + 2))
     exact = lambda_hat if f.family == NP_FAMILY else wave_front(f.below, f.family, f.sigma, gas)[1]
     return replace(f, speed=exact - delta)
@@ -874,7 +880,10 @@ def _resolve_interaction(slice_, event, cfg, gas, rho_threshold, lambda_hat):
             waves, np_gen = [], min(f_lo.generation, f_up.generation)
         else:
             waves, np_gen = [(f_up.family, f_up.sigma, f_up.generation)], f_lo.generation
-        new_fronts, _ = _transmit(U0, waves, U2, xh, yh, np_gen, gas, cfg.nu, lambda_hat)
+        # the carrier moves the wave's base state by its own tiny jump and
+        # leaves its strength: f_up's solution starts the transmitted solve
+        new_fronts, _ = _transmit(U0, waves, U2, xh, yh, np_gen, gas, cfg.nu, lambda_hat,
+                                  near=f_up)
         solver = "SRS"
     elif abs(f_lo.sigma * f_up.sigma) > rho_threshold:
         sol = solve_riemann(U0, U2, gas)
@@ -919,12 +928,16 @@ def _srs_fronts(f_lo, f_up, U0, U2, xh, yh, gas, nu, lambda_hat):
     return fronts
 
 
-def _transmit(U0, waves, U2, xh, yh, np_gen, gas, nu, lambda_hat):
-    """Physical fronts for `waves` stacked from U0, then a carrier up to U2."""
+def _transmit(U0, waves, U2, xh, yh, np_gen, gas, nu, lambda_hat, near=None):
+    """Physical fronts for `waves` stacked from U0, then a carrier up to U2.
+
+    `near` is the front that a lone wave in `waves` was before a carrier
+    crossed it (see :func:`_emit_wave`).
+    """
     fronts = []
     cur = U0
     for family, sigma, gen in waves:
-        fr, cur = _emit_wave(cur, family, sigma, xh, yh, gen, gas, nu)
+        fr, cur = _emit_wave(cur, family, sigma, xh, yh, gen, gas, nu, near)
         fronts.extend(fr)
     npf = _np_front(cur, U2, xh, yh, np_gen, lambda_hat)
     if npf is not None:

@@ -19,6 +19,7 @@ from hyperwedge.euler import (
     eigenvalue,
     eigenvector,
     flow_slope,
+    flux_and_slope,
     fluxes,
 )
 from hyperwedge.curves import (
@@ -33,7 +34,7 @@ from hyperwedge.curves import (
     wave_curve,
     wave_front,
 )
-from hyperwedge.tracking import _emit_wave
+from hyperwedge.tracking import Front, _emit_wave
 
 import numpy_oracles as oracle
 from conftest import count_residuals, state_box, trust_box_states
@@ -254,6 +255,64 @@ def test_emit_wave_solves_each_shock_once(gas, bg, monkeypatch):
     assert len(fronts) == 1 and len(calls) == 1
     assert top == fronts[0].above == wave_curve(bg, 1, -5e-3, gas)
     assert fronts[0].speed == shock_speed(bg, 1, -5e-3, gas)
+
+
+# ---------------------------------------------------------------------------
+# warm-started shocks: a front from a nearby base state as the Newton start
+# ---------------------------------------------------------------------------
+
+#: the largest speed perturbation next_event gives a front, 2^-(nu+2), at
+#: the smallest nu of the test and driver configs
+_PERTURBATION = 2.0 ** -(8 + 2)
+
+
+def _jump_residual(U, W, s, gas, j, sigma):
+    """max |F| of the shock Newton's residual at (W, s): the jump
+    conditions and the slope pin, on the same floats as ``_shock_solve``."""
+    X, Y, lam0 = flux_and_slope(U.rho, U.u, U.v, U.p, gas, j)
+    A, B, lam = flux_and_slope(W.rho, W.u, W.v, W.p, gas, j)
+    return max([abs(s * (a - x) - (b - y)) for a, x, b, y in zip(A, X, B, Y)]
+               + [abs(lam - lam0 - sigma)])
+
+
+@pytest.mark.parametrize("tau", (0.0, 0.1, 0.4))
+def test_warm_started_shock_matches_cold_start(tau):
+    # the front a carrier crossed, solved from a base state `gap` away,
+    # starts the solve; the answer is the cold solve's to the Newton's
+    # own tolerance: states to 1e-11, slopes to 1e-12/|sigma| (the
+    # residual sees a slope error only through the O(sigma) flux jump)
+    gas = GasParams(gamma=1.4, a_inf=2.0, tau=tau)
+    rng = np.random.default_rng(29)
+    for U in trust_box_states(gas, 4, seed=23):
+        w = [float(a) for a in (U.rho, U.u, U.v, U.p)]
+        for j in GENUINE_FAMILIES:
+            for sigma in (-1e-9, -1e-6, -1e-4, -1e-2):
+                W0, s0 = wave_front(U, j, sigma, gas)
+                for gap in (0.0, 1e-12, 1e-8, 1e-4):
+                    d = rng.normal(size=4)
+                    V = State(*(a - b for a, b in zip(w, (gap / np.linalg.norm(d) * d).tolist())))
+                    Wn, sn = wave_front(V, j, sigma, gas)
+                    for perturbation in (0.0, _PERTURBATION):
+                        near = Front(j, sigma, 0.0, 0.0, sn - perturbation, 1, V, Wn)
+                        W, s = wave_front(U, j, sigma, gas, near)
+                        where = (U, j, sigma, gap, perturbation)
+                        assert _jump_residual(U, W, s, gas, j, sigma) <= 1e-12, where
+                        assert max(map(abs, W - W0)) <= 1e-11, where
+                        assert abs(s - s0) <= 1e-12 / abs(sigma), where
+                        assert all(type(a) is float for a in (W.rho, W.u, W.v, W.p, s)), where
+                        if perturbation == 0.0 and abs(sigma) <= 1e-6:
+                            # a residual this blind to the slope keeps the
+                            # start's: lam_j's shift puts it O(sigma*gap)
+                            # from the cold one, not O(gap)
+                            assert abs(s - s0) <= abs(sigma) * gap + 1e-12, where
+                        if gap == 0.0 and perturbation == 0.0:
+                            assert (W, s) == (Wn, sn), where
+
+
+def test_warm_start_leaves_rarefactions_and_contacts(gas, bg):
+    near = Front(1, -1e-3, 0.0, 0.0, 5.0, 1, bg, State(2.0, 1.0, 1.0, 1.0))
+    for j, sigma in ((1, 1e-3), (4, 1e-3), (2, -1e-3), (3, 1e-3), (4, 0.0)):
+        assert wave_front(bg, j, sigma, gas, near) == wave_front(bg, j, sigma, gas)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from hyperwedge.euler import (
     eigenvalue,
     fluxes,
 )
+import hyperwedge.curves as curves
 import hyperwedge.tracking as tracking
 from hyperwedge.curves import DELTA_TRUST, wave_front
 from hyperwedge.experiments import ExperimentConfig, wedge_problem
@@ -37,7 +38,7 @@ from hyperwedge.tracking import (
     write_trajectory,
 )
 
-from conftest import assert_slice_invariants
+from conftest import assert_slice_invariants, count_residuals
 
 _GAS = GasParams(gamma=1.4, a_inf=2.0, tau=0.1)
 
@@ -617,6 +618,20 @@ def test_slice_log_replays_the_full_scan_slices(case):
     for a, b in ((0, n + 1), (n - 1, 2 * n + 3)):
         block = export_trajectory(replace(traj, slices=traj.slices[a:b]))
         assert block == chunks[0] + "".join(chunks[1 + a:1 + b])
+
+
+def test_carrier_crossings_warm_start_their_shocks(monkeypatch):
+    # a carrier moves a shock's base state by its own tiny jump and leaves
+    # its strength: the transmitted shock's solve starts from the crossed
+    # front, and most return after the one residual at that start (here
+    # 954 of 1,586 shock solves, 5,432 residuals; from the linear step
+    # every solve takes a Newton step, 11,204 residuals in all)
+    counts = []
+    monkeypatch.setattr(curves, "damped_newton", count_residuals(curves.damped_newton, counts))
+    data, wall, cfg, gas = _curved_case()
+    traj = run(data, wall, cfg, gas)
+    assert len(traj.records) == 1646
+    assert 2 * counts.count(1) >= len(counts) > 0
 
 
 def test_slice_log_retains_under_half_the_eager_slices():
