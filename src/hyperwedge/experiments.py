@@ -416,13 +416,6 @@ def special_pair(eps: float, gas0: GasParams):
     return U_b, wave_curve(U_b, 1, sigma, gas0), float(sigma)
 
 
-def _fan_breakpoints(sol: RiemannSolution):
-    pts = []
-    for j in (1, 2, 3, 4):
-        pts.extend(sol.speed_span(j))
-    return pts
-
-
 def _inside_fan(sol: RiemannSolution, zeta: float) -> bool:
     for j in (1, 4):
         lo, hi = sol.speed_span(j)
@@ -451,7 +444,7 @@ def fan_l1_distance(solA: RiemannSolution, gasA: GasParams,
                                  sample_riemann_fan(solB, U_b, z, gasB))
         return pair
 
-    pts = sorted(set(_fan_breakpoints(solA) + _fan_breakpoints(solB)))
+    pts = sorted({s for sol in (solA, solB) for span in sol.speeds for s in span})
     grid = [pts[0] - 0.5, *pts, pts[-1] + 0.5]
     total = 0.0
     for zl, zr in zip(grid, grid[1:]):
@@ -478,11 +471,14 @@ def fan_l1_distance(solA: RiemannSolution, gasA: GasParams,
     return total * x
 
 
-def _rate_grid(cfg: ExperimentConfig) -> tuple:
-    """``tau_grid`` largest first; a rate fit needs at least three values."""
+def _rate_grid(cfg: ExperimentConfig, scale: str) -> tuple:
+    """``tau_grid`` largest first, for a rate fit of errors divided by the
+    field `scale`: it needs at least three values and a nonzero `scale`."""
     if len(cfg.tau_grid) < 3:
         raise ConfigError(
             f"tau_grid needs >= 3 values for a rate fit, got {len(cfg.tau_grid)}")
+    if getattr(cfg, scale) == 0.0:
+        raise ConfigError(f"{scale}=0 leaves no rate to fit; it must be positive")
     return tuple(sorted(cfg.tau_grid, reverse=True))
 
 
@@ -522,7 +518,7 @@ def run_special_solution(cfg: ExperimentConfig) -> SpecialReport:
     """
     if cfg.scenario != "special":
         raise ConfigError(f"scenario {cfg.scenario!r} is not 'special'")
-    taus = _rate_grid(cfg)
+    taus = _rate_grid(cfg, "eps")
     gas0 = cfg.gas(0.0)
     U_b, U_a, _sigma_pin = special_pair(cfg.eps, gas0)
     sol0 = solve_riemann(U_b, U_a, gas0)
@@ -613,7 +609,7 @@ def run_convergence(cfg: ExperimentConfig) -> RateFit:
     """
     if cfg.scenario != "wedge":
         raise ConfigError(f"scenario {cfg.scenario!r} is not 'wedge'")
-    taus = _rate_grid(cfg)
+    taus = _rate_grid(cfg, "data_amplitude")
     boundary, data = wedge_problem(cfg)
     trajs = {tau: run(data, boundary, cfg.engine, cfg.gas(tau))
              for tau in (0.0, *taus)}

@@ -16,6 +16,7 @@ tracking engine above.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -78,10 +79,10 @@ class RiemannSolution:
     middle_states : tuple[State, State, State]
         States between consecutive waves, bottom to top.
     speeds : tuple
-        One entry per family: a float slope for shocks, contacts and
-        zero-strength waves, or a ``(foot, head)`` slope pair for
-        rarefaction fans.  Entries are non-decreasing; families 2 and 3
-        share a single slope.
+        One ``(low, high)`` slope pair per family: a rarefaction fan's
+        foot and head, or a shock's, contact's or zero-strength wave's
+        single slope twice.  The slopes are non-decreasing; families 2
+        and 3 share a single slope.
     acoustic : tuple
         ``(below, top, slope)`` of the family-1 wave and of the family-4
         wave, as :func:`hyperwedge.curves.wave_front` gives them for a
@@ -97,20 +98,13 @@ class RiemannSolution:
 
     def speed_span(self, j: int):
         """(low, high) slope extent of wave j (1-based family index)."""
-        s = self.speeds[j - 1]
-        return (s, s) if np.isscalar(s) else tuple(s)
+        return self.speeds[j - 1]
 
 
 def _minus(W: State, target: list) -> list:
     """``W.as_array() - target`` as a list, for a Newton residual."""
     rho, u, v, p = target
     return [W.rho - rho, W.u - u, W.v - v, W.p - p]
-
-
-def _fan_span(pre: State, family: int, sigma: float, gas: GasParams):
-    """(foot, head) slopes of an acoustic rarefaction fan of strength `sigma`."""
-    lam = eigenvalue(pre, gas, family)
-    return (lam, lam + sigma)
 
 
 def solve_riemann(U_b: State, U_a: State, gas: GasParams) -> RiemannSolution:
@@ -128,15 +122,7 @@ def solve_riemann(U_b: State, U_a: State, gas: GasParams) -> RiemannSolution:
     _check_trust(U_b, gas, "lower state")
     _check_trust(U_a, gas, "upper state")
     target = U_a.as_array().tolist()
-    solved = {}
-
-    def acoustic(U, family, sigma):
-        """``wave_front(U, family, sigma, gas)``, memoised."""
-        key = (family, sigma, U.rho, U.u, U.v, U.p)
-        wave = solved.get(key)
-        if wave is None:
-            wave = solved[key] = wave_front(U, family, sigma, gas)
-        return wave
+    acoustic = cache(lambda U, family, sigma: wave_front(U, family, sigma, gas))
 
     def F(sig):  # compose_wave_curves(U_b, sig, gas), through `acoustic`
         s1, s2, s3, s4 = sig
@@ -152,20 +138,23 @@ def solve_riemann(U_b: State, U_a: State, gas: GasParams) -> RiemannSolution:
     m2 = wave_curve(m1, 2, sig[1], gas)
     m3 = wave_curve(m2, 3, sig[2], gas)
     top, slope4 = acoustic(m3, 4, sig[3])
+    # a 1-fan's front slope is its head; its foot is the characteristic below
+    foot1 = eigenvalue(U_b, gas, 1) if sig[0] > 0.0 else slope1
+    mid = flow_slope(m1, gas)
     speeds = (
-        _fan_span(U_b, 1, sig[0], gas) if sig[0] > 0.0 else slope1,
-        flow_slope(m1, gas),
-        flow_slope(m1, gas),
-        (slope4, slope4 + sig[3]) if sig[3] > 0.0 else slope4,
+        (foot1, foot1 + sig[0]) if sig[0] > 0.0 else (foot1, foot1),
+        (mid, mid),
+        (mid, mid),
+        (slope4, slope4 + sig[3]) if sig[3] > 0.0 else (slope4, slope4),
     )
-    flat = [x for s in speeds for x in ((s,) if np.isscalar(s) else s)]
+    flat = [x for pair in speeds for x in pair]
     if any(b - a < -1.0e-9 for a, b in zip(flat, flat[1:])):
         raise SolverError(f"wave slopes not ordered: {speeds}")
     return RiemannSolution(tuple(sig), (m1, m2, m3), speeds,
                            ((U_b, m1, slope1), (m3, top, slope4)))
 
 
-def solve_boundary_riemann(U_b: State, theta_new: float, gas: GasParams) -> float:
+def solve_boundary_riemann(U_b: State, theta_new: float, gas: GasParams) -> tuple:
     """Family-1 wave bringing a state under the wall onto a new wall angle.
 
     Parameters
@@ -181,6 +170,9 @@ def solve_boundary_riemann(U_b: State, theta_new: float, gas: GasParams) -> floa
         Strength of the emitted family-1 wave, whose post state
         ``wave_curve(U_b, 1, sigma1)`` satisfies the slip condition at
         `theta_new` to solver tolerance.
+    wave : tuple
+        ``(U_b, top, slope)``, its front as ``RiemannSolution.acoustic``
+        holds one: the last one the slip residual solved.
     """
     _check_trust(U_b, gas, "boundary state")
     theta_old = float(np.arctan(flow_slope(U_b, gas)))
@@ -189,8 +181,16 @@ def solve_boundary_riemann(U_b: State, theta_new: float, gas: GasParams) -> floa
             f"boundary turn too large: |{theta_old:.4f}| + |{theta_new - theta_old:.4f}| >= 0.1"
         )
     kb = _background_boundary_gain(gas)
-    return _slip_strength(lambda s: wave_curve(U_b, 1, s, gas), theta_new,
-                          kb * (theta_new - theta_old), gas, "boundary Riemann solve")
+    return _slip_wave(U_b, theta_new, kb * (theta_new - theta_old), gas,
+                      "boundary Riemann solve")
+
+
+def _slip_wave(U_b: State, theta: float, start: float, gas: GasParams, label: str) -> tuple:
+    """``(sigma1, (U_b, top, slope))``: the family-1 wave from `U_b` onto
+    a wall at angle `theta`, Newton from `start`, and its front."""
+    front = cache(lambda s: wave_front(U_b, 1, s, gas))
+    sigma1 = _slip_strength(lambda s: front(s)[0], theta, start, gas, label)
+    return sigma1, (U_b, *front(sigma1))
 
 
 def _slip_strength(post, theta: float, start: float, gas: GasParams, label: str) -> float:
@@ -218,22 +218,22 @@ def _background_boundary_gain(gas: GasParams) -> float:
 
 
 def reflect_at_boundary(U_b: State, incoming_family: int, sigma_in: float,
-                        theta: float, gas: GasParams) -> float:
-    """Strength of the family-1 wave reflected when a wave meets the wall.
+                        theta: float, gas: GasParams) -> tuple:
+    """Family-1 wave reflected when a wave meets the wall.
 
     `U_b` is the state below the incoming wave (families 2, 3 or 4);
     after the interaction the incoming wave is replaced by a family-1
     wave from `U_b` whose post state satisfies the slip condition at the
     unchanged wall angle `theta`.  Shear and entropy waves preserve the
     flow direction, so their reflection strength is exactly zero; a
-    family-4 wave reflects with strength close to `sigma_in`.
+    family-4 wave reflects with strength close to `sigma_in`.  Returns
+    ``(sigma1, wave)`` as :func:`solve_boundary_riemann` does.
     """
     if incoming_family not in (2, 3, 4):
         raise SolverError(f"only families 2-4 can reach the wall, got {incoming_family}")
     _check_trust(U_b, gas, "below-wave state")
     start = sigma_in if incoming_family == 4 else 0.0
-    return _slip_strength(lambda s: wave_curve(U_b, 1, s, gas), theta, start, gas,
-                          "wall reflection solve")
+    return _slip_wave(U_b, theta, start, gas, "wall reflection solve")
 
 
 def hugoniot_decompose(U: State, V: State, gas: GasParams) -> tuple:
@@ -304,13 +304,13 @@ def boundary_response(gas: GasParams) -> dict:
     waves/angles of size ``_PROBE`` around the flat wall.
     """
     Ub = gas.background()
-    sp = solve_boundary_riemann(Ub, _PROBE, gas)
-    sm = solve_boundary_riemann(Ub, -_PROBE, gas)
+    sp, _ = solve_boundary_riemann(Ub, _PROBE, gas)
+    sm, _ = solve_boundary_riemann(Ub, -_PROBE, gas)
     gain = (sp - sm) / (2.0 * _PROBE)
     refl = {}
     for fam in (2, 3, 4):
         # wall angle consistent with the incoming top state, as in a run
         top = wave_curve(Ub, fam, _PROBE, gas)
         theta = float(np.arctan(flow_slope(top, gas)))
-        refl[fam] = reflect_at_boundary(Ub, fam, _PROBE, theta, gas) / _PROBE
+        refl[fam] = reflect_at_boundary(Ub, fam, _PROBE, theta, gas)[0] / _PROBE
     return {"boundary_gain": float(gain), "reflection": refl}

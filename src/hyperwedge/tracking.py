@@ -274,10 +274,11 @@ class EngineConfig:
     most 1/nu) and, unless overridden, the simplified-solver threshold
     ``rho_threshold = 2^-nu * (initial total strength)``; an infinite
     ``rho_threshold`` simplifies every interaction.  ``nu`` is at most
-    ``_MAX_NU``; ``h`` and ``x_end`` are positive and finite.  Two values
-    are fixed, not set: the non-physical front slope, 1.2x the largest
-    family-4 slope over the trust-box corners (:func:`default_lambda_hat`),
-    and the budget of ``_MAX_EVENTS`` events per run.
+    ``_MAX_NU``; ``h`` and ``x_end`` are positive and finite, and
+    ``x_end / h``, the corners a run passes, is at most ``_MAX_EVENTS``.
+    Two values are fixed, not set: the non-physical front slope, 1.2x the
+    largest family-4 slope over the trust-box corners
+    (:func:`default_lambda_hat`), and the budget of ``_MAX_EVENTS`` events.
 
     A non-physical carrier that meets the wall is absorbed: it emits no
     front, so the slice functional decreases by exactly the carried
@@ -299,6 +300,9 @@ class EngineConfig:
             if isinstance(val, bool) or not (isinstance(val, Real)
                                              and 0.0 < val <= sys.float_info.max):
                 raise ValueError(f"engine key {key}={val!r} must be a positive finite number")
+        if self.x_end / self.h > _MAX_EVENTS:
+            raise ValueError(f"engine keys x_end={self.x_end!r} and h={self.h!r} make more "
+                             f"corners x_end/h than the {_MAX_EVENTS} events of a run")
         nu = self.nu
         if isinstance(nu, bool) or not isinstance(nu, Integral) or not 1 <= nu <= _MAX_NU:
             raise ValueError(f"engine key nu={nu!r} must be an integer in [1, {_MAX_NU}]")
@@ -463,18 +467,24 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 def _emit_wave(U_below: State, family: int, sigma: float, x: float, y: float,
-               generation: int, gas: GasParams, nu: int, near=None):
+               generation: int, gas: GasParams, nu: int, near=None, solved=None):
     """Fronts realising one wave, splitting rarefactions into fan pieces.
 
     Returns (fronts, top_state).  Rarefactions of the acoustic families
     are sampled into ceil(sigma*nu) equal pieces so no piece exceeds
     1/nu; shocks and contacts are single fronts.  `near`, the front this
     wave was before a carrier crossed it, warm-starts a shock's solve
-    (:func:`wave_front`).
+    (:func:`wave_front`).  `solved`, the front ``(below, top, slope)`` a
+    Riemann solver found for this wave, is taken as it is when the wave
+    makes a single front from exactly that `below` (a wave below it in
+    the solution may have been too weak to emit).
     """
     if abs(sigma) <= _ZERO_STRENGTH:
         return [], U_below
     pieces = _pieces(family, sigma, nu)
+    if pieces == 1 and solved is not None and solved[0] == U_below:
+        _, top, slope = solved
+        return [Front(family, sigma, x, y, slope, generation, U_below, top)], top
     ds = sigma / pieces
     fronts = []
     cur = U_below
@@ -511,22 +521,14 @@ def _pieces(family: int, sigma: float, nu: int) -> int:
 def _emit_riemann(sol, U_b: State, x: float, y: float, gens, gas: GasParams, nu: int):
     """Fronts for a full four-wave solution; `gens` maps family -> generation.
 
-    The same fronts as :func:`_emit_wave` wave by wave.  An acoustic wave
-    that makes a single front takes it from the solved ``sol.acoustic``
-    instead of solving the wave again, unless it starts from another
-    state than the solved one (a wave below it was too weak to emit).
+    :func:`_emit_wave` wave by wave, each acoustic wave with its solved
+    front from ``sol.acoustic``.
     """
-    solved = {1: sol.acoustic[0], 4: sol.acoustic[1]}
+    solved = (sol.acoustic[0], None, None, sol.acoustic[1])
     fronts = []
     cur = U_b
-    for j, sig in zip((1, 2, 3, 4), sol.strengths):
-        if j in solved and abs(sig) > _ZERO_STRENGTH and _pieces(j, sig, nu) == 1:
-            below, top, slope = solved[j]
-            if below == cur:
-                fronts.append(Front(j, sig, x, y, slope, gens[j], cur, top))
-                cur = top
-                continue
-        fr, cur = _emit_wave(cur, j, sig, x, y, gens[j], gas, nu)
+    for j, sig, wave in zip((1, 2, 3, 4), sol.strengths, solved):
+        fr, cur = _emit_wave(cur, j, sig, x, y, gens[j], gas, nu, solved=wave)
         fronts.extend(fr)
     return fronts, cur
 
@@ -961,13 +963,14 @@ def _resolve_boundary(slice_, event, boundary, cfg, gas):
 
     if f.family == NP_FAMILY:
         # the wall absorbs a carrier: strength 0 is no wave at all
-        sigma, kind, emech = 0.0, "np_boundary", 0.0
+        sigma, wave, kind, emech = 0.0, None, "np_boundary", 0.0
     elif f.family in (2, 3, 4):
-        sigma = reflect_at_boundary(U_below, f.family, f.sigma, boundary.theta_at(xh), gas)
+        sigma, wave = reflect_at_boundary(U_below, f.family, f.sigma, boundary.theta_at(xh), gas)
         kind, emech = "boundary", abs(f.sigma)
     else:
         raise SolverError(f"family-1 front reached the wall at x={xh}")
-    new_fronts, top = _emit_wave(U_below, 1, sigma, xh, yh, f.generation, gas, cfg.nu)
+    new_fronts, top = _emit_wave(U_below, 1, sigma, xh, yh, f.generation, gas, cfg.nu,
+                                 solved=wave)
 
     rec = EventRecord(kind, "boundary", xh, yh, (f,), new_fronts, emech)
     return (i, i + 1, new_fronts, top), rec
@@ -977,8 +980,8 @@ def _resolve_corner(slice_, event, boundary, cfg, gas):
     k = event.index
     xh, yh, omega = boundary.xs[k], boundary.gs[k], boundary.omegas[k]
     U_top = slice_.top_state
-    sigma1 = solve_boundary_riemann(U_top, boundary.thetas[k], gas)
-    new_fronts, top = _emit_wave(U_top, 1, sigma1, xh, yh, 1, gas, cfg.nu)
+    sigma1, wave = solve_boundary_riemann(U_top, boundary.thetas[k], gas)
+    new_fronts, top = _emit_wave(U_top, 1, sigma1, xh, yh, 1, gas, cfg.nu, solved=wave)
     rec = EventRecord("corner", "boundary", xh, yh, (), new_fronts, abs(omega), omega)
     n = len(slice_.fronts)
     return (n, n, new_fronts, top), rec

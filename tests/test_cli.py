@@ -6,6 +6,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
+import hyperwedge.experiments as experiments
 from hyperwedge.cli import main
 from hyperwedge.tracking import EngineConfig
 
@@ -162,7 +163,11 @@ def test_unknown_config_key_exits_2(runner, tmp_path):
                                         pytest.param("h", 10**400, id="h-401-digits"),
                                         pytest.param("x_end", 10**400, id="x_end-401-digits"),
                                         ("nu", 1001),
-                                        pytest.param("nu", 10**400, id="nu-401-digits")])
+                                        pytest.param("nu", 10**400, id="nu-401-digits"),
+                                        # more corners than the event budget; the
+                                        # wall's arrays are never allocated
+                                        pytest.param("h", 1e-300, id="h-1e-300"),
+                                        pytest.param("x_end", 1e300, id="x_end-1e300")])
 def test_bad_engine_value_exits_2(runner, tmp_path, key, value):
     # the engine rejects the value itself; the CLI names the key on one line
     engine = {key: value}
@@ -194,6 +199,35 @@ def test_config_rejected_before_any_run_exits_2(runner, tmp_path, command, paylo
     assert res.stderr.startswith("error:") and key in res.stderr
     assert len(res.stderr.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, key", [("converge", "data_amplitude"), ("special", "eps")])
+def test_zero_rate_scale_rejected_before_any_solve(runner, tmp_path, monkeypatch, command, key):
+    # a rate fit divides its errors by the data amplitude or eps: zero is
+    # a config error before any run or solve, not a crash after them
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the config was checked")
+
+    monkeypatch.setattr(experiments, "run", no_solve)
+    monkeypatch.setattr(experiments, "solve_riemann", no_solve)
+    if command == "converge":
+        args = ["--config", _cfg_file(tmp_path, {"scenario": "wedge", "data_amplitude": 0.0})]
+    else:
+        args = ["--eps", "0"]
+    res = runner.invoke(main, [command, *args, "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith(f"error: {key}=0 ")
+    assert len(res.stderr.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_amplitude_still_simulates_and_checks_stability(runner, tmp_path):
+    # only the rate fits divide by the amplitude
+    for command, payload in (("simulate", {"scenario": "wedge", "data_amplitude": 0.0}),
+                             ("stability", dict(STAB_CFG, data_amplitude=0.0))):
+        cfg = _cfg_file(tmp_path, payload, name=f"{command}.json")
+        res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path / command)])
+        assert res.exit_code == 0, res.output
 
 
 @pytest.mark.parametrize("key, value", [("engine", 5), ("tau_grid", 0.1),

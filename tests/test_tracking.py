@@ -688,6 +688,48 @@ def test_records_reference_the_fronts_of_their_edits():
                      ("np_boundary", "boundary"), ("corner", "boundary")}
 
 
+def test_wall_and_corner_fronts_are_the_slip_solves_waves(monkeypatch):
+    # the runs of test_records_reference_the_fronts_of_their_edits: a
+    # corner or wall reflection emits the very front its slip solve
+    # found, and no shock is solved twice in a row
+    cases = [_RUN_CASES[case]() for case in sorted(_RUN_CASES)]
+    waves, shocks = [], []
+
+    def recorded(solver):
+        def wrapped(*args):
+            out = solver(*args)
+            waves.append(out)
+            return out
+        return wrapped
+
+    def shock_solve(U, gas, family, sigma, near=None):
+        shocks.append((U, family, sigma))
+        return solve(U, gas, family, sigma, near)
+
+    solve = curves._shock_solve
+    monkeypatch.setattr(curves, "_shock_solve", shock_solve)
+    for name in ("solve_boundary_riemann", "reflect_at_boundary"):
+        monkeypatch.setattr(tracking, name, recorded(getattr(tracking, name)))
+    single = []
+    for data, wall, cfg, gas in cases:
+        waves.clear()
+        shocks.clear()
+        traj = run(data, wall, cfg, gas)
+        # the leading edge is corner 0 of the initial slice, which has no record
+        emitted = [("edge", [traj.slices[0].fronts[-1]])]
+        emitted += [(r.kind, r.new_fronts) for r in traj.records
+                    if r.kind in ("corner", "boundary")]
+        assert len(waves) == len(emitted)
+        for (kind, new_fronts), (sigma, (below, top, slope)) in zip(emitted, waves):
+            if len(new_fronts) == 1:
+                f = new_fronts[0]
+                assert f.sigma == sigma
+                assert f.below is below and f.above is top and f.speed is slope
+                single.append(kind)
+        assert all(a != b for a, b in zip(shocks, shocks[1:]))
+    assert set(single) == {"edge", "corner", "boundary"}
+
+
 def test_per_event_dataclasses_have_no_instance_dict():
     # one State, Front and EventRecord per front, per event: a field added
     # without slots would bring a dict back to each of them
