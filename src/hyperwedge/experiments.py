@@ -26,6 +26,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
 from numbers import Real
 
 import numpy as np
@@ -409,11 +410,11 @@ def special_pair(eps: float, gas0: GasParams):
     target = 1.0 + gas0.a_inf * eps
     guess = -(gas0.gamma + 1.0) / 2.0 * eps
 
-    def density_miss(sig):
-        return wave_curve(U_b, 1, sig, gas0).rho - target
-
-    sigma = _brentq(density_miss, 3.0 * guess, 0.3 * guess, xtol=1.0e-16)
-    return U_b, wave_curve(U_b, 1, sigma, gas0), float(sigma)
+    # the root is a point the bracket evaluated: keep its state
+    curve = cache(lambda sig: wave_curve(U_b, 1, sig, gas0))
+    sigma = _brentq(lambda sig: curve(sig).rho - target, 3.0 * guess, 0.3 * guess,
+                    xtol=1.0e-16)
+    return U_b, curve(sigma), float(sigma)
 
 
 def _inside_fan(sol: RiemannSolution, zeta: float) -> bool:
@@ -675,7 +676,9 @@ def run_stability(cfg: ExperimentConfig) -> StabilityReport:
     lam_hat = base_traj.lambda_hat
     stations = [cfg.engine.x_end * f for f in (0.25, 0.5, 0.75, 1.0)]
     moved_data = _perturbed_data(base_data, cfg.data_perturbation)
-    moved_wall = _shifted_corner_wall(cfg, cfg.boundary_perturbation)
+    # an unturned wall rebuilt in two pieces rounds apart from the base one
+    moved_wall = (_shifted_corner_wall(cfg, cfg.boundary_perturbation)
+                  if cfg.boundary_perturbation else base_wall)
 
     def one_case(name, traj):
         data, wall = traj.data, traj.boundary

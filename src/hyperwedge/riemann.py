@@ -292,7 +292,7 @@ def sample_riemann_fan(sol: RiemannSolution, U_b: State, zeta: float,
             return states[j - 1]
         if zeta < hi or (zeta == hi and hi > lo):
             return fan_state(states[j - 1], j, sol.strengths[j - 1], zeta, gas)
-    return wave_curve(states[3], 4, sol.strengths[3], gas)
+    return sol.acoustic[1][1]
 
 
 def boundary_response(gas: GasParams) -> dict:

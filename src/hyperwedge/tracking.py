@@ -114,7 +114,6 @@ class Front:
     x0: float
     y0: float
     speed: float
-    generation: int
     below: State
     above: State
 
@@ -467,7 +466,7 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 def _emit_wave(U_below: State, family: int, sigma: float, x: float, y: float,
-               generation: int, gas: GasParams, nu: int, near=None, solved=None):
+               gas: GasParams, nu: int, near=None, solved=None):
     """Fronts realising one wave, splitting rarefactions into fan pieces.
 
     Returns (fronts, top_state).  Rarefactions of the acoustic families
@@ -484,19 +483,18 @@ def _emit_wave(U_below: State, family: int, sigma: float, x: float, y: float,
     pieces = _pieces(family, sigma, nu)
     if pieces == 1 and solved is not None and solved[0] == U_below:
         _, top, slope = solved
-        return [Front(family, sigma, x, y, slope, generation, U_below, top)], top
+        return [Front(family, sigma, x, y, slope, U_below, top)], top
     ds = sigma / pieces
     fronts = []
     cur = U_below
     for _ in range(pieces):
         nxt, speed = wave_front(cur, family, ds, gas, near)
-        fronts.append(Front(family, ds, x, y, speed, generation, cur, nxt))
+        fronts.append(Front(family, ds, x, y, speed, cur, nxt))
         cur = nxt
     return fronts, cur
 
 
-def _np_front(U_below: State, U_above: State, x: float, y: float,
-              generation: int, lambda_hat: float):
+def _np_front(U_below: State, U_above: State, x: float, y: float, lambda_hat: float):
     """Non-physical carrier for the gap between two states (or None if tiny).
 
     Its strength is the Euclidean norm of the state difference, its
@@ -508,7 +506,7 @@ def _np_front(U_below: State, U_above: State, x: float, y: float,
     gap = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3)
     if gap <= _ZERO_STRENGTH:
         return None
-    return Front(NP_FAMILY, gap, x, y, lambda_hat, generation, U_below, U_above)
+    return Front(NP_FAMILY, gap, x, y, lambda_hat, U_below, U_above)
 
 
 def _pieces(family: int, sigma: float, nu: int) -> int:
@@ -518,8 +516,8 @@ def _pieces(family: int, sigma: float, nu: int) -> int:
     return 1
 
 
-def _emit_riemann(sol, U_b: State, x: float, y: float, gens, gas: GasParams, nu: int):
-    """Fronts for a full four-wave solution; `gens` maps family -> generation.
+def _emit_riemann(sol, U_b: State, x: float, y: float, gas: GasParams, nu: int):
+    """Fronts for a full four-wave solution.
 
     :func:`_emit_wave` wave by wave, each acoustic wave with its solved
     front from ``sol.acoustic``.
@@ -528,7 +526,7 @@ def _emit_riemann(sol, U_b: State, x: float, y: float, gens, gas: GasParams, nu:
     fronts = []
     cur = U_b
     for j, sig, wave in zip((1, 2, 3, 4), sol.strengths, solved):
-        fr, cur = _emit_wave(cur, j, sig, x, y, gens[j], gas, nu, solved=wave)
+        fr, cur = _emit_wave(cur, j, sig, x, y, gas, nu, solved=wave)
         fronts.extend(fr)
     return fronts, cur
 
@@ -557,10 +555,9 @@ def initialize(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
     wave that turns the top state onto the first wall segment.
     """
     slice_ = SolutionSlice(0.0, [], data.states[0], _pair_columns([], 0.0))
-    gens = dict.fromkeys((1, 2, 3, 4), 1)
     for y, target in zip(data.breaks, data.states[1:]):
         sol = solve_riemann(slice_.top_state, target, gas)
-        fronts, _ = _emit_riemann(sol, slice_.top_state, 0.0, y, gens, gas, cfg.nu)
+        fronts, _ = _emit_riemann(sol, slice_.top_state, 0.0, y, gas, cfg.nu)
         n = len(slice_.fronts)
         slice_ = _apply_edit(slice_, 0.0, (n, n, fronts, target))
     edit, _ = _resolve_corner(slice_, Event("corner", 0.0, 0), boundary, cfg, gas)
@@ -879,18 +876,16 @@ def _resolve_interaction(slice_, event, cfg, gas, rho_threshold, lambda_hat):
         if f_up.family == NP_FAMILY:
             # two carriers (equal design speed; a perturbed one was caught):
             # merge into one spanning gap, which cannot exceed the sum
-            waves, np_gen = [], min(f_lo.generation, f_up.generation)
+            waves = []
         else:
-            waves, np_gen = [(f_up.family, f_up.sigma, f_up.generation)], f_lo.generation
+            waves = [(f_up.family, f_up.sigma)]
         # the carrier moves the wave's base state by its own tiny jump and
         # leaves its strength: f_up's solution starts the transmitted solve
-        new_fronts, _ = _transmit(U0, waves, U2, xh, yh, np_gen, gas, cfg.nu, lambda_hat,
-                                  near=f_up)
+        new_fronts, _ = _transmit(U0, waves, U2, xh, yh, gas, cfg.nu, lambda_hat, near=f_up)
         solver = "SRS"
     elif abs(f_lo.sigma * f_up.sigma) > rho_threshold:
         sol = solve_riemann(U0, U2, gas)
-        new_fronts, _ = _emit_riemann(sol, U0, xh, yh,
-                                      _ars_generations(f_lo, f_up), gas, cfg.nu)
+        new_fronts, _ = _emit_riemann(sol, U0, xh, yh, gas, cfg.nu)
         solver = "ARS"
     else:
         new_fronts = _srs_fronts(f_lo, f_up, U0, U2, xh, yh, gas, cfg.nu, lambda_hat)
@@ -900,37 +895,22 @@ def _resolve_interaction(slice_, event, cfg, gas, rho_threshold, lambda_hat):
     return (i, i + 2, new_fronts, None), rec
 
 
-def _ars_generations(f_lo: Front, f_up: Front) -> dict:
-    gmax = max(f_lo.generation, f_up.generation)
-    gens = {j: gmax + 1 for j in (1, 2, 3, 4)}
-    if f_lo.family == f_up.family:
-        gens[f_lo.family] = min(f_lo.generation, f_up.generation)
-    else:
-        gens[f_lo.family] = f_lo.generation
-        gens[f_up.family] = f_up.generation
-    return gens
-
-
 def _srs_fronts(f_lo, f_up, U0, U2, xh, yh, gas, nu, lambda_hat):
     """Simplified resolution: transmit strengths, lump the rest into a carrier."""
     if f_lo.family == f_up.family:
-        merged = [(f_lo.family, f_lo.sigma + f_up.sigma,
-                   min(f_lo.generation, f_up.generation))]
+        merged = [(f_lo.family, f_lo.sigma + f_up.sigma)]
     else:
         # canonical family order from below: the faster (higher) family ends
         # up above the slower one after crossing.  This also keeps the two
         # contact families in their composition order when a perturbed
         # 2-front grazes a 3-front, where the maps commute exactly and the
         # touch must transmit both strengths without creating new potential.
-        merged = sorted(
-            [(f_up.family, f_up.sigma, f_up.generation),
-             (f_lo.family, f_lo.sigma, f_lo.generation)])
-    np_gen = max(f_lo.generation, f_up.generation) + 1
-    fronts, _ = _transmit(U0, merged, U2, xh, yh, np_gen, gas, nu, lambda_hat)
+        merged = sorted([(f_up.family, f_up.sigma), (f_lo.family, f_lo.sigma)])
+    fronts, _ = _transmit(U0, merged, U2, xh, yh, gas, nu, lambda_hat)
     return fronts
 
 
-def _transmit(U0, waves, U2, xh, yh, np_gen, gas, nu, lambda_hat, near=None):
+def _transmit(U0, waves, U2, xh, yh, gas, nu, lambda_hat, near=None):
     """Physical fronts for `waves` stacked from U0, then a carrier up to U2.
 
     `near` is the front that a lone wave in `waves` was before a carrier
@@ -938,10 +918,10 @@ def _transmit(U0, waves, U2, xh, yh, np_gen, gas, nu, lambda_hat, near=None):
     """
     fronts = []
     cur = U0
-    for family, sigma, gen in waves:
-        fr, cur = _emit_wave(cur, family, sigma, xh, yh, gen, gas, nu, near)
+    for family, sigma in waves:
+        fr, cur = _emit_wave(cur, family, sigma, xh, yh, gas, nu, near)
         fronts.extend(fr)
-    npf = _np_front(cur, U2, xh, yh, np_gen, lambda_hat)
+    npf = _np_front(cur, U2, xh, yh, lambda_hat)
     if npf is not None:
         fronts.append(npf)
     else:
@@ -969,8 +949,7 @@ def _resolve_boundary(slice_, event, boundary, cfg, gas):
         kind, emech = "boundary", abs(f.sigma)
     else:
         raise SolverError(f"family-1 front reached the wall at x={xh}")
-    new_fronts, top = _emit_wave(U_below, 1, sigma, xh, yh, f.generation, gas, cfg.nu,
-                                 solved=wave)
+    new_fronts, top = _emit_wave(U_below, 1, sigma, xh, yh, gas, cfg.nu, solved=wave)
 
     rec = EventRecord(kind, "boundary", xh, yh, (f,), new_fronts, emech)
     return (i, i + 1, new_fronts, top), rec
@@ -981,7 +960,7 @@ def _resolve_corner(slice_, event, boundary, cfg, gas):
     xh, yh, omega = boundary.xs[k], boundary.gs[k], boundary.omegas[k]
     U_top = slice_.top_state
     sigma1, wave = solve_boundary_riemann(U_top, boundary.thetas[k], gas)
-    new_fronts, top = _emit_wave(U_top, 1, sigma1, xh, yh, 1, gas, cfg.nu, solved=wave)
+    new_fronts, top = _emit_wave(U_top, 1, sigma1, xh, yh, gas, cfg.nu, solved=wave)
     rec = EventRecord("corner", "boundary", xh, yh, (), new_fronts, abs(omega), omega)
     n = len(slice_.fronts)
     return (n, n, new_fronts, top), rec
@@ -1130,10 +1109,8 @@ def write_trajectory(traj: Trajectory, fh) -> None:
             lines.append(f"state,{_fmt(s.rho)},{_fmt(s.u)},{_fmt(s.v)},{_fmt(s.p)}")
             if k > 0:
                 f = sl.fronts[k - 1]
-                lines.append(
-                    f"front,{f.family},{_fmt(f.sigma)},{_fmt(ys[k - 1])},"
-                    f"{_fmt(f.speed)},{f.generation}"
-                )
+                lines.append(f"front,{f.family},{_fmt(f.sigma)},{_fmt(ys[k - 1])},"
+                             f"{_fmt(f.speed)}")
         fh.write("\n".join(lines) + "\n")
 
 

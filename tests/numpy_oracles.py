@@ -280,12 +280,12 @@ def solve_riemann(U_b, U_a, gas):
     return sig, (m1, m2, m3), speeds
 
 
-def emit_riemann(strengths, U_b, x, y, gens, gas, nu):
+def emit_riemann(strengths, U_b, x, y, gas, nu):
     """``tracking._emit_riemann`` as the chain of ``_emit_wave`` it replaces."""
     fronts = []
     cur = U_b
     for j, sig in zip((1, 2, 3, 4), strengths):
-        fr, cur = _emit_wave(cur, j, float(sig), x, y, gens[j], gas, nu)
+        fr, cur = _emit_wave(cur, j, float(sig), x, y, gas, nu)
         fronts.extend(fr)
     return fronts, cur
 

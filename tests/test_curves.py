@@ -251,7 +251,7 @@ def test_emit_wave_solves_each_shock_once(gas, bg, monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(curves, "_shock_solve", counted)
-    fronts, top = _emit_wave(bg, 1, -5e-3, 0.0, 0.0, 1, gas, 10)
+    fronts, top = _emit_wave(bg, 1, -5e-3, 0.0, 0.0, gas, 10)
     assert len(fronts) == 1 and len(calls) == 1
     assert top == fronts[0].above == wave_curve(bg, 1, -5e-3, gas)
     assert fronts[0].speed == shock_speed(bg, 1, -5e-3, gas)
@@ -293,7 +293,7 @@ def test_warm_started_shock_matches_cold_start(tau):
                     V = State(*(a - b for a, b in zip(w, (gap / np.linalg.norm(d) * d).tolist())))
                     Wn, sn = wave_front(V, j, sigma, gas)
                     for perturbation in (0.0, _PERTURBATION):
-                        near = Front(j, sigma, 0.0, 0.0, sn - perturbation, 1, V, Wn)
+                        near = Front(j, sigma, 0.0, 0.0, sn - perturbation, V, Wn)
                         W, s = wave_front(U, j, sigma, gas, near)
                         where = (U, j, sigma, gap, perturbation)
                         assert _jump_residual(U, W, s, gas, j, sigma) <= 1e-12, where
@@ -310,7 +310,7 @@ def test_warm_started_shock_matches_cold_start(tau):
 
 
 def test_warm_start_leaves_rarefactions_and_contacts(gas, bg):
-    near = Front(1, -1e-3, 0.0, 0.0, 5.0, 1, bg, State(2.0, 1.0, 1.0, 1.0))
+    near = Front(1, -1e-3, 0.0, 0.0, 5.0, bg, State(2.0, 1.0, 1.0, 1.0))
     for j, sigma in ((1, 1e-3), (4, 1e-3), (2, -1e-3), (3, 1e-3), (4, 0.0)):
         assert wave_front(bg, j, sigma, gas, near) == wave_front(bg, j, sigma, gas)
 

@@ -147,6 +147,23 @@ def test_special_pair_strength_converges_with_eps(gas0):
     assert gaps[1] < gaps[0] * 0.2  # linear-in-eps defect
 
 
+def test_special_solution_solves_no_shock_twice(monkeypatch):
+    # the fan sampler takes the family-4 wave its Riemann solution holds,
+    # and special_pair the state its root finder evaluated at the root
+    import hyperwedge.curves as curves
+    shock_solve, calls = curves._shock_solve, []
+
+    def counted(U, gas, family, sigma, near=None):
+        calls.append((U, gas, family, sigma))
+        return shock_solve(U, gas, family, sigma, near)
+
+    monkeypatch.setattr(curves, "_shock_solve", counted)
+    for eps in (1e-3, 1e-4):
+        calls.clear()
+        run_special_solution(ExperimentConfig(scenario="special", eps=eps))
+        assert calls and len(set(calls)) == len(calls)
+
+
 def test_fan_l1_matches_dense_quadrature(gas0):
     eps, tau, x = 1e-3, 0.1, 1.0
     gas_t = gas0.with_tau(tau)
@@ -366,6 +383,17 @@ def test_run_stability_rows():
         assert r.ratio == r.output_delta / r.input_delta
     assert rep.max_ratio == max(r.ratio for r in rep.rows)
     assert rep.max_ratio < 50.0
+
+
+def test_zero_boundary_perturbation_keeps_the_wall():
+    # the wall-only run then tracks the baseline wall itself: no input,
+    # no output gap, and the joint run is the data-only run
+    from hyperwedge.tracking import EngineConfig
+    cfg = ExperimentConfig(scenario="stability", tau_grid=(0.1,),
+                           boundary_perturbation=0.0, engine=EngineConfig(nu=8))
+    data, boundary, both = run_stability(cfg).rows
+    assert (boundary.input_delta, boundary.output_delta) == (0.0, 0.0)
+    assert (both.input_delta, both.output_delta) == (data.input_delta, data.output_delta)
 
 
 def test_readme_stability_rows_are_pinned(tmp_path):

@@ -42,7 +42,7 @@ _GAS = GasParams(gamma=1.4, a_inf=2.0, tau=0.1)
 
 def mkfront(family, sigma, below, above, y0=-0.5, speed=0.0):
     return Front(family=family, sigma=sigma, x0=0.0, y0=y0, speed=speed,
-                 generation=1, below=below, above=above)
+                 below=below, above=above)
 
 
 def const_slice(states, ys, x=0.0):

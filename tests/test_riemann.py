@@ -219,11 +219,10 @@ def test_solve_riemann_matches_recomputing_oracle(tau, sig):
     for j, sigma in zip((1, 2, 3, 4), sig):
         if sigma == 0.0:
             assert abs(sol.strengths[j - 1]) <= tracking._ZERO_STRENGTH
-    gens = {1: 3, 2: 4, 3: 5, 4: 6}
     # at nu = 1000 each rarefaction splits into sigma*nu > 1 pieces
     for nu in (10, 1000):
-        got = tracking._emit_riemann(sol, U_b, 0.4, -0.2, gens, gas, nu)
-        want = oracle.emit_riemann(sol.strengths, U_b, 0.4, -0.2, gens, gas, nu)
+        got = tracking._emit_riemann(sol, U_b, 0.4, -0.2, gas, nu)
+        want = oracle.emit_riemann(sol.strengths, U_b, 0.4, -0.2, gas, nu)
         assert got == want
 
 

@@ -186,7 +186,7 @@ def test_np_front_gap_is_the_state_difference_norm(bg):
             d = up - lo
             want = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3])
             assert want == pytest.approx(float(np.linalg.norm(d)), rel=1e-15, abs=0.0)
-            npf = tracking._np_front(lo, up, 0.3, -0.2, 1, 2.0)
+            npf = tracking._np_front(lo, up, 0.3, -0.2, 2.0)
             sizes.append(want)
             if want <= tracking._ZERO_STRENGTH:
                 assert npf is None
@@ -277,6 +277,8 @@ def test_export_format(gas):
     assert lines[3].startswith("state,")
     kinds = {ln.split(",")[0] for ln in lines[2:] if "," in ln}
     assert kinds == {"state", "front"}
+    # state,rho,u,v,p and front,family,sigma,y,speed
+    assert all(len(ln.split(",")) == 5 for ln in lines[2:] if "," in ln)
 
 
 def test_write_trajectory_streams_one_slice_per_write(gas):
@@ -358,8 +360,7 @@ def _through(gas, U, waves, x_star, y_star):
     fronts, states = [], [U]
     for family, sigma, x0 in waves:
         W, s = wave_front(states[-1], family, sigma, gas)
-        fronts.append(Front(family, sigma, x0, y_star - s * (x_star - x0), s, 1,
-                            states[-1], W))
+        fronts.append(Front(family, sigma, x0, y_star - s * (x_star - x0), s, states[-1], W))
         states.append(W)
     return fronts, states
 
@@ -503,7 +504,7 @@ def test_wall_hit_matches_walking_oracle(wall, bg):
         for speed in speeds:
             for gap in (0.0, 1e-3 * rng.random(), -1e-16):
                 y = wall.g_at(x_now) - gap
-                f = Front(1, -1e-3, x_now, y, speed, 1, bg, bg)
+                f = Front(1, -1e-3, x_now, y, speed, bg, bg)
                 got = tracking._wall_hit(f, x_now, wall)
                 assert got == _walking_wall_hit(f, x_now, wall)
                 hits += got is not None
@@ -815,8 +816,8 @@ def test_pair_bound_holds_at_later_stations(bg):
         x_lo, x_up = x_lo * x, x_up * x
         gap = 10.0 ** float(rng.uniform(-11.9, 0.0))
         ahead = 0.0 if rng.random() < 0.1 else 10.0 ** float(rng.uniform(-17.0, 0.3))
-        lo = Front(1, -1e-3, x_lo, y - (s_up + gap) * (x - x_lo), s_up + gap, 1, bg, bg)
-        up = Front(4, 1e-3, x_up, y + gap * ahead - s_up * (x - x_up), s_up, 1, bg, bg)
+        lo = Front(1, -1e-3, x_lo, y - (s_up + gap) * (x - x_lo), s_up + gap, bg, bg)
+        up = Front(4, 1e-3, x_up, y + gap * ahead - s_up * (x - x_up), s_up, bg, bg)
         bound, flag = tracking._pair_row(lo, up, x)
         assert flag == 0.0
         v = _scan_x(lo, up, x)
@@ -841,9 +842,9 @@ def test_near_parallel_pair_schedules_like_full_scan(gas, bg):
     # forward schedule as columns made at each station, and as the full scan
     wall = flat_wall()
     x_star, y_star, s = 0.5, -0.3, -0.01
-    lo = Front(2, 1e-3, 0.1, y_star - s * (x_star - 0.1), s, 1, bg, bg)
-    up = Front(3, 1e-3, 0.2, y_star - (s - 5e-14) * (x_star - 0.2), s - 5e-14, 1, bg, bg)
-    top = Front(4, 1e-3, 0.9, up.y_at(0.9), -0.05, 1, bg, bg)
+    lo = Front(2, 1e-3, 0.1, y_star - s * (x_star - 0.1), s, bg, bg)
+    up = Front(3, 1e-3, 0.2, y_star - (s - 5e-14) * (x_star - 0.2), s - 5e-14, bg, bg)
+    top = Front(4, 1e-3, 0.9, up.y_at(0.9), -0.05, bg, bg)
     fronts = [lo, up, top]
     carried = tracking._pair_columns(fronts, 0.4)
     assert list(carried[1, :2]) == [1.0, 0.0]
@@ -899,22 +900,22 @@ def test_interaction_emitting_nothing_keeps_the_upper_state(gas, bg, solver):
 @pytest.mark.parametrize("gap", [1e-4, 0.5 * tracking._ZERO_STRENGTH])
 def test_carrier_pair_merges_into_one_carrier(gas, bg, gap):
     # a carrier catches a perturbed, slower carrier above it: one carrier
-    # of the older generation spans the pair, or, when the spanned gap is
+    # at lambda_hat spans the pair, or, when the spanned gap is
     # below the cut-off, nothing is emitted and the upper state is kept
     lam = default_lambda_hat(gas)
     low, states = _through(gas, bg, [(1, -1e-3, 0.0)], 0.0, -0.8)
     U0 = states[-1]
     U1 = State(U0.rho + 2e-4, U0.u, U0.v - 1e-4, U0.p)
     U2 = State(U0.rho, U0.u, U0.v + gap, U0.p)
-    lo = Front(NP_FAMILY, float(np.linalg.norm(U1 - U0)), 0.5, -0.3, lam, 3, U0, U1)
-    up = Front(NP_FAMILY, float(np.linalg.norm(U2 - U1)), 0.5, -0.3, lam - 1e-3, 2, U1, U2)
+    lo = Front(NP_FAMILY, float(np.linalg.norm(U1 - U0)), 0.5, -0.3, lam, U0, U1)
+    up = Front(NP_FAMILY, float(np.linalg.norm(U2 - U1)), 0.5, -0.3, lam - 1e-3, U1, U2)
     top, above = _through(gas, U2, [(4, 1e-3, 0.0)], 0.0, -0.1)
     slice_ = SolutionSlice(0.4, low + [lo, up] + top, above[-1])
     out, rec = tracking.resolve_event(slice_, Event("interaction", 0.5, 1), _stress_wall(),
                                       EngineConfig(nu=10), gas, 1.0, lam)
     sigma = float(np.linalg.norm(U2 - U0))
     if gap > tracking._ZERO_STRENGTH:
-        merged = [Front(NP_FAMILY, sigma, 0.5, -0.3, lam, 2, U0, U2)]
+        merged = [Front(NP_FAMILY, sigma, 0.5, -0.3, lam, U0, U2)]
     else:
         assert sigma <= tracking._ZERO_STRENGTH
         merged = []
