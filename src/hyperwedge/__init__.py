@@ -8,24 +8,4 @@ solvers (:mod:`~hyperwedge.riemann`), the front-tracking engine
 (:mod:`~hyperwedge.experiments`, :mod:`~hyperwedge.cli`).
 """
 
-from .euler import (
-    CONTACT_FAMILIES,
-    FAMILIES,
-    GENUINE_FAMILIES,
-    NP_FAMILY,
-    DomainError,
-    GasParams,
-    State,
-    bc_residual,
-    bernoulli,
-    eigenvalue,
-    eigenvalues,
-    eigenvector,
-    entropy_pair,
-    flow_slope,
-    fluxes,
-    mass_flux_factor,
-    normalization_coefficient,
-)
-
 __version__ = "0.1.0"

@@ -127,8 +127,7 @@ def riemann(below, above, tau, gamma, a_inf):
     except ValueError as exc:
         _fail(_CONFIG_EXIT, str(exc))
     sol = _guard(solve_riemann, U_b, U_a, gas)
-    for j in (1, 2, 3, 4):
-        lo, hi = sol.speed_span(j)
+    for j, (lo, hi) in zip((1, 2, 3, 4), sol.speeds):
         span = f"{lo!r}" if lo == hi else f"{lo!r} .. {hi!r}"
         click.echo(f"wave {j}: sigma={sol.strengths[j - 1]!r}  speed={span}")
     for k, U in enumerate(sol.middle_states, start=1):

@@ -47,7 +47,6 @@ __all__ = [
     "compose_wave_curves",
     "hugoniot_curve",
     "hugoniot_compose",
-    "shock_speed",
     "fan_state",
     "damped_newton",
 ]
@@ -406,21 +405,6 @@ def hugoniot_compose(U: State, qs, gas: GasParams) -> State:
     for family, q in zip((1, 2, 3, 4), qs):
         W = hugoniot_curve(W, family, float(q), gas)
     return W
-
-
-def shock_speed(U: State, family: int, sigma: float, gas: GasParams) -> float:
-    """Slope of the discontinuity joining `U` to its family-`sigma` jump.
-
-    Defined for the acoustic families at any admissible strength within
-    the trust radius; tends to the characteristic slope as sigma -> 0
-    with derivative 1/2.
-    """
-    if family not in GENUINE_FAMILIES:
-        raise ValueError(f"shock speed only defined for acoustic families, got {family}")
-    _check_strength(sigma)
-    if sigma == 0.0:
-        return eigenvalue(U, gas, family)
-    return _shock_solve(U, gas, family, sigma)[1]
 
 
 def fan_state(U: State, family: int, sigma_total: float, zeta: float, gas: GasParams) -> State:

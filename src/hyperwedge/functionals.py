@@ -149,9 +149,6 @@ class GlimmWeights:
         k = _SAFETY * (4.0 * c21 * max(ks) + 1.0)
         return cls(ks[0], ks[1], ks[2], kc, k, gain, refl, c21)
 
-    def family_weight(self, family: int) -> float:
-        return {1: 1.0, 2: self.k2, 3: self.k3, 4: self.k4, NP_FAMILY: 1.0}[family]
-
 
 def strength_equivalence_constant(gas: GasParams) -> float:
     """Measured two-sided constant between strength vectors and state gaps.
@@ -176,9 +173,11 @@ def strength_equivalence_constant(gas: GasParams) -> float:
 def glimm_parts(slice_: SolutionSlice, boundary: BoundaryPolyline,
                 w: GlimmWeights) -> dict:
     """Weighted strength, corner tail, and potential of one slice."""
+    # indexed by family, 1 to NP_FAMILY
+    weights = (None, 1.0, w.k2, w.k3, w.k4, 1.0)
     v = 0.0
     for f in slice_.fronts:
-        v += w.family_weight(f.family) * abs(f.sigma)
+        v += weights[f.family] * abs(f.sigma)
     q = interaction_potential(slice_.fronts)
     return {"v": v, "v_corner": boundary.corner_tail(slice_.x), "q": q}
 

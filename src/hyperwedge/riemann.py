@@ -96,10 +96,6 @@ class RiemannSolution:
     speeds: tuple
     acoustic: tuple
 
-    def speed_span(self, j: int):
-        """(low, high) slope extent of wave j (1-based family index)."""
-        return self.speeds[j - 1]
-
 
 def _minus(W: State, target: list) -> list:
     """``W.as_array() - target`` as a list, for a Newton residual."""
@@ -286,8 +282,7 @@ def sample_riemann_fan(sol: RiemannSolution, U_b: State, zeta: float,
     `zeta`.
     """
     states = [U_b, *sol.middle_states]
-    for j in (1, 2, 3, 4):
-        lo, hi = sol.speed_span(j)
+    for j, (lo, hi) in zip((1, 2, 3, 4), sol.speeds):
         if zeta < lo:
             return states[j - 1]
         if zeta < hi or (zeta == hi and hi > lo):

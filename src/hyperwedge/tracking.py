@@ -34,7 +34,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import islice
+from itertools import combinations, islice
 from numbers import Integral, Real
 
 import numpy as np
@@ -256,9 +256,6 @@ class SolutionSlice:
     columns: np.ndarray | None = field(default=None, compare=False, repr=False)
     edits: list | None = field(default=None, compare=False, repr=False)
 
-    def ys(self) -> np.ndarray:
-        return np.array([f.y_at(self.x) for f in self.fronts])
-
     @property
     def states(self) -> list:
         """The states bottom to top: each front's ``below``, then the wall state."""
@@ -448,10 +445,6 @@ class Trajectory:
     records: list
     rho_threshold: float
     lambda_hat: float
-
-    @property
-    def final(self) -> SolutionSlice:
-        return self.slices[-1]
 
     def slice_at(self, x: float) -> SolutionSlice:
         if not 0.0 <= x <= self.cfg.x_end + 1.0e-12:
@@ -788,25 +781,12 @@ def _find_clash(near) -> set | None:
     """Front indices to perturb if the near-simultaneous events conflict."""
     if len(near) < 2:
         return None
-    frontsets = []
-    for x, kind, idx in near:
-        if kind == "interaction":
-            frontsets.append({idx, idx + 1})
-        elif kind == "boundary":
-            frontsets.append({idx})
-        elif kind == "corner":
-            frontsets.append(set())  # conflicts with any front event at same x
-    involved = [s for s in frontsets if s]
-    has_corner = any(k == "corner" for _, k, _ in near)
-    has_front_event = any(k in ("interaction", "boundary") for _, k, _ in near)
-    if has_corner and has_front_event:
+    involved = [{idx, idx + 1} if kind == "interaction" else {idx}
+                for _, kind, idx in near if kind in ("interaction", "boundary")]
+    # a corner conflicts with any front event at the same station
+    if involved and any(kind == "corner" for _, kind, _ in near):
         return set().union(*involved)
-    for a in range(len(involved)):
-        for b in range(a + 1, len(involved)):
-            common = involved[a] & involved[b]
-            if common:
-                return set().union(involved[a], involved[b])
-    return None
+    return next((a | b for a, b in combinations(involved, 2) if a & b), None)
 
 
 # ---------------------------------------------------------------------------
@@ -1103,13 +1083,13 @@ def write_trajectory(traj: Trajectory, fh) -> None:
     fh.write(f"x_end,h,nu,tau,gamma,a_inf,seed\n{values}\n")
     for sl in traj.slices:
         lines = [f"SLICE x={_fmt(sl.x)}"]
-        ys, states = sl.ys(), sl.states
+        states = sl.states
         for k in range(len(sl.fronts), -1, -1):
             s = states[k]
             lines.append(f"state,{_fmt(s.rho)},{_fmt(s.u)},{_fmt(s.v)},{_fmt(s.p)}")
             if k > 0:
                 f = sl.fronts[k - 1]
-                lines.append(f"front,{f.family},{_fmt(f.sigma)},{_fmt(ys[k - 1])},"
+                lines.append(f"front,{f.family},{_fmt(f.sigma)},{_fmt(f.y_at(sl.x))},"
                              f"{_fmt(f.speed)}")
         fh.write("\n".join(lines) + "\n")
 

@@ -35,7 +35,6 @@ from hyperwedge.curves import (
     CurveError,
     compose_wave_curves,
     hugoniot_compose,
-    shock_speed,
     wave_curve,
     wave_front,
 )
@@ -275,7 +274,7 @@ def solve_riemann(U_b, U_a, gas):
         fan_span(U_b, 1, sig[0]) if sig[0] > 0.0 else slope1,
         flow_slope(m1, gas),
         flow_slope(m1, gas),
-        fan_span(m3, 4, sig[3]) if sig[3] > 0.0 else shock_speed(m3, 4, sig[3], gas),
+        fan_span(m3, 4, sig[3]) if sig[3] > 0.0 else wave_front(m3, 4, sig[3], gas)[1],
     )
     return sig, (m1, m2, m3), speeds
 

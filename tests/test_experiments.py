@@ -174,8 +174,8 @@ def test_fan_l1_matches_dense_quadrature(gas0):
 
     cuts = {-0.8, 0.8}
     for sol in (solA, solB):
-        for j in (1, 2, 3, 4):
-            cuts.update(sol.speed_span(j))
+        for span in sol.speeds:
+            cuts.update(span)
     cuts = sorted(cuts)
     total = 0.0
     for a, b in zip(cuts, cuts[1:]):
@@ -404,6 +404,23 @@ def test_readme_stability_rows_are_pinned(tmp_path):
     write_stability_csv(run_stability(cfg), str(tmp_path / "stability.csv"))
     pinned = Path(__file__).with_name("stability_rows.csv")
     assert (tmp_path / "stability.csv").read_bytes() == pinned.read_bytes()
+
+
+def test_run_stability_slices_the_base_run_once_per_station(monkeypatch):
+    # 4 stations: the base run is sliced once at each, each of the three
+    # cases once at each
+    from hyperwedge.tracking import EngineConfig, Trajectory
+    calls = []
+    slice_at = Trajectory.slice_at
+
+    def counted(self, x):
+        calls.append(x)
+        return slice_at(self, x)
+
+    monkeypatch.setattr(Trajectory, "slice_at", counted)
+    run_stability(ExperimentConfig(scenario="stability", tau_grid=(0.1,),
+                                   engine=EngineConfig(nu=8)))
+    assert len(calls) == 16
 
 
 def test_run_stability_uses_the_largest_tau():

@@ -225,12 +225,11 @@ def test_l1_matches_cellwise_quadrature(gas):
     sA, sB = tA.slice_at(x), tB.slice_at(x)
     got = l1_distance(sA, sB, (lo, hi))
 
-    cuts = sorted({lo, hi,
-                   *[y for y in sA.ys() if lo < y < hi],
-                   *[y for y in sB.ys() if lo < y < hi]})
+    cuts = sorted({lo, hi, *[y for s in (sA, sB) for y in (f.y_at(x) for f in s.fronts)
+                             if lo < y < hi]})
 
     def state_at(s, y):
-        idx = int(np.searchsorted(s.ys(), y, side="right"))
+        idx = int(np.searchsorted([f.y_at(s.x) for f in s.fronts], y, side="right"))
         return s.states[idx]
 
     total = 0.0
@@ -357,10 +356,10 @@ def test_lyapunov_equivalence_and_near_decrease(gas):
 
 def test_entropy_shock_contact_and_carrier(gas, bg):
     shock_top = wave_curve(bg, 1, -2e-3, gas)
-    from hyperwedge.curves import shock_speed
+    from hyperwedge.curves import wave_front
     s = SolutionSlice(0.1, [
         mkfront(1, -2e-3, bg, shock_top, y0=-0.8,
-                speed=shock_speed(bg, 1, -2e-3, gas)),
+                speed=wave_front(bg, 1, -2e-3, gas)[1]),
         mkfront(2, 1e-3, shock_top, wave_curve(shock_top, 2, 1e-3, gas),
                 y0=-0.4, speed=flow_slope(shock_top, gas)),
         mkfront(NP_FAMILY, 1e-6, wave_curve(shock_top, 2, 1e-3, gas),

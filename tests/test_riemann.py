@@ -59,10 +59,10 @@ def test_wave_slopes_ordered(gas, bg):
     sig = (-4e-3, -2e-3, 3e-3, 5e-3)
     sol = solve_riemann(bg, compose_wave_curves(bg, sig, gas), gas)
     flat = []
-    for j in (1, 2, 3, 4):
-        flat.extend(sol.speed_span(j))
+    for span in sol.speeds:
+        flat.extend(span)
     assert all(b - a >= -1e-12 for a, b in zip(flat, flat[1:]))
-    assert sol.speed_span(2) == sol.speed_span(3)
+    assert sol.speeds[1] == sol.speeds[2]
 
 
 def test_special_data_strengths(gas0):
@@ -174,14 +174,14 @@ def test_sample_riemann_fan_far_field(gas, bg):
     sig = (-3e-3, 1e-3, -2e-3, 4e-3)
     U_a = compose_wave_curves(bg, sig, gas)
     sol = solve_riemann(bg, U_a, gas)
-    lo = sol.speed_span(1)[0]
-    hi = sol.speed_span(4)[1]
+    lo = sol.speeds[0][0]
+    hi = sol.speeds[3][1]
     assert sample_riemann_fan(sol, bg, lo - 0.1, gas) == bg
     got = sample_riemann_fan(sol, bg, hi + 0.1, gas)
     assert np.max(np.abs(got - U_a)) < 1e-10
     # inside the family-4 fan the family slope matches the ray slope
     from hyperwedge.euler import eigenvalue
-    zlo, zhi = sol.speed_span(4)
+    zlo, zhi = sol.speeds[3]
     mid = sample_riemann_fan(sol, bg, 0.5 * (zlo + zhi), gas)
     assert eigenvalue(mid, gas, 4) == pytest.approx(0.5 * (zlo + zhi), abs=1e-10)
 

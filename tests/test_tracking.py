@@ -125,7 +125,7 @@ def test_constant_state_flat_wall_stays_constant(gas):
     data = InitialData(np.array([]), (gas.background(),))
     traj = run(data, flat_wall(), EngineConfig(nu=8, x_end=1.0), gas)
     assert len(traj.records) == 0
-    final = traj.final
+    final = traj.slices[-1]
     assert len(final.fronts) == 0
     assert final.states[0] == gas.background()
 
@@ -135,7 +135,7 @@ def test_wedge_from_rest_single_shock(gas0):
     data = InitialData(np.array([]), (gas0.background(),))
     traj = run(data, wedge_wall(slope=-0.01), EngineConfig(nu=8, x_end=1.0), gas0)
     assert len(traj.records) == 0
-    final = traj.final
+    final = traj.slices[-1]
     assert len(final.fronts) == 1
     f = final.fronts[0]
     assert f.family == 1 and f.sigma < 0.0
@@ -149,7 +149,7 @@ def test_wedge_from_rest_single_shock(gas0):
 def test_shock_speed_on_attached_front(gas0):
     data = InitialData(np.array([]), (gas0.background(),))
     traj = run(data, wedge_wall(slope=-0.01), EngineConfig(nu=8, x_end=1.0), gas0)
-    f = traj.final.fronts[0]
+    f = traj.slices[-1].fronts[0]
     dfx = fluxes(f.above, gas0).fx - fluxes(f.below, gas0).fx
     dfy = fluxes(f.above, gas0).fy - fluxes(f.below, gas0).fy
     assert np.max(np.abs(f.speed * dfx - dfy)) < 1e-10
@@ -222,7 +222,7 @@ def test_slices_ordered_and_fronts_sorted(gas):
     xs = [s.x for s in traj.slices]
     assert all(b >= a for a, b in zip(xs, xs[1:]))
     for s in traj.slices[:-1]:
-        ys = s.ys()
+        ys = np.array([f.y_at(s.x) for f in s.fronts])
         assert np.all(np.diff(ys) >= -1e-14)
         assert len(s.states) == len(s.fronts) + 1
         # everything stays strictly below the wall
@@ -238,8 +238,7 @@ def test_slice_at_replays_front_lines(gas):
     k = max(i for i, s in enumerate(traj.slices) if s.x <= 0.62)
     src = traj.slices[k]
     assert mid.states == src.states
-    np.testing.assert_allclose(
-        mid.ys(), [f.y_at(0.62) for f in src.fronts], atol=0.0)
+    assert mid.fronts == src.fronts
     with pytest.raises(ValueError):
         traj.slice_at(1.5)
 
@@ -324,7 +323,8 @@ def _full_scan_next_event(slice_, boundary, cfg, gas, lambda_hat, rng):
     included, sort them all, and perturb the youngest front of a clash."""
     tol = tracking._COINCIDENCE_TOL
     for _ in range(64):
-        x0, fronts, ys = slice_.x, slice_.fronts, slice_.ys()
+        x0, fronts = slice_.x, slice_.fronts
+        ys = [f.y_at(x0) for f in fronts]
         cands = [(cfg.x_end, "end", -1)]
         for i in range(len(fronts) - 1):
             slo, sup = fronts[i].speed, fronts[i + 1].speed
@@ -421,6 +421,28 @@ def test_interactions_within_tolerance_clash_like_full_scan(gas, bg):
     (event, out), (want_event, want_out) = _schedule_both(slice_, wall, gas)
     assert event == want_event and out.fronts == want_out.fronts
     assert out.fronts[:2] == low and out.fronts[2].speed == top[0].speed - _DELTA
+
+
+def test_find_clash_rule():
+    # near events, sorted as next_event sorts them: (x, kind, index)
+    clash = tracking._find_clash
+    assert clash([]) is None
+    assert clash([(0.5, "interaction", 2)]) is None
+    # a corner conflicts with any front event at the same station
+    assert clash([(0.5, "corner", 7), (0.5, "interaction", 2)]) == {2, 3}
+    assert clash([(0.5, "corner", 7), (0.5, "end", -1)]) is None
+    # the top front hits the wall as it meets the front below it
+    assert clash([(0.5, "boundary", 4), (0.5, "interaction", 3)]) == {3, 4}
+    # pairs with no front in common do not clash
+    assert clash([(0.5, "interaction", 1), (0.5, "interaction", 3)]) is None
+    # chained pairs: the first two listed share no front, the first
+    # sharing pair in list order is (3, 4) with (2, 3)
+    chain = [(0.5, "interaction", 3), (0.5 + 1e-13, "interaction", 1),
+             (0.5 + 2e-13, "interaction", 2)]
+    assert clash(chain) == {2, 3, 4}
+    # the end of the domain involves no front
+    assert clash([(1.0, "end", -1), (1.0, "boundary", 4)]) is None
+    assert clash([(1.0, "end", -1), (1.0, "interaction", 0)]) is None
 
 
 def test_wall_hit_at_corner_perturbs_top_front_like_full_scan(gas, bg):
@@ -602,7 +624,6 @@ def test_slice_log_replays_the_full_scan_slices(case):
     assert list(traj.slices) == slices
     for k in (0, n - 1, n, n + 1, -1):
         assert traj.slices[k] == slices[k]
-    assert traj.final == slices[-1]
     for a, b in ((n - 3, n + 5), (n + 1, 2 * n + 2)):
         assert traj.slices[a:b] == slices[a:b]
     assert traj.slices[2 * n + 1:n - 2:-5] == slices[2 * n + 1:n - 2:-5]
