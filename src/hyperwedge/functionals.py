@@ -218,8 +218,8 @@ class LyapunovWeights:
         deficit at the jump-reflection gain; the transport coefficient
         ``|kb|*W1*(0-lam1) + w4*W4*(0-lam4)`` must be negative even when
         the level weights are least favourable (W1 at its cap 2, W4 at
-        its floor 1).  The critical ``w4`` is found by bisection and
-        inflated by the safety factor.
+        its floor 1).  The coefficient is linear in ``w4``: its root
+        ``2*|kb|*(-lam1)/lam4``, inflated by the safety factor, sizes ``w4``.
         """
         Ub = gas.background()
         eps = 1.0e-6
@@ -228,19 +228,9 @@ class LyapunovWeights:
         lam1 = eigenvalue(Ub, gas, 1)
         lam4 = eigenvalue(Ub, gas, 4)
 
-        def worst_coeff(w4):
-            return kb * 2.0 * (0.0 - lam1) + w4 * 1.0 * (0.0 - lam4)
-
-        lo, hi = 1.0e-3, 1.0e3
-        if worst_coeff(hi) >= 0.0:
+        if not (lam4 > 0.0 and kb * lam1 < 0.0):  # no positive root
             raise RuntimeError("wall dissipation cannot be made negative")
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if worst_coeff(mid) >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return cls(_SAFETY * hi)
+        return cls(_SAFETY * (2.0 * kb * (0.0 - lam1) / lam4))
 
     def component_weight(self, j: int) -> float:
         return self.w4 if j == 4 else 1.0

@@ -847,54 +847,46 @@ def _resolve_interaction(slice_, event, cfg, gas, rho_threshold, lambda_hat):
     emech = pair_potential(f_lo, f_up)
     np_involved = NP_FAMILY in (f_lo.family, f_up.family)
 
-    if np_involved:
-        if f_lo.family != NP_FAMILY:
-            raise SolverError(
-                f"unexpected non-physical collision geometry at x={xh}: "
-                f"families {f_lo.family}, {f_up.family}"
-            )
-        if f_up.family == NP_FAMILY:
-            # two carriers (equal design speed; a perturbed one was caught):
-            # merge into one spanning gap, which cannot exceed the sum
-            waves = []
-        else:
-            waves = [(f_up.family, f_up.sigma)]
-        # the carrier moves the wave's base state by its own tiny jump and
-        # leaves its strength: f_up's solution starts the transmitted solve
-        new_fronts, _ = _transmit(U0, waves, U2, xh, yh, gas, cfg.nu, lambda_hat, near=f_up)
-        solver = "SRS"
-    elif abs(f_lo.sigma * f_up.sigma) > rho_threshold:
+    if np_involved and f_lo.family != NP_FAMILY:
+        raise SolverError(
+            f"unexpected non-physical collision geometry at x={xh}: "
+            f"families {f_lo.family}, {f_up.family}"
+        )
+    if not np_involved and abs(f_lo.sigma * f_up.sigma) > rho_threshold:
         sol = solve_riemann(U0, U2, gas)
         new_fronts, _ = _emit_riemann(sol, U0, xh, yh, gas, cfg.nu)
         solver = "ARS"
     else:
-        new_fronts = _srs_fronts(f_lo, f_up, U0, U2, xh, yh, gas, cfg.nu, lambda_hat)
+        # simplified resolution: transmit strengths, lump the rest into a carrier
+        if f_up.family == NP_FAMILY:
+            # two carriers (equal design speed; a perturbed one was caught):
+            # merge into one spanning gap, which cannot exceed the sum
+            waves, near = [], None
+        elif np_involved:
+            # the carrier moves the wave's base state by its own tiny jump and
+            # leaves its strength: f_up's solution starts the transmitted solve
+            waves, near = [(f_up.family, f_up.sigma)], f_up
+        elif f_lo.family == f_up.family:
+            waves, near = [(f_lo.family, f_lo.sigma + f_up.sigma)], None
+        else:
+            # canonical family order from below: the faster (higher) family ends
+            # up above the slower one after crossing.  This also keeps the two
+            # contact families in their composition order when a perturbed
+            # 2-front grazes a 3-front, where the maps commute exactly and the
+            # touch must transmit both strengths without creating new potential.
+            waves, near = sorted([(f_up.family, f_up.sigma), (f_lo.family, f_lo.sigma)]), None
+        new_fronts = _transmit(U0, waves, U2, xh, yh, gas, cfg.nu, lambda_hat, near)
         solver = "SRS"
 
     rec = EventRecord("interaction", solver, xh, yh, (f_lo, f_up), new_fronts, emech)
     return (i, i + 2, new_fronts, None), rec
 
 
-def _srs_fronts(f_lo, f_up, U0, U2, xh, yh, gas, nu, lambda_hat):
-    """Simplified resolution: transmit strengths, lump the rest into a carrier."""
-    if f_lo.family == f_up.family:
-        merged = [(f_lo.family, f_lo.sigma + f_up.sigma)]
-    else:
-        # canonical family order from below: the faster (higher) family ends
-        # up above the slower one after crossing.  This also keeps the two
-        # contact families in their composition order when a perturbed
-        # 2-front grazes a 3-front, where the maps commute exactly and the
-        # touch must transmit both strengths without creating new potential.
-        merged = sorted([(f_up.family, f_up.sigma), (f_lo.family, f_lo.sigma)])
-    fronts, _ = _transmit(U0, merged, U2, xh, yh, gas, nu, lambda_hat)
-    return fronts
-
-
-def _transmit(U0, waves, U2, xh, yh, gas, nu, lambda_hat, near=None):
+def _transmit(U0, waves, U2, xh, yh, gas, nu, lambda_hat, near):
     """Physical fronts for `waves` stacked from U0, then a carrier up to U2.
 
     `near` is the front that a lone wave in `waves` was before a carrier
-    crossed it (see :func:`_emit_wave`).
+    crossed it (see :func:`_emit_wave`), else None.
     """
     fronts = []
     cur = U0
@@ -904,12 +896,10 @@ def _transmit(U0, waves, U2, xh, yh, gas, nu, lambda_hat, near=None):
     npf = _np_front(cur, U2, xh, yh, lambda_hat)
     if npf is not None:
         fronts.append(npf)
-    else:
+    elif fronts:
         # close the (tiny) gap exactly by reattaching the upper state
-        if fronts:
-            fronts[-1] = replace(fronts[-1], above=U2)
-        cur = U2
-    return fronts, cur
+        fronts[-1] = replace(fronts[-1], above=U2)
+    return fronts
 
 
 def _resolve_boundary(slice_, event, boundary, cfg, gas):

@@ -116,6 +116,31 @@ def test_special_writes_rate_and_coeffs(runner, tmp_path):
     assert len(coeffs) > 1
 
 
+def test_special_large_eps_stays_in_the_trust_radius(runner, tmp_path):
+    # the pinning strength, near -0.048, lies inside DELTA_TRUST although
+    # three times the linear guess does not
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["special", "--eps", "0.04", "--a", "1.2", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert len((out / "rate.csv").read_text().splitlines()) == 4
+    assert (out / "coeffs.csv").read_text().startswith("name,measured,closed_form,rel_err\n")
+
+
+def test_special_density_rise_outside_the_trust_box_exits_2(runner, tmp_path, monkeypatch):
+    # a_inf*eps = 0.06: the pinned upper state leaves the trust box
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before eps was checked")
+
+    monkeypatch.setattr(experiments, "wave_curve", no_solve)
+    monkeypatch.setattr(experiments, "solve_riemann", no_solve)
+    res = runner.invoke(main, ["special", "--eps", "0.02", "--a", "3",
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error: eps=0.02 ")
+    assert len(res.stderr.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_converge_writes_rate_csv(runner, tmp_path):
     cfg = _cfg_file(tmp_path, WEDGE_CFG)
     out = tmp_path / "out"

@@ -5,8 +5,10 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
+import warnings
 from dataclasses import astuple
 from pathlib import Path
 
@@ -137,6 +139,13 @@ def test_special_pair_pins_density_jump(gas0):
     assert U_a.rho - U_b.rho == pytest.approx(gas0.a_inf * eps, abs=1e-14)
     assert sigma == pytest.approx(-1.2 * eps, rel=0.01)
     assert special_pair(0.0, gas0)[2] == 0.0
+
+
+def test_special_pair_rejects_a_strength_beyond_the_trust_radius():
+    # at gamma=5 the pinning strength, about -3*eps, lies beyond -DELTA_TRUST
+    gas5 = GasParams(gamma=5.0, a_inf=1.2, tau=0.0)
+    with pytest.raises(ConfigError, match=r"^eps=0\.04 .*trust radius 0\.1"):
+        special_pair(0.04, gas5)
 
 
 def test_special_pair_strength_converges_with_eps(gas0):
@@ -309,10 +318,14 @@ def test_qk21_tables():
     (math.exp, 0.0, 1.0, math.e - 1.0),
     (lambda x: 1.0 / x, 1.0, 2.0, math.log(2.0)),
     (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, math.pi / 4.0),
-    (math.sqrt, 0.0, 1.0, 2.0 / 3.0),  # needs bisection at the kink
-], ids=["exp", "reciprocal", "arctan", "sqrt"])
+], ids=["exp", "reciprocal", "arctan"])
 def test_quad_reaches_relative_tolerance(f, a, b, exact):
-    assert _quad(f, a, b) == pytest.approx(exact, rel=1.0e-12, abs=0.0)
+    # a smooth integrand meets the bound on one panel, returned unchanged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuadratureWarning)
+        val = _quad(f, a, b)
+    assert val == _qk21(f, a, b)[0]
+    assert val == pytest.approx(exact, rel=1.0e-12, abs=0.0)
 
 
 def test_qk21_panel_matches_scipy():
@@ -334,11 +347,16 @@ def test_qk21_panel_matches_scipy():
     assert compared >= 100
 
 
-def test_quad_warns_at_the_panel_limit():
-    # 1/|x| is not integrable across 0: the panel holding 0 never converges
-    with pytest.warns(QuadratureWarning, match=r"\[-1.0, 2.0\] stopped at 200 panels"):
-        val = _quad(lambda x: 1.0 / abs(x), -1.0, 2.0)
-    assert math.isfinite(val) and val > 0.0
+def test_quad_warns_once_naming_the_interval():
+    # sqrt's kink at 0 leaves the panel's Kronrod-Gauss gap above the bound
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        val = _quad(math.sqrt, 0.0, 1.0)
+    assert [w.category for w in caught] == [QuadratureWarning]
+    assert re.search(r"panel on \[0\.0, 1\.0\] misses its error bound: estimate \S+",
+                     str(caught[0].message))
+    assert val == _qk21(math.sqrt, 0.0, 1.0)[0]
+    assert val == pytest.approx(2.0 / 3.0, rel=1.0e-4)
 
 
 # ---------------------------------------------------------------------------

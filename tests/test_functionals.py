@@ -314,6 +314,11 @@ def test_lyapunov_weights_positive(gas):
     w = LyapunovWeights.from_background(gas)
     assert [w.component_weight(j) for j in (1, 2, 3)] == [1.0, 1.0, 1.0]
     assert w.component_weight(4) == w.w4 > 0.0
+    # the wall reflection gain is 1 and lam1 = -lam4: w4 = _SAFETY * 2
+    for gamma, a_inf in ((1.4, 2.0), (5.0 / 3.0, 3.0), (1.2, 1.5), (3.0, 4.0)):
+        for tau in (0.0, 0.1, 0.5):
+            gas = GasParams(gamma=gamma, a_inf=a_inf, tau=tau)
+            assert LyapunovWeights.from_background(gas).w4 == pytest.approx(3.0)
 
 
 def test_lyapunov_identical_solutions_vanish(gas):
