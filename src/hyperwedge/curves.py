@@ -61,8 +61,9 @@ DELTA_TRUST = 0.1
 #: reference holds those floats until it is re-recorded
 _TINY_SIGMA = 1.0e-5
 
-#: cap on the secant steps of a rarefaction's end state; in the trust box
-#: each stops after at most 7, once its step is at rounding level
+#: cap on the secant steps of a rarefaction's end state and of a
+#: warm-started shock's slope; in the trust box each stops after at most
+#: 7 and 3 residuals, once its step is at rounding level
 _SECANT_MAXIT = 20
 
 _NEWTON_TOL = 1.0e-12
@@ -269,24 +270,22 @@ def _contact(U: State, gas: GasParams, family: int, sigma: float) -> State:
 def _shock_solve(U: State, gas: GasParams, family: int, sigma: float, near=None):
     """Solve the jump conditions for one acoustic family.
 
-    Unknowns are the post state and the discontinuity slope,
-    z = (rho, u, v, p, s).  Four equations impose
+    Without `near`, the unknowns are the post state and the discontinuity
+    slope, z = (rho, u, v, p, s).  Four equations impose
     ``s*(F_x(W) - F_x(U)) = F_y(W) - F_y(U)`` and the fifth pins the
-    parameterisation, ``lam_j(W) - lam_j(U) = sigma``.
+    parameterisation, ``lam_j(W) - lam_j(U) = sigma``.  Newton starts
+    from the linear step along the field.
 
-    Newton starts from the linear step along the field, or, with `near`
-    (a front of this family and strength solved from a nearby base
-    state), from that front shifted by the gap between the base states:
-    ``near.above + (U - near.below)`` and ``near.speed + lam_j(U) -
-    lam_j(near.below)``.  The slope shift matters: on a weak shock the
-    residual hardly sees the slope, so an unshifted one would stay off by
-    about the gap rather than ``|sigma|`` times it.  A gap of 0 starts at
-    ``near``'s own solution.
+    With `near` (a front of this family and strength solved from a nearby
+    base state), the post state comes from the explicit relation of
+    :func:`_shock_secant` and only the slope is solved for.
 
     Returns the post state and the slope on plain floats: numpy scalars
     would carry into every front, slope and station built from them.
     """
     w = [float(U.rho), float(U.u), float(U.v), float(U.p)]
+    if near is not None:
+        return _shock_secant(w, gas, family, sigma, near)
     (X0, X1, X2, X3), (Y0, Y1, Y2, Y3), lam0 = flux_and_slope(*w, gas, family)
 
     def F(z):  # written out for speed: the same floats as a loop over components
@@ -296,17 +295,66 @@ def _shock_solve(U: State, gas: GasParams, family: int, sigma: float, near=None)
                 s * (a2 - X2) - (b2 - Y2), s * (a3 - X3) - (b3 - Y3),
                 lam - lam0 - sigma]
 
-    if near is None:
-        r = acoustic_field(*w, gas, family)
-        z0 = [a + sigma * b for a, b in zip(w, r)]
-        z0.append(lam0 + 0.5 * sigma)
-    else:
-        b, a = near.below, near.above
-        z0 = [a.rho + (w[0] - b.rho), a.u + (w[1] - b.u), a.v + (w[2] - b.v),
-              a.p + (w[3] - b.p),
-              near.speed + (lam0 - acoustic_slope(b.rho, b.u, b.v, b.p, gas, family))]
+    r = acoustic_field(*w, gas, family)
+    z0 = [a + sigma * b for a, b in zip(w, r)]
+    z0.append(lam0 + 0.5 * sigma)
     rho, u, v, p, s = damped_newton(F, z0)
     return State(rho, u, v, p), s
+
+
+def _shock_secant(w: list, gas: GasParams, family: int, sigma: float, near):
+    """Post state and slope of a shock from the explicit oblique-shock
+    relation, by a secant on the slope started from `near`.
+
+    For a front of slope ``s`` above ``w = (rho, u, v, p)`` write
+    ``m = 1 + tau^2 u``, ``k = 1 + tau^2 s^2`` and ``a = s m - v``: the
+    mass flux ``j = rho a`` is the same on both sides, ``j [u] = -s [p]``,
+    ``j [v] = [p]`` and ``B`` is continuous (Courant & Friedrichs,
+    ch. IV).  Off the trivial root, ``q = [p]/j`` is then
+    ``2/((gamma+1) k) * (a - gamma p k/(rho a))`` and the post state
+    ``W(s) = (rho a/(a - k q), u - s q, v + q, p + rho a q)`` satisfies the
+    four jump conditions to rounding.
+
+    The secant solves ``lam_j(W(s)) - lam_j(U) = sigma``.  It starts from
+    `near`'s slope shifted by the gap between the base states,
+    ``near.speed + lam_j(U) - lam_j(near.below)``, which is
+    ``O(|sigma| gap)`` off where an unshifted start would be about the gap
+    off, and takes ``s0 - R0/2`` as its second point: a shock's slope is
+    about the mean of ``lam_j`` on its two sides, so the pin residual
+    grows about twice as fast as ``s``.  It stops once its step is at
+    rounding level or the secant is flat (equal residuals, as at the
+    tiny strengths the accurate solver emits), returning the last state
+    it evaluated.  A zero mass flux or a secant that does not converge
+    raises :class:`CurveError`, a state outside the hyperbolic region
+    :class:`DomainError`.
+    """
+    rho, u, v, p = w
+    g, t = gas.gamma, gas.t2
+    m = 1.0 + t * u
+    lam0 = acoustic_slope(rho, u, v, p, gas, family)
+
+    def pin(s):  # W(s) and its slope residual
+        k = 1.0 + t * s * s
+        a = s * m - v
+        if a == 0.0:
+            raise CurveError(f"zero mass flux across a shock of slope {s}")
+        q = 2.0 / ((g + 1.0) * k) * (a - g * p * k / (rho * a))
+        W = (rho * a / (a - k * q), u - s * q, v + q, p + rho * a * q)
+        return W, acoustic_slope(*W, gas, family) - lam0 - sigma
+
+    b = near.below
+    s_prev = near.speed + (lam0 - acoustic_slope(b.rho, b.u, b.v, b.p, gas, family))
+    res_prev = pin(s_prev)[1]
+    s = s_prev - 0.5 * res_prev
+    for _ in range(_SECANT_MAXIT):
+        W, res = pin(s)
+        step = 0.0 if res == res_prev else res * (s - s_prev) / (res - res_prev)
+        if abs(step) <= 2.0 ** -52 * (1.0 + abs(s)):
+            return State(*W), s
+        s_prev, res_prev = s, res
+        s -= step
+    raise CurveError(f"shock secant did not converge: residual {res:.3e} "
+                     f"after {_SECANT_MAXIT} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +395,17 @@ def wave_front(U: State, family: int, sigma: float, gas: GasParams,
 
     Runs the checks of :func:`wave_curve` and returns ``(state, slope)``
     from one evaluation of the curve: the jump-condition slope of a
-    shock (both come out of the same Newton solve), the flow slope below
-    a contact, and for a rarefaction the trailing-edge characteristic
+    shock (both come out of the same solve), the flow slope below a
+    contact, and for a rarefaction the trailing-edge characteristic
     slope -- of the end state for family 1, of `U` for family 4.
 
     `near`, a front (``below``, ``above``, ``speed``) of the same family
-    and strength from a nearby base state, starts a shock's Newton from
-    its solution shifted to `U` (see :func:`_shock_solve`); rarefactions
-    and contacts ignore it.  The shock then meets the same residual
-    bound, 1e-12, from a different start.  Without `near` the state
+    and strength from a nearby base state, starts a shock's slope secant
+    on the explicit oblique-shock relation from its slope shifted to `U`
+    (see :func:`_shock_secant`); rarefactions and contacts ignore it.
+    That shock meets the jump conditions and the slope pin to rounding;
+    the Newton from the linear step stops at a 1e-12 residual, and the
+    two states agree to 1e-11 (tested).  Without `near` the state
     equals ``wave_curve(U, family, sigma, gas)`` bit for bit.
     """
     _check_strength(sigma)

@@ -33,7 +33,13 @@ import numpy as np
 from .curves import DELTA_TRUST, wave_curve
 from .euler import DomainError, GasParams, State
 from .functionals import l1_distance, wall_mismatch
-from .riemann import TRUST_RADIUS, RiemannSolution, sample_riemann_fan, solve_riemann
+from .riemann import (
+    TRUST_RADIUS,
+    RiemannSolution,
+    sample_riemann_fan,
+    solve_riemann,
+    trust_deviation,
+)
 from .tracking import (
     BoundaryPolyline,
     EngineConfig,
@@ -387,7 +393,10 @@ def special_pair(eps: float, gas0: GasParams):
     density jump ``a_inf * eps``.  Returns ``(U_b, U_a, sigma)`` with
     ``sigma`` the pinning strength (negative: compression).  Raises
     :class:`ConfigError` when the jump leaves the trust box: a density
-    rise of at least ``TRUST_RADIUS``, or a strength beyond ``-DELTA_TRUST``.
+    rise of at least ``TRUST_RADIUS``, checked before any solve, a
+    strength beyond ``-DELTA_TRUST``, or an upper state with any component
+    ``TRUST_RADIUS`` or more from the background (for ``a_inf < 1`` its
+    ``u`` and ``p`` move by about ``eps/a_inf``, more than its density).
     """
     if gas0.tau != 0.0:
         raise ValueError("special_pair pins the jump in the zero-limit system")
@@ -410,7 +419,13 @@ def special_pair(eps: float, gas0: GasParams):
             f"of the wave strengths at gamma={gas0.gamma}")
     sigma = _brentq(lambda sig: curve(sig).rho - target, strong, 0.3 * guess,
                     xtol=1.0e-16)
-    return U_b, curve(sigma), float(sigma)
+    U_a = curve(sigma)
+    dev = trust_deviation(U_a, gas0)
+    if not dev < TRUST_RADIUS:
+        raise ConfigError(
+            f"eps={eps} pins an upper state {dev:.4f} from background, "
+            f"outside the trust radius {TRUST_RADIUS}")
+    return U_b, U_a, float(sigma)
 
 
 def fan_l1_distance(solA: RiemannSolution, gasA: GasParams,

@@ -15,6 +15,7 @@ tracking engine above.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -48,6 +49,7 @@ __all__ = [
     "boundary_hugoniot_q1",
     "sample_riemann_fan",
     "boundary_response",
+    "trust_deviation",
 ]
 
 #: componentwise trust radius around the background state for all solves
@@ -60,8 +62,19 @@ class SolverError(RuntimeError):
     """Riemann solve failed or was requested outside its trust region."""
 
 
+def trust_deviation(U: State, gas: GasParams) -> float:
+    """Largest componentwise distance of `U` from the background state.
+
+    NaN if any component is NaN, as ``np.max`` gives it: ``max`` alone
+    may skip a NaN, so a NaN state would pass for a near one.
+    """
+    bg = gas.background()
+    d = [abs(U.rho - bg.rho), abs(U.u - bg.u), abs(U.v - bg.v), abs(U.p - bg.p)]
+    return math.nan if math.isnan(sum(d)) else float(max(d))
+
+
 def _check_trust(U: State, gas: GasParams, label: str) -> None:
-    dev = np.max(np.abs(U - gas.background()))
+    dev = trust_deviation(U, gas)
     if not dev < TRUST_RADIUS:  # a NaN component fails too
         raise SolverError(
             f"{label} deviates {dev:.4f} from background, outside trust radius {TRUST_RADIUS}"

@@ -141,6 +141,17 @@ def test_special_density_rise_outside_the_trust_box_exits_2(runner, tmp_path, mo
     assert not (tmp_path / "out").exists()
 
 
+def test_special_upper_state_outside_the_trust_box_exits_2(runner, tmp_path):
+    # a_inf*eps = 0.015 passes the density check, but at a_inf < 1 the
+    # pinned upper state's pressure and u move by about eps/a_inf
+    res = runner.invoke(main, ["special", "--eps", "0.03", "--a", "0.5",
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error: eps=0.03 pins an upper state 0.0602 from background")
+    assert len(res.stderr.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_converge_writes_rate_csv(runner, tmp_path):
     cfg = _cfg_file(tmp_path, WEDGE_CFG)
     out = tmp_path / "out"

@@ -259,7 +259,8 @@ def test_emit_wave_solves_each_shock_once(gas, bg, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# warm-started shocks: a front from a nearby base state as the Newton start
+# warm-started shocks: the explicit relation, a secant started from a front
+# solved from a nearby base state
 # ---------------------------------------------------------------------------
 
 #: the largest speed perturbation next_event gives a front, 2^-(nu+2), at
@@ -274,6 +275,16 @@ def _jump_residual(U, W, s, gas, j, sigma):
     A, B, lam = flux_and_slope(W.rho, W.u, W.v, W.p, gas, j)
     return max([abs(s * (a - x) - (b - y)) for a, x, b, y in zip(A, X, B, Y)]
                + [abs(lam - lam0 - sigma)])
+
+
+def _assert_explicit_shock(U, W, s, gas, j, sigma, where):
+    """The jump rows of the residual at (W, s) at rounding level relative
+    to the flux scale, and the slope pin within a few ulps of the slope."""
+    X, Y, lam0 = flux_and_slope(U.rho, U.u, U.v, U.p, gas, j)
+    A, B, lam = flux_and_slope(W.rho, W.u, W.v, W.p, gas, j)
+    jump = max(abs(s * (a - x) - (b - y)) for a, x, b, y in zip(A, X, B, Y))
+    assert jump <= 1e-15 * max(map(abs, X + Y)), where
+    assert abs(lam - lam0 - sigma) <= 4 * 2.0 ** -52 * (1.0 + abs(lam)), where
 
 
 @pytest.mark.parametrize("tau", (0.0, 0.1, 0.4))
@@ -302,12 +313,77 @@ def test_warm_started_shock_matches_cold_start(tau):
                         assert abs(s - s0) <= 1e-12 / abs(sigma), where
                         assert all(type(a) is float for a in (W.rho, W.u, W.v, W.p, s)), where
                         if perturbation == 0.0 and abs(sigma) <= 1e-6:
-                            # a residual this blind to the slope keeps the
-                            # start's: lam_j's shift puts it O(sigma*gap)
-                            # from the cold one, not O(gap)
+                            # the Newton's residual is this blind to the
+                            # slope; lam_j's shift keeps the warm one
+                            # O(sigma*gap) from the cold one, not O(gap)
                             assert abs(s - s0) <= abs(sigma) * gap + 1e-12, where
-                        if gap == 0.0 and perturbation == 0.0:
-                            assert (W, s) == (Wn, sn), where
+                        _assert_explicit_shock(U, W, s, gas, j, sigma, where)
+
+
+def _record_slopes(monkeypatch):
+    """The list of every value ``curves.acoustic_slope`` returns; the
+    cold Newton calls ``flux_and_slope`` instead and adds none."""
+    slopes = []
+
+    def recorded(*args):
+        slopes.append(acoustic_slope(*args))
+        return slopes[-1]
+
+    monkeypatch.setattr(curves, "acoustic_slope", recorded)
+    return slopes
+
+
+@pytest.mark.parametrize("tau", (0.0, 0.05, 0.1, 0.4))
+def test_explicit_shock_relation_against_the_cold_newton(tau, monkeypatch):
+    # both families, |sigma| from the accurate solver's emission cut-off
+    # to the strongest shocks of the drivers, bases 0 to 1e-4 from the
+    # front: the secant makes at most 3 pin residuals, each one slope
+    # evaluation past lam_j(U) and lam_j(near.below)
+    gas = GasParams(gamma=1.4, a_inf=2.0, tau=tau)
+    slopes = _record_slopes(monkeypatch)
+    rng = np.random.default_rng(31)
+    for U in trust_box_states(gas, 3, seed=37):
+        w = [float(a) for a in (U.rho, U.u, U.v, U.p)]
+        for j in GENUINE_FAMILIES:
+            for sigma in (-1e-16, -1e-14, -1e-9, -1e-6, -1e-3, -3e-2):
+                W0, s0 = wave_front(U, j, sigma, gas)
+                for gap in (0.0, 1e-12, 1e-6, 1e-4):
+                    d = rng.normal(size=4)
+                    V = State(*(a - b for a, b in zip(w, (gap / np.linalg.norm(d) * d).tolist())))
+                    Wn, sn = wave_front(V, j, sigma, gas)
+                    slopes.clear()
+                    W, s = wave_front(U, j, sigma, gas, Front(j, sigma, 0.0, 0.0, sn, V, Wn))
+                    where = (U, j, sigma, gap)
+                    assert 4 <= len(slopes) <= 5, where
+                    _assert_explicit_shock(U, W, s, gas, j, sigma, where)
+                    assert max(map(abs, W - W0)) <= 1e-11, where
+                    assert all(type(a) is float for a in (W.rho, W.u, W.v, W.p, s)), where
+
+
+def test_explicit_shock_stops_on_a_flat_secant(gas0, monkeypatch):
+    # at sigma = -1e-16 from the front's own base state the two pin
+    # residuals are equal: the secant returns there, not dividing by zero
+    U = gas0.background()
+    Wn, sn = wave_front(U, 1, -1e-16, gas0)
+    slopes = _record_slopes(monkeypatch)
+    W, s = wave_front(U, 1, -1e-16, gas0, Front(1, -1e-16, 0.0, 0.0, sn, U, Wn))
+    assert len(slopes) == 4 and slopes[2] == slopes[3]
+    _assert_explicit_shock(U, W, s, gas0, 1, -1e-16, U)
+
+
+def test_explicit_shock_failures(gas, monkeypatch):
+    U = gas.background()
+    # near's slope, shifted, makes the mass flux s*m - v zero at v = 0
+    with pytest.raises(CurveError, match="zero mass flux"):
+        wave_front(U, 1, -1e-3, gas, Front(1, -1e-3, 0.0, 0.0, 0.0, U, U))
+    # a slope just off it: the pressure jump exceeds the pressure
+    with pytest.raises(DomainError, match="nonpositive pressure"):
+        wave_front(U, 1, -1e-3, gas, Front(1, -1e-3, 0.0, 0.0, 1e-3, U, U))
+    Wn, sn = wave_front(U, 4, -1e-3, gas)
+    far = State(U.rho + 1e-4, U.u, U.v, U.p)
+    monkeypatch.setattr(curves, "_SECANT_MAXIT", 1)
+    with pytest.raises(CurveError, match="shock secant did not converge"):
+        wave_front(far, 4, -1e-3, gas, Front(4, -1e-3, 0.0, 0.0, sn, U, Wn))
 
 
 def test_warm_start_leaves_rarefactions_and_contacts(gas, bg):

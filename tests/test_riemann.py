@@ -106,6 +106,29 @@ def test_trust_check_rejects_nonfinite_components(gas, bg, k, value):
         solve_boundary_riemann(bad, 0.0, gas)
 
 
+def test_trust_deviation_is_the_array_max(gas, bg):
+    # the plain-float deviation is np.max(np.abs(U - bg)), NaN included,
+    # and the check's message prints it as before
+    rng = np.random.default_rng(41)
+    w = bg.as_array()
+    states = [State(*(w + rng.uniform(-0.08, 0.08, size=4))) for _ in range(40)]
+    states += [State(*(w + rng.uniform(-0.08, 0.08, size=4)).tolist()) for _ in range(40)]
+    states += [State(math.nan, bg.u, bg.v, bg.p), State(bg.rho, bg.u, 1.0, math.nan)]
+    outside = 0
+    for U in states:
+        want = np.max(np.abs(U.as_array() - w))
+        dev = riemann.trust_deviation(U, gas)
+        assert type(dev) is float
+        assert dev == want or (math.isnan(dev) and math.isnan(want)), U
+        if not want < riemann.TRUST_RADIUS:
+            outside += 1
+            with pytest.raises(SolverError) as err:
+                solve_boundary_riemann(U, 0.0, gas)
+            assert str(err.value) == (f"boundary state deviates {want:.4f} from background, "
+                                      f"outside trust radius {riemann.TRUST_RADIUS}")
+    assert 2 < outside < len(states)
+
+
 def test_boundary_solve_trivial_and_slip(gas, bg):
     assert abs(solve_boundary_riemann(bg, 0.0, gas)[0]) < 1e-12
     theta = -8e-3

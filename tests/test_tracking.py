@@ -645,15 +645,29 @@ def test_slice_log_replays_the_full_scan_slices(case):
 def test_carrier_crossings_warm_start_their_shocks(monkeypatch):
     # a carrier moves a shock's base state by its own tiny jump and leaves
     # its strength: the transmitted shock's solve starts from the crossed
-    # front, and most return after the one residual at that start (here
-    # 954 of 1,586 shock solves, 5,432 residuals; from the linear step
-    # every solve takes a Newton step, 11,204 residuals in all)
-    counts = []
-    monkeypatch.setattr(curves, "damped_newton", count_residuals(curves.damped_newton, counts))
+    # front, a secant on the explicit relation with no Newton (here 1,342
+    # such solves, with 2,686 pin residuals, against 211 Newton calls;
+    # each slope evaluation past lam_j of the two base states is one pin
+    # residual)
+    newton, slopes, warm = [], [], []
+    monkeypatch.setattr(curves, "damped_newton", count_residuals(curves.damped_newton, newton))
+    slope = curves.acoustic_slope
+    monkeypatch.setattr(curves, "acoustic_slope", lambda *args: slopes.append(1) or slope(*args))
+    solve = curves._shock_solve
+
+    def shock_solve(U, gas, family, sigma, near=None):
+        calls, evals = len(newton), len(slopes)
+        out = solve(U, gas, family, sigma, near)
+        if near is not None:
+            warm.append((len(newton) - calls, len(slopes) - evals - 2))
+        return out
+
+    monkeypatch.setattr(curves, "_shock_solve", shock_solve)
     data, wall, cfg, gas = _curved_case()
     traj = run(data, wall, cfg, gas)
     assert len(traj.records) == 1646
-    assert 2 * counts.count(1) >= len(counts) > 0
+    assert 2 * len(warm) >= len(newton) + len(warm) > len(warm) > 0
+    assert all(calls == 0 and 2 <= residuals <= 3 for calls, residuals in warm)
 
 
 def test_slice_log_retains_under_half_the_eager_slices():
