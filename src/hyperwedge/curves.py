@@ -63,8 +63,14 @@ _TINY_SIGMA = 1.0e-5
 
 #: cap on the secant steps of a rarefaction's end state and of a
 #: warm-started shock's slope; in the trust box each stops after at most
-#: 7 and 3 residuals, once its step is at rounding level
+#: 7 and 4 residuals (3 from a base state within 1e-4 of the front's),
+#: once its step is at rounding level
 _SECANT_MAXIT = 20
+#: a secant that reaches its cap without a rounding-level step returns
+#: the state of its least slope residual if that is at most this many
+#: units of ``1 + |lam_j(U)|``: the residuals of a converged secant can
+#: cycle at 3 to 5 such units and never give a rounding-level step
+_SECANT_ROUNDING = 16.0 * 2.0 ** -52
 
 _NEWTON_TOL = 1.0e-12
 _NEWTON_MAXIT = 50
@@ -172,7 +178,9 @@ def _rarefaction(U: State, gas: GasParams, family: int, sigma: float) -> State:
     fix the state, with ``u = 2e/(Q+1) - 2Q (sin(tau phi/2)/tau)^2`` free of
     cancellation, and ``c`` solves ``lam_j(W(c)) = lam_j(U) + sigma``:
     explicitly at ``tau = 0``, else by a secant from the field's linear
-    step, stopped at rounding level.  A state leaving the hyperbolic
+    step, stopped at rounding level; after ``_SECANT_MAXIT`` steps it
+    returns its least-residual state if that residual is at rounding
+    level (:func:`_check_secant_exit`).  A state leaving the hyperbolic
     region raises :class:`DomainError`, a secant that does not converge
     :class:`CurveError`.  Below ``_TINY_SIGMA``: two RK4 steps.
     """
@@ -230,6 +238,7 @@ def _rarefaction(U: State, gas: GasParams, family: int, sigma: float) -> State:
     field = acoustic_field(rho0, u0, v0, p0, gas, family)
     c_prev, res_prev = c0, -sigma
     c = c0 + sigma * 0.5 * c0 * (field[3] / p0 - field[0] / rho0)  # dc/dsigma along the field
+    best = (math.inf, None)
     for _ in range(_SECANT_MAXIT):
         W = state(c)
         res = acoustic_slope(W.rho, W.u, W.v, W.p, gas, family) - lam0 - sigma
@@ -237,10 +246,22 @@ def _rarefaction(U: State, gas: GasParams, family: int, sigma: float) -> State:
         step = 0.0 if res == res_prev else res * (c - c_prev) / (res - res_prev)
         if abs(step) <= 2.0 ** -51 * c:
             return W
+        if abs(res) < best[0]:
+            best = (abs(res), W)
         c_prev, res_prev = c, res
         c -= step
-    raise CurveError(f"rarefaction secant did not converge: residual {res:.3e} "
-                     f"after {_SECANT_MAXIT} steps")
+    _check_secant_exit("rarefaction", best[0], lam0, res)
+    return best[1]
+
+
+def _check_secant_exit(wave: str, least: float, lam0: float, res: float) -> None:
+    """Accept a secant that has made ``_SECANT_MAXIT`` steps if its least
+    ``|residual|`` is within ``_SECANT_ROUNDING`` units of ``1 + |lam0|``;
+    else raise :class:`CurveError` with `res`, its last residual.
+    """
+    if not least <= _SECANT_ROUNDING * (1.0 + abs(lam0)):
+        raise CurveError(f"{wave} secant did not converge: residual {res:.3e} "
+                         f"after {_SECANT_MAXIT} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +345,11 @@ def _shock_secant(w: list, gas: GasParams, family: int, sigma: float, near):
     grows about twice as fast as ``s``.  It stops once its step is at
     rounding level or the secant is flat (equal residuals, as at the
     tiny strengths the accurate solver emits), returning the last state
-    it evaluated.  A zero mass flux or a secant that does not converge
-    raises :class:`CurveError`, a state outside the hyperbolic region
-    :class:`DomainError`.
+    it evaluated; after ``_SECANT_MAXIT`` steps it returns its
+    least-residual state if that residual is at rounding level
+    (:func:`_check_secant_exit`).  A zero mass flux or a secant that
+    does not converge raises :class:`CurveError`, a state outside the
+    hyperbolic region :class:`DomainError`.
     """
     rho, u, v, p = w
     g, t = gas.gamma, gas.t2
@@ -346,15 +369,18 @@ def _shock_secant(w: list, gas: GasParams, family: int, sigma: float, near):
     s_prev = near.speed + (lam0 - acoustic_slope(b.rho, b.u, b.v, b.p, gas, family))
     res_prev = pin(s_prev)[1]
     s = s_prev - 0.5 * res_prev
+    best = (math.inf, None, None)
     for _ in range(_SECANT_MAXIT):
         W, res = pin(s)
         step = 0.0 if res == res_prev else res * (s - s_prev) / (res - res_prev)
         if abs(step) <= 2.0 ** -52 * (1.0 + abs(s)):
             return State(*W), s
+        if abs(res) < best[0]:
+            best = (abs(res), W, s)
         s_prev, res_prev = s, res
         s -= step
-    raise CurveError(f"shock secant did not converge: residual {res:.3e} "
-                     f"after {_SECANT_MAXIT} steps")
+    _check_secant_exit("shock", best[0], lam0, res)
+    return State(*best[1]), best[2]
 
 
 # ---------------------------------------------------------------------------

@@ -250,7 +250,7 @@ def bc_residual(U: State, theta: float, gas: GasParams) -> float:
     Zero exactly when the stream direction at `U` is parallel to a wall of
     inclination angle `theta`.
     """
-    return mass_flux_factor(U, gas) * np.sin(theta) - U.v * np.cos(theta)
+    return float(mass_flux_factor(U, gas) * np.sin(theta) - U.v * np.cos(theta))
 
 
 def fluxes(U: State, gas: GasParams) -> FluxPair:

@@ -209,8 +209,10 @@ class InitialData:
 
     `breaks` are the jump heights (ascending, all <= 0), any sequence of
     numbers, kept as a tuple of floats; `states` are the constant values
-    bottom to top, one more than there are breaks.  The topmost state
-    occupies (breaks[-1], 0).
+    bottom to top, one more than there are breaks, kept as a tuple of
+    states of floats.  The topmost state occupies (breaks[-1], 0).
+    Plain floats on both: a numpy scalar would carry into every front,
+    slope and station built from them, and its arithmetic is slower.
     """
 
     breaks: tuple
@@ -219,6 +221,8 @@ class InitialData:
     def __post_init__(self):
         breaks = tuple(float(b) for b in self.breaks)
         object.__setattr__(self, "breaks", breaks)
+        object.__setattr__(self, "states", tuple(
+            State(float(s.rho), float(s.u), float(s.v), float(s.p)) for s in self.states))
         if len(self.states) != len(breaks) + 1:
             raise ValueError("need exactly one more state than breaks")
         if breaks and (any(b <= a for a, b in zip(breaks, breaks[1:])) or breaks[-1] > 0):
@@ -465,7 +469,7 @@ def _emit_wave(U_below: State, family: int, sigma: float, x: float, y: float,
     Returns (fronts, top_state).  Rarefactions of the acoustic families
     are sampled into ceil(sigma*nu) equal pieces so no piece exceeds
     1/nu; shocks and contacts are single fronts.  `near`, the front this
-    wave was before a carrier crossed it, warm-starts a shock's solve
+    wave was before it crossed another front, warm-starts a shock's solve
     (:func:`wave_front`).  `solved`, the front ``(below, top, slope)`` a
     Riemann solver found for this wave, is taken as it is when the wave
     makes a single front from exactly that `below` (a wave below it in
@@ -861,36 +865,40 @@ def _resolve_interaction(slice_, event, cfg, gas, rho_threshold, lambda_hat):
         if f_up.family == NP_FAMILY:
             # two carriers (equal design speed; a perturbed one was caught):
             # merge into one spanning gap, which cannot exceed the sum
-            waves, near = [], None
+            waves = []
         elif np_involved:
             # the carrier moves the wave's base state by its own tiny jump and
             # leaves its strength: f_up's solution starts the transmitted solve
-            waves, near = [(f_up.family, f_up.sigma)], f_up
+            waves = [(f_up.family, f_up.sigma, f_up)]
         elif f_lo.family == f_up.family:
-            waves, near = [(f_lo.family, f_lo.sigma + f_up.sigma)], None
+            waves = [(f_lo.family, f_lo.sigma + f_up.sigma, None)]
         else:
             # canonical family order from below: the faster (higher) family ends
             # up above the slower one after crossing.  This also keeps the two
             # contact families in their composition order when a perturbed
             # 2-front grazes a 3-front, where the maps commute exactly and the
             # touch must transmit both strengths without creating new potential.
-            waves, near = sorted([(f_up.family, f_up.sigma), (f_lo.family, f_lo.sigma)]), None
-        new_fronts = _transmit(U0, waves, U2, xh, yh, gas, cfg.nu, lambda_hat, near)
+            # Each wave keeps its strength, and its base state moves by the
+            # other wave: its own old front starts its shock solve.
+            waves = sorted([(f_up.family, f_up.sigma, f_up), (f_lo.family, f_lo.sigma, f_lo)],
+                           key=operator.itemgetter(0))
+        new_fronts = _transmit(U0, waves, U2, xh, yh, gas, cfg.nu, lambda_hat)
         solver = "SRS"
 
     rec = EventRecord("interaction", solver, xh, yh, (f_lo, f_up), new_fronts, emech)
     return (i, i + 2, new_fronts, None), rec
 
 
-def _transmit(U0, waves, U2, xh, yh, gas, nu, lambda_hat, near):
+def _transmit(U0, waves, U2, xh, yh, gas, nu, lambda_hat):
     """Physical fronts for `waves` stacked from U0, then a carrier up to U2.
 
-    `near` is the front that a lone wave in `waves` was before a carrier
-    crossed it (see :func:`_emit_wave`), else None.
+    `waves` are ``(family, sigma, near)`` triples: `near` is the front
+    the wave was before it crossed another front and kept its strength
+    (see :func:`_emit_wave`), else None.
     """
     fronts = []
     cur = U0
-    for family, sigma in waves:
+    for family, sigma, near in waves:
         fr, cur = _emit_wave(cur, family, sigma, xh, yh, gas, nu, near)
         fronts.extend(fr)
     npf = _np_front(cur, U2, xh, yh, lambda_hat)

@@ -152,6 +152,8 @@ def test_bc_residual(gas, bg):
     # a state whose flow slope equals tan(theta) satisfies the condition
     U = State(1.0, 0.0, math.tan(theta), bg.p)  # m = 1 at u = 0
     assert abs(bc_residual(U, theta, gas)) < 1e-12
+    # a plain float: the wall Newton's residuals carry no numpy scalar
+    assert type(bc_residual(U, theta, gas)) is float
 
 
 def test_check_state_rejects_bad_states(gas):

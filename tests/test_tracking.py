@@ -5,7 +5,7 @@ import math
 import sys
 import tracemalloc
 from bisect import bisect_right
-from dataclasses import replace
+from dataclasses import astuple, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -100,16 +100,32 @@ def test_walls_data_and_strengths_hold_plain_floats():
         return approximate_boundary(lambda x: -0.01 * x - 0.004 * x * x, 0.25, x_max=1.0)
 
     wall = curved()
-    states = stepped_data(_GAS, amp=2e-3, seed=4).states
+    states = _numpy_scalar_states(3, amp=2e-3, seed=4)
     breaks = np.sort(np.random.default_rng(4).uniform(-1.4, -0.2, 3))
     data = InitialData(breaks, states)
     sol = solve_riemann(states[0], states[1], _GAS)
     q = hugoniot_decompose(states[0], states[1], _GAS)
-    for values in (wall.xs, wall.gs, wall.thetas, wall.omegas, data.breaks, sol.strengths, q):
+    for values in (wall.xs, wall.gs, wall.thetas, wall.omegas, data.breaks, sol.strengths, q,
+                   *map(astuple, data.states)):
         assert type(values) is tuple and all(type(v) is float for v in values), values
     assert data.breaks == tuple(breaks.tolist())
+    assert data.states == states
     assert curved() == wall and hash(curved()) == hash(wall)
     assert InitialData(breaks.tolist(), states) == data
+
+
+def _numpy_scalar_states(n, amp, seed):
+    """Background and `n` random-walk steps from it, built from numpy
+    arrays as the benchmark's stepped walk builds them: every component
+    after the first state is a numpy scalar."""
+    rng = np.random.default_rng(seed)
+    states = [_GAS.background()]
+    for d in rng.uniform(-amp, amp, size=(n, 4)):
+        prev = states[-1]
+        states.append(State(prev.rho * (1.0 + d[0]), prev.u + d[1], prev.v + d[2],
+                            prev.p * (1.0 + d[3])))
+    assert all(type(a) is np.float64 for s in states[1:] for a in astuple(s))
+    return tuple(states)
 
 
 def test_lambda_hat_clears_characteristic_speeds(gas):
@@ -643,31 +659,73 @@ def test_slice_log_replays_the_full_scan_slices(case):
 
 
 def test_carrier_crossings_warm_start_their_shocks(monkeypatch):
-    # a carrier moves a shock's base state by its own tiny jump and leaves
-    # its strength: the transmitted shock's solve starts from the crossed
-    # front, a secant on the explicit relation with no Newton (here 1,342
-    # such solves, with 2,686 pin residuals, against 211 Newton calls;
-    # each slope evaluation past lam_j of the two base states is one pin
-    # residual)
-    newton, slopes, warm = [], [], []
+    # a crossing moves each transmitted wave's base state by the other
+    # wave's jump and leaves its strength: a carrier's by its own tiny gap,
+    # a physical front's by its strength.  Each transmitted shock's solve
+    # starts from the front it was, a secant on the explicit relation with
+    # no Newton: here 1,342 such solves behind carriers and 100 behind
+    # physical fronts, with 2 or 3 pin residuals each (each slope
+    # evaluation past lam_j of the two base states is one), against 111
+    # Newton calls.  A same-family merge changes the strength and keeps the
+    # Newton; none transmits a shock in this run
+    newton, slopes, solves = [], [], []
     monkeypatch.setattr(curves, "damped_newton", count_residuals(curves.damped_newton, newton))
     slope = curves.acoustic_slope
     monkeypatch.setattr(curves, "acoustic_slope", lambda *args: slopes.append(1) or slope(*args))
-    solve = curves._shock_solve
+    solve, transmit = curves._shock_solve, tracking._transmit
+    crossing = []
 
     def shock_solve(U, gas, family, sigma, near=None):
         calls, evals = len(newton), len(slopes)
         out = solve(U, gas, family, sigma, near)
-        if near is not None:
-            warm.append((len(newton) - calls, len(slopes) - evals - 2))
+        if crossing:
+            solves.append((crossing[-1], near is not None, len(newton) - calls,
+                           len(slopes) - evals - 2))
         return out
 
+    def transmit_marked(U0, waves, *args):
+        # two waves crossed each other, one wave crossed a carrier, or two
+        # fronts merged
+        if len(waves) == 2:
+            crossing.append("physical")
+        else:
+            crossing.append("carrier" if waves and waves[0][2] is not None else "merge")
+        try:
+            return transmit(U0, waves, *args)
+        finally:
+            crossing.pop()
+
     monkeypatch.setattr(curves, "_shock_solve", shock_solve)
+    monkeypatch.setattr(tracking, "_transmit", transmit_marked)
     data, wall, cfg, gas = _curved_case()
     traj = run(data, wall, cfg, gas)
     assert len(traj.records) == 1646
-    assert 2 * len(warm) >= len(newton) + len(warm) > len(warm) > 0
-    assert all(calls == 0 and 2 <= residuals <= 3 for calls, residuals in warm)
+    assert [kind for kind, *_ in solves].count("physical") == 100
+    assert [kind for kind, *_ in solves].count("carrier") == 1342
+    assert len(newton) == 111
+    for kind, warm, calls, residuals in solves:
+        assert warm and calls == 0 and 2 <= residuals <= 3, kind
+
+
+def test_run_from_numpy_scalar_states_carries_plain_floats():
+    # the inflow states hold plain floats, so no numpy scalar reaches a
+    # station, a front or a state of the run
+    wall = _stress_wall(h=1.0 / 32.0)
+    data = InitialData(np.sort(np.random.default_rng(2).uniform(-1.4, -0.2, 4)),
+                       _numpy_scalar_states(4, amp=5e-4, seed=2))
+    traj = run(data, wall, EngineConfig(h=wall.h, nu=8, seed=2), _GAS)
+    assert len(traj.records) == 628
+    assert any(r.solver == "SRS" and NP_FAMILY not in (r.removed[0].family, r.removed[1].family)
+               for r in traj.records)
+    assert all(type(r.x) is float and type(r.y) is float for r in traj.records)
+    fronts = [f for sl in traj.slices for f in sl.fronts]
+    fronts += [f for r in traj.records for f in r.new_fronts]
+    assert fronts
+    for f in fronts:
+        values = (f.sigma, f.x0, f.y0, f.speed, *astuple(f.below), *astuple(f.above))
+        assert all(type(v) is float for v in values), f
+    for sl in traj.slices:
+        assert all(type(v) is float for v in (sl.x, *astuple(sl.top_state))), sl.x
 
 
 def test_slice_log_retains_under_half_the_eager_slices():
