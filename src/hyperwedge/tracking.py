@@ -243,15 +243,22 @@ class SolutionSlice:
     ``columns`` is a (2, m) array, m >= n, that guides the event scan.
     Column i < n - 1 is the pair (fronts[i], fronts[i + 1]).  Row 0 is
     a lower bound on the station the scan computes for the pair at this
-    or any later station, +inf when the pair is not approaching (see
-    :func:`_pair_row`).  Row 1 is 1.0 for an approaching pair no more
-    than ``_PARALLEL_TOL`` apart in speed, which the scan admits only
-    while its gap is open, and 0.0 otherwise: the scan checks it every
-    time.  ``edits`` lists the slice edits made since the run last
-    stored a slice.  Only the live slice of a run holds either: each
-    edit splices the next slice's pairs into the columns in place,
-    appends itself to the edits, and hands both on.  Elsewhere both are
-    None and the scan builds the columns from ``fronts``.
+    or any later station, +inf when the pair is not approaching or no
+    more than ``_PARALLEL_TOL`` apart in speed (see :func:`_pair_row`).
+    Row 1 is the pair's scan key: the bound again for an ordinary pair,
+    -inf for an approaching near-parallel pair, which the scan admits
+    only while its gap is open and so checks every time, and +inf for a
+    pair that is not approaching.  ``edits`` lists the slice edits made
+    since the run last stored a slice.
+
+    Only the live slice of a run holds columns and edits, and it owns
+    its front list: each edit replaces the edited fronts of that very
+    list in place, splices the pairs into the columns in place, appends
+    itself to the edits, and hands all three on to the next slice.  The
+    slice it came from is spent.  Whatever keeps a live slice's fronts
+    keeps a copy (the :class:`SliceLog` checkpoints, a run resumed from
+    a prefix).  Elsewhere both are None, the scan builds the columns
+    from ``fronts``, and an edit makes a new list.
     """
 
     x: float
@@ -371,12 +378,17 @@ class SliceLog(Sequence):
     def __init__(self, first: SolutionSlice):
         self.xs = [first.x]
         self._edits = [()]
-        self._checkpoints = [SolutionSlice(first.x, first.fronts, first.top_state)]
+        self._checkpoints = [SolutionSlice(first.x, list(first.fronts), first.top_state)]
 
     def append(self, slice_: SolutionSlice, edits: list) -> None:
-        """Store `slice_`, which `edits` make from the last stored slice."""
+        """Store `slice_`, which `edits` make from the last stored slice.
+
+        A checkpoint copies the front list, which the live slice goes on
+        editing in place.
+        """
         if len(self.xs) % _CHECKPOINT_INTERVAL == 0:
-            self._checkpoints.append(SolutionSlice(slice_.x, slice_.fronts, slice_.top_state))
+            self._checkpoints.append(
+                SolutionSlice(slice_.x, list(slice_.fronts), slice_.top_state))
         self.xs.append(slice_.x)
         self._edits.append(tuple(edits))
 
@@ -587,8 +599,11 @@ def _collision_x(lo: Front, up: Front, x: float) -> float | None:
 
 
 def _pair_row(lo: Front, up: Front, x: float) -> tuple:
-    """(bound, flag) of the pair (lo, up) made at station `x`; see
-    ``SolutionSlice.columns``.
+    """(bound, key) of the pair (lo, up) made at station `x`; see
+    ``SolutionSlice.columns``.  The key is the bound for a pair more than
+    ``_PARALLEL_TOL`` apart in speed, -inf for a closer approaching pair
+    and +inf for a pair that is not approaching, so that one comparison
+    of the keys with a station picks the pairs the scan checks.
 
     In exact arithmetic the scan's ``x + dy/gap`` is the same crossing
     station at every x up to it, and x itself beyond it.  In floats,
@@ -602,18 +617,18 @@ def _pair_row(lo: Front, up: Front, x: float) -> tuple:
     """
     gap = lo.speed - up.speed
     if not gap > _PARALLEL_TOL:
-        return math.inf, float(gap > 0.0)
+        return math.inf, -math.inf if gap > 0.0 else math.inf
     v = _collision_x(lo, up, x)
     reach = 1.0 + abs(x) + abs(v)
     err = 2.0 * reach + (abs(lo.y0) + abs(up.y0) + (abs(lo.speed) + abs(up.speed))
                          * (reach + abs(lo.x0) + abs(up.x0))) / gap
-    return v - _BOUND_EPS * err, 0.0
+    bound = v - _BOUND_EPS * err
+    return bound, bound
 
 
 def _pair_columns(fronts: list, x: float) -> np.ndarray:
     """``SolutionSlice.columns`` of a front list at station `x`."""
-    cols = np.zeros((2, len(fronts)))
-    cols[0] = math.inf
+    cols = np.full((2, len(fronts)), math.inf)
     for i in range(len(fronts) - 1):
         cols[:, i] = _pair_row(fronts[i], fronts[i + 1], x)
     return cols
@@ -654,17 +669,23 @@ def _edited(fronts: list, top_state: State, edit) -> tuple:
 def _apply_edit(slice_: SolutionSlice, x: float, edit) -> SolutionSlice:
     """The slice at `x` after `edit` (see :func:`_edited`).
 
-    The columns move over from `slice_` through :func:`_splice`, and its
-    pending edits, if any, move over with `edit` appended.
+    A live slice (one that holds columns) is spent: its front list is
+    edited in place and moves over, its columns move over through
+    :func:`_splice`, and its pending edits, if any, move over with `edit`
+    appended.  A slice without columns is left as it is, and the new one
+    gets a new front list.
     """
-    start, stop, new_fronts, _ = edit
-    fronts, top_state = _edited(slice_.fronts, slice_.top_state, edit)
+    start, stop, new_fronts, top = edit
+    cols, slice_.columns = slice_.columns, None
+    if cols is None:
+        fronts, top_state = _edited(slice_.fronts, slice_.top_state, edit)
+    else:
+        fronts, top_state = slice_.fronts, slice_.top_state if top is None else top
+        fronts[start:stop] = new_fronts
+        cols = _splice(cols, fronts, x, start, stop - start, len(new_fronts))
     edits, slice_.edits = slice_.edits, None
     if edits is not None:
         edits.append(edit)
-    cols, slice_.columns = slice_.columns, None
-    if cols is not None:
-        cols = _splice(cols, fronts, x, start, stop - start, len(new_fronts))
     return SolutionSlice(x, fronts, top_state, cols, edits)
 
 
@@ -676,11 +697,12 @@ def _candidates(slice_: SolutionSlice, boundary: BoundaryPolyline, x_end: float)
     ``_COINCIDENCE_TOL`` of the earliest one checked: every event that
     can be the earliest or lie within ``_COINCIDENCE_TOL`` of it.  Later
     corners cannot, since corners are ``h`` apart.  A pair is checked
-    when it is flagged or its bound (see ``SolutionSlice.columns``) is
-    at most ``2*_COINCIDENCE_TOL`` past the earliest of the other events
-    and of the station of the pair with the least bound: the first event
-    is no later than either, so no other pair can come within
-    ``_COINCIDENCE_TOL`` of it.
+    when its key (row 1 of ``SolutionSlice.columns``) is at most
+    ``2*_COINCIDENCE_TOL`` past the earliest of the other events and of
+    the station of the pair with the least bound (row 0): near-parallel
+    pairs, keyed -inf, always are, and receding ones, keyed +inf, never.
+    The first event is no later than either station, so no other pair
+    can come within ``_COINCIDENCE_TOL`` of it.
     """
     out = [(x_end, "end", -1)]
     x0 = slice_.x
@@ -703,7 +725,7 @@ def _candidates(slice_: SolutionSlice, boundary: BoundaryPolyline, x_end: float)
         first = _collision_x(fronts[i0], fronts[i0 + 1], x0)
         thr = min(math.inf if first is None else first, min(out)[0]) + 2.0 * _COINCIDENCE_TOL
         hits = []
-        for i in ((bound <= thr) | (cols[1, :n - 1] != 0.0)).nonzero()[0].tolist():
+        for i in (cols[1, :n - 1] <= thr).nonzero()[0].tolist():
             xi = _collision_x(fronts[i], fronts[i + 1], x0)
             if xi is not None:
                 hits.append((xi, "interaction", i))
@@ -764,14 +786,16 @@ def next_event(slice_: SolutionSlice, boundary: BoundaryPolyline, cfg: EngineCon
     a simultaneous wall hit -- the youngest participating front's speed
     is perturbed by a delta in (0, 2^-(nu+2)] drawn from `rng` and the
     schedule is rebuilt.  Returns ``(event, slice)`` where the slice
-    carries any perturbed fronts; a perturbed slice takes over the
-    columns and pending edits of `slice_`.
+    carries any perturbed fronts; a perturbed slice takes over the front
+    list, edited in place, the columns and the pending edits of a live
+    `slice_` (see :func:`_apply_edit`).
     """
     for _attempt in range(64):
         cands = _candidates(slice_, boundary, cfg.x_end)
         first = min(cands)
-        near = sorted(c for c in cands if c[0] - first[0] <= _COINCIDENCE_TOL)
-        clash = _find_clash(near)
+        near = [c for c in cands if c[0] - first[0] <= _COINCIDENCE_TOL]
+        # a lone candidate needs no order and clashes with nothing
+        clash = _find_clash(sorted(near)) if len(near) > 1 else None
         if clash is None:
             x, kind, idx = first
             return Event(kind, x, idx), slice_
@@ -829,7 +853,8 @@ def resolve_event(slice_: SolutionSlice, event: Event, boundary: BoundaryPolylin
     wall events always re-solve exactly; corners emit the family-1 wave
     of the new wall angle.  Every resolver returns one slice edit
     ``(start, stop, new_fronts, top)`` (see :func:`_apply_edit`) and the
-    event's record.
+    event's record.  A live `slice_` is spent: the new slice takes over
+    its front list, edited in place, its columns and its pending edits.
     """
     if event.kind == "interaction":
         edit, rec = _resolve_interaction(slice_, event, cfg, gas, rho_threshold, lambda_hat)
@@ -975,8 +1000,10 @@ def run(data: InitialData, boundary: BoundaryPolyline, cfg: EngineConfig,
         log, records = prefix.slices.head(k + 1), prefix.records[:k]
         sl = log[k]
         # bounds made at a slice's station hold at every later one, and the
-        # scan finds the same events with any valid bounds
-        cur = SolutionSlice(sl.x, sl.fronts, sl.top_state, _pair_columns(sl.fronts, sl.x), [])
+        # scan finds the same events with any valid bounds; the live slice
+        # edits its own copy of the fronts, which `prefix` may hold
+        cur = SolutionSlice(sl.x, list(sl.fronts), sl.top_state,
+                            _pair_columns(sl.fronts, sl.x), [])
         rho_threshold, lambda_hat = prefix.rho_threshold, prefix.lambda_hat
     _track(cur, log, records, boundary, cfg, gas, rho_threshold, lambda_hat,
            np.random.default_rng(cfg.seed))

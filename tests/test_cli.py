@@ -1,7 +1,9 @@
 """End-to-end exercise of the command-line surface through click's runner."""
 
+import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -343,6 +345,28 @@ def test_simulate_writes_trajectory_and_trace(runner, tmp_path, payload, events)
     trace = (out / "glimm.csv").read_text().splitlines()
     assert trace[0] == "x,value,event_kind"
     assert len(trace) > 2
+
+
+#: the CI job's simulate configs, by the directory it writes each run to
+CI_SIMULATE = {
+    "simulate": {"scenario": "wedge"},
+    "small": {"scenario": "wedge", "data_amplitude": 0.01,
+              "engine": {"h": 0.015625, "nu": 16}},
+}
+
+
+def test_ci_simulate_trajectories_are_pinned(runner, tmp_path):
+    # byte for byte the trajectory.txt digests that the CI job also checks
+    # its installed command's outputs against, in sha256sum's format
+    lines = Path(__file__).with_name("trajectory_sha256.txt").read_text().splitlines()
+    pinned = {path: digest for digest, path in (line.split() for line in lines)}
+    assert pinned.keys() == {f"{out}/trajectory.txt" for out in CI_SIMULATE}
+    for out, payload in CI_SIMULATE.items():
+        cfg = _cfg_file(tmp_path, payload, f"{out}.json")
+        res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path / out)])
+        assert res.exit_code == 0, res.output
+        text = (tmp_path / out / "trajectory.txt").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == pinned[f"{out}/trajectory.txt"], out
 
 
 def test_simulate_rejects_special_scenario(runner, tmp_path):

@@ -1,15 +1,19 @@
 """Front-tracking engine: geometry, events, determinism."""
 
 import functools
+import hashlib
 import math
 import sys
 import tracemalloc
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import astuple, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperwedge.euler import (
     NP_FAMILY,
@@ -334,31 +338,44 @@ def _walking_wall_hit(f, x_now, boundary):
         k += 1
 
 
+def _full_scan_candidates(slice_, boundary, x_end):
+    """Every upcoming event of `slice_` as (x, kind, index), every pair
+    and every turning corner included, sorted."""
+    x0, fronts = slice_.x, slice_.fronts
+    ys = [f.y_at(x0) for f in fronts]
+    cands = [(x_end, "end", -1)]
+    for i in range(len(fronts) - 1):
+        slo, sup = fronts[i].speed, fronts[i + 1].speed
+        if slo <= sup:
+            continue
+        dy = max(ys[i + 1] - ys[i], 0.0)
+        if dy == 0.0 and slo - sup <= tracking._PARALLEL_TOL:
+            continue
+        cands.append((x0 + dy / (slo - sup), "interaction", i))
+    if fronts:
+        xb = _walking_wall_hit(fronts[-1], x0, boundary)
+        if xb is not None:
+            cands.append((xb, "boundary", len(fronts) - 1))
+    for k in range(1, boundary.k_star + 1):
+        if boundary.xs[k] > x0 + tracking._COINCIDENCE_TOL and boundary.omegas[k] != 0.0:
+            cands.append((float(boundary.xs[k]), "corner", k))
+    cands.sort(key=lambda c: (c[0], c[1], c[2]))
+    return cands
+
+
+def _near(cands):
+    """The candidates within the coincidence tolerance of the earliest, sorted."""
+    first = min(c[0] for c in cands)
+    return sorted(c for c in cands if c[0] - first <= tracking._COINCIDENCE_TOL)
+
+
 def _full_scan_next_event(slice_, boundary, cfg, gas, lambda_hat, rng):
     """Scheduling oracle: list every candidate, every turning corner
     included, sort them all, and perturb the youngest front of a clash."""
-    tol = tracking._COINCIDENCE_TOL
     for _ in range(64):
         x0, fronts = slice_.x, slice_.fronts
-        ys = [f.y_at(x0) for f in fronts]
-        cands = [(cfg.x_end, "end", -1)]
-        for i in range(len(fronts) - 1):
-            slo, sup = fronts[i].speed, fronts[i + 1].speed
-            if slo <= sup:
-                continue
-            dy = max(ys[i + 1] - ys[i], 0.0)
-            if dy == 0.0 and slo - sup <= tracking._PARALLEL_TOL:
-                continue
-            cands.append((x0 + dy / (slo - sup), "interaction", i))
-        if fronts:
-            xb = _walking_wall_hit(fronts[-1], x0, boundary)
-            if xb is not None:
-                cands.append((xb, "boundary", len(fronts) - 1))
-        for k in range(1, boundary.k_star + 1):
-            if boundary.xs[k] > x0 + tol and boundary.omegas[k] != 0.0:
-                cands.append((float(boundary.xs[k]), "corner", k))
-        cands.sort(key=lambda c: (c[0], c[1], c[2]))
-        near = [c for c in cands if c[0] - cands[0][0] <= tol]
+        cands = _full_scan_candidates(slice_, boundary, cfg.x_end)
+        near = _near(cands)
         clash = tracking._find_clash(near)
         if clash is None:
             x, kind, idx = cands[0]
@@ -589,8 +606,11 @@ _RUN_CASES = {"curved": _curved_case, "wedge-ars": lambda: _wedge_case(0.0),
 
 def _full_scan_run(data, wall, cfg, gas, rho_threshold, lambda_hat):
     """(slices, records, perturbations) of the event loop of ``run`` with
-    the full-scan oracle scheduling every event."""
-    cur = tracking.initialize(data, wall, cfg, gas)
+    the full-scan oracle scheduling every event.  It starts from a
+    column-free copy of the initial slice, so that every edit makes a new
+    front list and the stored slices stay independent."""
+    first = tracking.initialize(data, wall, cfg, gas)
+    cur = SolutionSlice(first.x, list(first.fronts), first.top_state)
     rng = np.random.default_rng(cfg.seed)
     slices, records, perturbations = [cur], [], 0
     while True:
@@ -861,11 +881,12 @@ def _scan_x(lo, up, x0):
 @pytest.mark.parametrize("case", sorted(_RUN_CASES))
 def test_live_columns_bound_the_scan(case, monkeypatch):
     # the scan's columns are spliced at every event, perturbations
-    # included: the flags mark exactly the approaching near-parallel
-    # pairs, a bound is +inf exactly where a pair is not approaching or
-    # flagged, and every finite bound, most of them made at an earlier
-    # station, is at most the full scan's station for its pair now; no
-    # stored slice keeps the columns
+    # included: the key is -inf exactly for the approaching near-parallel
+    # pairs, +inf for the receding ones and the bound for the rest, a
+    # bound is +inf exactly where a pair is not keyed by it, and every
+    # finite bound, most of them made at an earlier station, is at most
+    # the full scan's station for its pair now; no stored slice keeps the
+    # columns
     bounds = []
 
     def assert_live(slice_):
@@ -873,11 +894,12 @@ def test_live_columns_bound_the_scan(case, monkeypatch):
         assert cols is not None
         for i, (lo, up) in enumerate(zip(fronts, fronts[1:])):
             gap = lo.speed - up.speed
-            assert cols[1, i] == float(0.0 < gap <= tracking._PARALLEL_TOL)
-            assert math.isinf(cols[0, i]) == (gap <= tracking._PARALLEL_TOL)
             if gap > tracking._PARALLEL_TOL:
-                assert cols[0, i] <= _scan_x(lo, up, slice_.x)
+                assert cols[1, i] == cols[0, i] <= _scan_x(lo, up, slice_.x)
                 bounds.append(cols[0, i])
+            else:
+                assert cols[0, i] == math.inf
+                assert cols[1, i] == (-math.inf if gap > 0.0 else math.inf)
 
     resolve = tracking.resolve_event
 
@@ -911,8 +933,8 @@ def test_pair_bound_holds_at_later_stations(bg):
         ahead = 0.0 if rng.random() < 0.1 else 10.0 ** float(rng.uniform(-17.0, 0.3))
         lo = Front(1, -1e-3, x_lo, y - (s_up + gap) * (x - x_lo), s_up + gap, bg, bg)
         up = Front(4, 1e-3, x_up, y + gap * ahead - s_up * (x - x_up), s_up, bg, bg)
-        bound, flag = tracking._pair_row(lo, up, x)
-        assert flag == 0.0
+        bound, key = tracking._pair_row(lo, up, x)
+        assert key == bound
         v = _scan_x(lo, up, x)
         assert bound <= v
         if gap > 1e-3:
@@ -940,7 +962,8 @@ def test_near_parallel_pair_schedules_like_full_scan(gas, bg):
     top = Front(4, 1e-3, 0.9, up.y_at(0.9), -0.05, bg, bg)
     fronts = [lo, up, top]
     carried = tracking._pair_columns(fronts, 0.4)
-    assert list(carried[1, :2]) == [1.0, 0.0]
+    assert carried[1, 0] == -math.inf and carried[0, 0] == math.inf
+    assert carried[1, 1] == carried[0, 1] < 0.9
     cfg = EngineConfig(h=wall.h, nu=10)
     lam = default_lambda_hat(gas)
     signs, events = set(), set()
@@ -956,6 +979,82 @@ def test_near_parallel_pair_schedules_like_full_scan(gas, bg):
             assert got[0] == want[0] and got[1].fronts == fronts
     assert signs == {-1.0, 0.0, 1.0}
     assert events == {("interaction", 0), ("interaction", 1)}
+
+
+#: how a drawn front sits against the one below it
+_PAIR_KINDS = ("free", "parallel", "joint", "joint-parallel")
+
+
+def _draw_fronts(data, x, m, below, bg):
+    """`m` fronts drawn at station `x` above the front `below` (or None),
+    bottom to top.  Each is a free front anchored at or before `x`, from
+    0 to 0.02 above the one under it, a front within 1e-12 of its speed
+    ("parallel"), which meets it within O(1) when 1e-15 or 1e-14 above it, or one
+    through the same anchor point, a zero-width pair at `x` when the
+    anchor is `x` ("joint", "joint-parallel")."""
+    fronts, prev = [], below
+    for _ in range(m):
+        kind = data.draw(st.sampled_from(_PAIR_KINDS)) if prev else "free"
+        speed = data.draw(st.floats(-0.3, 0.3))
+        if kind.endswith("parallel"):
+            speed = prev.speed + data.draw(st.integers(-100, 100)) * 1e-14
+        if kind.startswith("joint"):
+            x0, y0 = prev.x0, prev.y0
+        else:
+            x0 = data.draw(st.floats(0.0, x))
+            gap = data.draw(st.sampled_from((0.0, 1e-15, 1e-14, 1e-9, 0.02)))
+            y = (prev.y_at(x) if prev else -1.5) + gap
+            y0 = y - speed * (x - x0)
+        prev = Front(1, -1e-3, x0, y0, speed, bg, bg)
+        fronts.append(prev)
+    return fronts
+
+
+def test_key_row_scan_matches_full_scan(bg):
+    # random front lists with near-parallel and zero-width pairs, edited
+    # at random through _apply_edit at the same or later stations, so
+    # that the live columns are spliced: after each edit the list is the
+    # one the slice came with, edited in place, and the key-row scan keeps
+    # every candidate the full scan can take first or find within the
+    # coincidence tolerance of it, each at the full scan's station.  On
+    # the straight wedge no corner 1/64 ahead comes before a near-parallel
+    # pair's crossing
+    walls, x_end = (_stress_wall(), wedge_wall(h=1.0 / 64.0, x_max=2.0)), 1.0
+    seen = Counter()
+
+    @settings(derandomize=True, max_examples=200, database=None)
+    @given(st.data())
+    def check(data):
+        wall = data.draw(st.sampled_from(walls))
+        x = data.draw(st.floats(0.0, 0.8))
+        fronts = _draw_fronts(data, x, data.draw(st.integers(0, 12)), None, bg)
+        model = list(fronts)
+        slice_ = SolutionSlice(x, fronts, bg, tracking._pair_columns(fronts, x), [])
+        for _ in range(data.draw(st.integers(1, 6))):
+            x += data.draw(st.sampled_from((0.0, 1e-13, 1e-3, 0.02)))
+            n = len(model)
+            start = data.draw(st.integers(0, n))
+            stop = data.draw(st.integers(start, min(n, start + 2)))
+            below = model[start - 1] if start else None
+            new_fronts = _draw_fronts(data, x, data.draw(st.integers(0, 3)), below, bg)
+            old = slice_
+            slice_ = tracking._apply_edit(slice_, x, (start, stop, new_fronts, None))
+            model[start:stop] = new_fronts
+            assert old.columns is None and slice_.fronts is fronts and fronts == model
+            got = tracking._candidates(slice_, wall, x_end)
+            want = _full_scan_candidates(slice_, wall, x_end)
+            assert set(got) <= set(want)
+            assert _near(got) == _near(want)
+            keys = slice_.columns[1, :max(len(model) - 1, 0)]
+            seen["near-parallel"] += int((keys == -math.inf).sum())
+            seen["receding"] += int((keys == math.inf).sum())
+            near = [c for c in _near(want) if c[1] == "interaction"]
+            seen["near"] += len(near)
+            seen["zero-width near"] += sum(c[0] == x for c in near)
+            seen["near-parallel near"] += sum(keys[c[2]] == -math.inf for c in near)
+
+    check()
+    assert min(seen.values()) >= 5 and len(seen) == 5, seen
 
 
 @pytest.mark.parametrize("rho_threshold", [None, 1e-9, 0.0])
@@ -1093,6 +1192,63 @@ def test_prefixed_curved_wall_run_parting_mid_run():
     prefix = run(data, wall, cfg, gas)
     k = _assert_prefixed_like_fresh(data, turned, cfg, gas, prefix)
     assert 2 * tracking._CHECKPOINT_INTERVAL < k < len(prefix.records)
+
+
+def _export_digest(traj):
+    """sha256 of the export: a failed comparison prints two short strings."""
+    return hashlib.sha256(export_trajectory(traj).encode()).hexdigest()
+
+
+def _short_curved_run_and_oracle_export():
+    """A run of the short curved case, and the export digest of its
+    full-scan oracle's eagerly stored slices, which share no list with
+    the run."""
+    data, wall, cfg, gas = _short_curved_case()
+    traj = run(data, wall, cfg, gas)
+    slices, _, _ = _full_scan_run(data, wall, cfg, gas, traj.rho_threshold, traj.lambda_hat)
+    return traj, _export_digest(replace(traj, slices=slices))
+
+
+# The run's live slice edits its front list in place; the tests below
+# check that nothing stored holds that list or hands it to a live slice.
+
+def test_prefixed_run_leaves_its_checkpoint_prefix_as_it_was():
+    # the walls part at corner 14, so the run resumes from slice 128,
+    # which is a checkpoint of the prefix run
+    traj, want = _short_curved_run_and_oracle_export()
+    data, wall, cfg, gas = _short_curved_case()
+    turned = _turned(wall, 14 * wall.h)
+    k = tracking._shared_slices(traj, data, turned, cfg, gas)
+    assert k == 2 * tracking._CHECKPOINT_INTERVAL
+    before = _export_digest(traj)
+    assert before == want
+    run(data, turned, cfg, gas, prefix=traj)
+    assert _export_digest(traj) == before
+
+
+def test_stored_checkpoints_hold_their_own_front_lists():
+    traj, want = _short_curved_run_and_oracle_export()
+    lists = [sl.fronts for sl in traj.slices._checkpoints]
+    assert len(lists) == -(-len(traj.slices) // tracking._CHECKPOINT_INTERVAL) == 4
+    assert len({id(fronts) for fronts in lists}) == len(lists)
+    assert _export_digest(traj) == want
+
+
+def test_resolving_a_stored_slice_leaves_the_run_as_it_was():
+    # at a checkpoint's station slice_at hands out the checkpoint's own
+    # list; resolving the next event from it makes a new one
+    traj, want = _short_curved_run_and_oracle_export()
+    xs = traj.slices.xs
+    n = tracking._CHECKPOINT_INTERVAL
+    for x in (xs[n], 0.5 * (xs[n] + xs[n + 1]), xs[2 * n + 1]):
+        stored = traj.slice_at(x)
+        fronts = list(stored.fronts)
+        event, sl = next_event(stored, traj.boundary, traj.cfg, traj.gas, traj.lambda_hat,
+                               np.random.default_rng(0))
+        out, _ = tracking.resolve_event(sl, event, traj.boundary, traj.cfg, traj.gas,
+                                        traj.rho_threshold, traj.lambda_hat)
+        assert out.fronts is not stored.fronts and stored.fronts == fronts
+    assert _export_digest(traj) == want
 
 
 @pytest.mark.parametrize("other", [wedge_wall(slope=-0.02), wedge_wall(h=1.0 / 64.0)],
