@@ -48,6 +48,8 @@ __all__ = [
     "hugoniot_curve",
     "hugoniot_compose",
     "fan_state",
+    "pressure_front",
+    "secant_root",
     "damped_newton",
 ]
 
@@ -109,6 +111,11 @@ def damped_newton(F, x0):
     Python elimination it moved by a relative 8.9e-5, and that
     elimination was also slower at five unknowns.
 
+    It solves the shocks that have no `near` front, the jump
+    decompositions of :mod:`hyperwedge.riemann` and the special
+    solution's interior solves; the Riemann and wall solves are secants
+    on the slip-line pressure (:func:`pressure_front`).
+
     Returns the solution as a list of floats.  Raises
     :class:`CurveError` on failure.
     """
@@ -164,6 +171,51 @@ def _nan_max(values: list) -> float:
 # rarefactions (simple-wave invariants)
 # ---------------------------------------------------------------------------
 
+def _simple_wave(w: list, gas: GasParams, family: int):
+    """``(state, c0)``: the simple wave of one acoustic family through
+    ``w = (rho, u, v, p)`` as a function of the sound speed, and the
+    sound speed at `w` (see :func:`_rarefaction`).
+
+    ``state(c)`` keeps the entropy, ``B`` and the family's angle
+    invariant of `w`; it raises :class:`DomainError` where the wave
+    leaves the hyperbolic region and :class:`CurveError` at ``c <= 0``.
+    """
+    rho0, u0, v0, p0 = w
+    g, tau, t = gas.gamma, gas.tau, gas.t2
+    gm = g - 1.0
+    sk = math.sqrt((g + 1.0) / gm)
+    sgn = -1.0 if family == 1 else 1.0
+    B = bernoulli(State(*w), gas)
+    c0 = math.sqrt(g * p0 / rho0)
+
+    def angle(c):  # e, Q and G at sound speed c
+        e = B - c * c / gm
+        if t == 0.0:
+            return e, 1.0, -2.0 * c / gm
+        q2 = 1.0 + 2.0 * t * e
+        if not q2 > t * c * c:
+            raise DomainError(f"rarefaction leaves the hyperbolic region at sound speed {c}")
+        a = c / math.sqrt(q2 - t * c * c)
+        return e, math.sqrt(q2), (math.atan(tau * a) - sk * math.atan(tau * sk * a)) / tau
+
+    invariant = (v0 if t == 0.0 else math.atan2(tau * v0, 1.0 + t * u0) / tau) + sgn * angle(c0)[2]
+
+    def state(c):
+        if not c > 0.0:
+            raise CurveError(f"rarefaction reaches sound speed {c}")
+        e, Q, G = angle(c)
+        phi = invariant - sgn * G
+        r = c / c0
+        x = r ** (2.0 / gm)  # rho/rho0 at the entropy of U
+        if t == 0.0:
+            return State(rho0 * x, e - 0.5 * phi * phi, phi, p0 * x * r * r)
+        half = math.sin(0.5 * tau * phi) / tau
+        return State(rho0 * x, 2.0 * e / (Q + 1.0) - 2.0 * Q * half * half,
+                     Q * math.sin(tau * phi) / tau, p0 * x * r * r)
+
+    return state, c0
+
+
 def _rarefaction(U: State, gas: GasParams, family: int, sigma: float) -> State:
     """End state of a rarefaction, from the simple-wave invariants.
 
@@ -200,40 +252,11 @@ def _rarefaction(U: State, gas: GasParams, family: int, sigma: float) -> State:
                  for a, b1, b2, b3, b4 in zip(w, k1, k2, k3, k4)]
         return State(*w)
     rho0, u0, v0, p0 = w
-    g, tau, t = gas.gamma, gas.tau, gas.t2
-    gm = g - 1.0
-    sk = math.sqrt((g + 1.0) / gm)
+    g, t = gas.gamma, gas.t2
     sgn = -1.0 if family == 1 else 1.0
-    B = bernoulli(State(*w), gas)
-    c0 = math.sqrt(g * p0 / rho0)
-
-    def angle(c):  # e, Q and G at sound speed c
-        e = B - c * c / gm
-        if t == 0.0:
-            return e, 1.0, -2.0 * c / gm
-        q2 = 1.0 + 2.0 * t * e
-        if not q2 > t * c * c:
-            raise DomainError(f"rarefaction leaves the hyperbolic region at sound speed {c}")
-        a = c / math.sqrt(q2 - t * c * c)
-        return e, math.sqrt(q2), (math.atan(tau * a) - sk * math.atan(tau * sk * a)) / tau
-
-    invariant = (v0 if t == 0.0 else math.atan2(tau * v0, 1.0 + t * u0) / tau) + sgn * angle(c0)[2]
-
-    def state(c):
-        if not c > 0.0:
-            raise CurveError(f"rarefaction reaches sound speed {c}")
-        e, Q, G = angle(c)
-        phi = invariant - sgn * G
-        r = c / c0
-        x = r ** (2.0 / gm)  # rho/rho0 at the entropy of U
-        if t == 0.0:
-            return State(rho0 * x, e - 0.5 * phi * phi, phi, p0 * x * r * r)
-        half = math.sin(0.5 * tau * phi) / tau
-        return State(rho0 * x, 2.0 * e / (Q + 1.0) - 2.0 * Q * half * half,
-                     Q * math.sin(tau * phi) / tau, p0 * x * r * r)
-
+    state, c0 = _simple_wave(w, gas, family)
     if t == 0.0:  # lam_j = v -/+ c
-        return state(c0 + sgn * sigma * gm / (g + 1.0))
+        return state(c0 + sgn * sigma * (g - 1.0) / (g + 1.0))
     lam0 = acoustic_slope(rho0, u0, v0, p0, gas, family)
     field = acoustic_field(rho0, u0, v0, p0, gas, family)
     c_prev, res_prev = c0, -sigma
@@ -351,18 +374,10 @@ def _shock_secant(w: list, gas: GasParams, family: int, sigma: float, near):
     does not converge raises :class:`CurveError`, a state outside the
     hyperbolic region :class:`DomainError`.
     """
-    rho, u, v, p = w
-    g, t = gas.gamma, gas.t2
-    m = 1.0 + t * u
-    lam0 = acoustic_slope(rho, u, v, p, gas, family)
+    lam0 = acoustic_slope(*w, gas, family)
 
     def pin(s):  # W(s) and its slope residual
-        k = 1.0 + t * s * s
-        a = s * m - v
-        if a == 0.0:
-            raise CurveError(f"zero mass flux across a shock of slope {s}")
-        q = 2.0 / ((g + 1.0) * k) * (a - g * p * k / (rho * a))
-        W = (rho * a / (a - k * q), u - s * q, v + q, p + rho * a * q)
+        W = _oblique_shock(w, gas, s)
         return W, acoustic_slope(*W, gas, family) - lam0 - sigma
 
     b = near.below
@@ -381,6 +396,106 @@ def _shock_secant(w: list, gas: GasParams, family: int, sigma: float, near):
         s -= step
     _check_secant_exit("shock", best[0], lam0, res)
     return State(*best[1]), best[2]
+
+
+def _oblique_shock(w: list, gas: GasParams, s: float) -> tuple:
+    """``W(s)``, the state across a front of slope `s` from
+    ``w = (rho, u, v, p)`` that meets the jump conditions (see
+    :func:`_shock_secant`), as a 4-tuple.  Either side may be `w`: the
+    relation is the same from below and from above.  A zero mass flux
+    raises :class:`CurveError`.
+    """
+    rho, u, v, p = w
+    g, t = gas.gamma, gas.t2
+    k = 1.0 + t * s * s
+    a = s * (1.0 + t * u) - v
+    if a == 0.0:
+        raise CurveError(f"zero mass flux across a shock of slope {s}")
+    q = 2.0 / ((g + 1.0) * k) * (a - g * p * k / (rho * a))
+    return (rho * a / (a - k * q), u - s * q, v + q, p + rho * a * q)
+
+
+def pressure_front(U: State, family: int, p: float, gas: GasParams) -> tuple[State, float]:
+    """State across the family-1 or family-4 wave from `U` whose other
+    side has pressure `p`, and the slope of its front.
+
+    A Riemann problem's acoustic waves meet at the slip line, where the
+    pressure and the flow slope are continuous (Courant & Friedrichs,
+    ch. IV).  Each acoustic wave curve has a closed form in the pressure
+    there: from the lower state for family 1, and into the upper state
+    for family 4 (the relations are the same from either side).  Let
+    ``p0 = U.p``.
+
+    * ``p > p0``, a shock.  With ``m = 1 + tau^2 u`` and
+      ``C = gamma p0/rho + (gamma+1)(p - p0)/(2 rho)``, its slope is the
+      characteristic slope with ``c^2`` replaced by ``C``:
+      ``s = (m v -/+ sqrt(C) sqrt(m^2 + tau^2 (v^2 - C)))/(m^2 - tau^2 C)``,
+      minus for family 1.  It follows from ``a^2 = k C`` (``a = s m - v``,
+      ``k = 1 + tau^2 s^2``), which is :func:`_shock_secant`'s relation
+      for ``q`` at the jump ``[p] = rho a q``.  The state is that
+      relation's ``W(s)``.
+    * ``p < p0``, a rarefaction.  The entropy fixes the sound speed at
+      `p` and :func:`_simple_wave`'s invariants the state.  Its slope is
+      the family's characteristic slope at that state: the head of a
+      family-1 wave, the foot of a family-4 wave below `U`, as
+      :func:`wave_front` gives them.
+    * ``p == p0``: `U`, on plain floats, and its characteristic slope.
+
+    The state's pressure is `p` to rounding.  Raises
+    :class:`DomainError` at ``p <= 0`` and where the shock or the wave
+    leaves the hyperbolic region, :class:`CurveError` as
+    :func:`_simple_wave` and :func:`_oblique_shock` do.
+    """
+    if family not in GENUINE_FAMILIES:
+        raise ValueError(f"unknown family {family}")
+    if not p > 0.0:
+        raise DomainError(f"nonpositive pressure {p} at the slip line")
+    w = [float(U.rho), float(U.u), float(U.v), float(U.p)]
+    rho, u, v, p0 = w
+    g, t = gas.gamma, gas.t2
+    if p == p0:
+        return State(*w), acoustic_slope(*w, gas, family)
+    if p < p0:
+        state, c0 = _simple_wave(w, gas, family)
+        W = state(c0 * (p / p0) ** (0.5 * (g - 1.0) / g))
+        return W, acoustic_slope(W.rho, W.u, W.v, W.p, gas, family)
+    m = 1.0 + t * u
+    C = g * p0 / rho + (g + 1.0) * (p - p0) / (2.0 * rho)
+    den = m * m - t * C
+    disc = m * m + t * (v * v - C)
+    if not (den > 0.0 and disc > 0.0):
+        raise DomainError(f"shock to pressure {p} leaves the hyperbolic region")
+    sgn = -1.0 if family == 1 else 1.0
+    s = (m * v + sgn * (math.sqrt(C) * math.sqrt(disc))) / den
+    return State(*_oblique_shock(w, gas, s)), s
+
+
+def secant_root(F, x0: float, x1: float, scale: float, what: str) -> float:
+    """Root of the scalar function `F` by a secant from `x0` and `x1`.
+
+    It stops once its step is at rounding level or the secant is flat
+    (equal residuals), returning that point.  Rounding level is
+    ``2^-49 |x|``: on the slip-line pressure the residual's own rounding
+    (a few units of ``1e-16``) leaves the last few ulps of ``p``
+    undetermined, and a tighter stop cycles there until its cap.  After
+    ``_SECANT_MAXIT`` steps it returns its least-residual point if that
+    residual is within ``_SECANT_ROUNDING`` units of ``1 + |scale|``
+    (:func:`_check_secant_exit`); else it raises :class:`CurveError`
+    naming the `what` secant.
+    """
+    r0 = F(x0)
+    best = (abs(r0), x0)
+    for _ in range(_SECANT_MAXIT):
+        r1 = F(x1)
+        step = 0.0 if r1 == r0 else r1 * (x1 - x0) / (r1 - r0)
+        if abs(step) <= 2.0 ** -49 * abs(x1):
+            return x1
+        if abs(r1) < best[0]:
+            best = (abs(r1), x1)
+        x0, r0 = x1, r1
+        x1 -= step
+    _check_secant_exit(what, best[0], scale, r1)
+    return best[1]
 
 
 # ---------------------------------------------------------------------------

@@ -30,14 +30,14 @@ from numbers import Real
 
 import numpy as np
 
-from .curves import DELTA_TRUST, wave_curve
+from .curves import DELTA_TRUST, CurveError, damped_newton, wave_curve, wave_front
 from .euler import DomainError, GasParams, State
 from .functionals import l1_distance, wall_mismatch
 from .riemann import (
     TRUST_RADIUS,
     RiemannSolution,
+    SolverError,
     sample_riemann_fan,
-    solve_riemann,
     trust_deviation,
 )
 from .tracking import (
@@ -481,6 +481,39 @@ def _rate_grid(cfg: ExperimentConfig, scale: str) -> tuple:
     return tuple(sorted(cfg.tau_grid, reverse=True))
 
 
+def _newton_riemann(U_b: State, U_a: State, gas: GasParams) -> RiemannSolution:
+    """The interior Riemann solve as a damped Newton on the four strengths.
+
+    Kept only for the frozen benchmark reference, and deleted with its
+    re-record (ROADMAP item 1): the special solution's zero-closed-form
+    coefficients (``beta2``, ``beta3``) are strengths near rounding
+    level, so they carry this Newton's rounding, LAPACK's included, and
+    the reference pins it.  :func:`hyperwedge.riemann.solve_riemann` is
+    the slip-line pressure root.  Starts from zero strengths; each
+    acoustic wave is evaluated once per strength it is asked for.
+    `U_b` and `U_a` come from :func:`special_pair`, inside the trust box.
+    """
+    target = [U_a.rho, U_a.u, U_a.v, U_a.p]
+    acoustic = cache(lambda U, family, sigma: wave_front(U, family, sigma, gas))
+
+    def F(sig):  # compose_wave_curves(U_b, sig, gas) - U_a, through `acoustic`
+        s1, s2, s3, s4 = sig
+        m3 = wave_curve(wave_curve(acoustic(U_b, 1, s1)[0], 2, s2, gas), 3, s3, gas)
+        W = acoustic(m3, 4, s4)[0]
+        return [W.rho - target[0], W.u - target[1], W.v - target[2], W.p - target[3]]
+
+    try:
+        sig = damped_newton(F, [0.0, 0.0, 0.0, 0.0])
+    except CurveError as exc:
+        raise SolverError(f"interior Riemann solve failed: {exc}") from exc
+    m1, slope1 = acoustic(U_b, 1, sig[0])
+    m2 = wave_curve(m1, 2, sig[1], gas)
+    m3 = wave_curve(m2, 3, sig[2], gas)
+    top, slope4 = acoustic(m3, 4, sig[3])
+    return RiemannSolution.of_waves(U_b, tuple(sig), (m1, m2, m3),
+                                    ((U_b, m1, slope1), (m3, top, slope4)), gas)
+
+
 def run_special_solution(cfg: ExperimentConfig) -> SpecialReport:
     """Exact two-system comparison for the pinned two-state jump.
 
@@ -520,12 +553,12 @@ def run_special_solution(cfg: ExperimentConfig) -> SpecialReport:
     taus = _rate_grid(cfg, "eps")
     gas0 = cfg.gas(0.0)
     U_b, U_a, _sigma_pin = special_pair(cfg.eps, gas0)
-    sol0 = solve_riemann(U_b, U_a, gas0)
+    sol0 = _newton_riemann(U_b, U_a, gas0)
     sigma_a1 = sol0.strengths[0]
 
     def one_tau(tau: float):
         gas = cfg.gas(tau)
-        sol = solve_riemann(U_b, U_a, gas)
+        sol = _newton_riemann(U_b, U_a, gas)
         E = fan_l1_distance(sol, gas, sol0, gas0, U_b, cfg.x_station)
         return {"E": E, "betas": sol.strengths}
 

@@ -948,7 +948,7 @@ def _resolve_boundary(slice_, event, boundary, cfg, gas):
         # the wall absorbs a carrier: strength 0 is no wave at all
         sigma, wave, kind, emech = 0.0, None, "np_boundary", 0.0
     elif f.family in (2, 3, 4):
-        sigma, wave = reflect_at_boundary(U_below, f.family, f.sigma, boundary.theta_at(xh), gas)
+        sigma, wave = reflect_at_boundary(U_below, f.family, boundary.theta_at(xh), gas)
         kind, emech = "boundary", abs(f.sigma)
     else:
         raise SolverError(f"family-1 front reached the wall at x={xh}")

@@ -7,9 +7,13 @@ normalisation ``grad(lam) . r~`` is summed left to right (``_dot4``), as
 ``euler.acoustic_field`` sums it, not by ``np.dot``, whose rounding
 follows the BLAS core.  ``damped_newton`` is the Newton iteration on numpy
 arrays that the program's plain-float one replaced; ``shock_solve`` and
-the Riemann solvers here run their array residuals through it, so the
-program must match them in every float and in the number of residual
-evaluations (``test_curves``, ``test_riemann``).  ``solve_riemann`` and
+the Riemann solvers here run their array residuals through it.  Where
+the program keeps the Newton (cold shocks, ``hugoniot_decompose``,
+``boundary_hugoniot_q1`` and the special solution's interior solve) it
+must match them in every float and in the number of residual
+evaluations (``test_curves``, ``test_riemann``); the program's
+slip-line roots (``solve_riemann``, the wall solves) must agree with
+them within the Newton's tolerance.  ``solve_riemann`` and
 ``emit_riemann`` are also the interior solve and its front emission as
 they were before each acoustic wave was solved once per call.
 ``flux_and_slope`` and ``acoustic_field`` are the flat kernels of those

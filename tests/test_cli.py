@@ -134,7 +134,7 @@ def test_special_density_rise_outside_the_trust_box_exits_2(runner, tmp_path, mo
         raise AssertionError("solved before eps was checked")
 
     monkeypatch.setattr(experiments, "wave_curve", no_solve)
-    monkeypatch.setattr(experiments, "solve_riemann", no_solve)
+    monkeypatch.setattr(experiments, "_newton_riemann", no_solve)
     res = runner.invoke(main, ["special", "--eps", "0.02", "--a", "3",
                                "--out", str(tmp_path / "out")])
     assert res.exit_code == 2, res.output
@@ -247,7 +247,7 @@ def test_zero_rate_scale_rejected_before_any_solve(runner, tmp_path, monkeypatch
         raise AssertionError("solved before the config was checked")
 
     monkeypatch.setattr(experiments, "run", no_solve)
-    monkeypatch.setattr(experiments, "solve_riemann", no_solve)
+    monkeypatch.setattr(experiments, "_newton_riemann", no_solve)
     if command == "converge":
         args = ["--config", _cfg_file(tmp_path, {"scenario": "wedge", "data_amplitude": 0.0})]
     else:
@@ -367,6 +367,30 @@ def test_ci_simulate_trajectories_are_pinned(runner, tmp_path):
         assert res.exit_code == 0, res.output
         text = (tmp_path / out / "trajectory.txt").read_bytes()
         assert hashlib.sha256(text).hexdigest() == pinned[f"{out}/trajectory.txt"], out
+
+
+#: the special solution's CI commands: output directory and options
+CI_SPECIAL = {
+    "special": [],
+    "special-gas": ["--eps", "1e-4", "--a", "1.5", "--gamma", "1.2"],
+    "special-large": ["--eps", "0.04", "--a", "1.2"],
+}
+
+
+def test_ci_special_csvs_are_pinned(runner, tmp_path):
+    # the special solution keeps the Newton interior solve only so that
+    # these bytes stay what the benchmark reference holds; the CI job
+    # checks its installed command's outputs against the same digests
+    lines = Path(__file__).with_name("special_sha256.txt").read_text().splitlines()
+    pinned = {path: digest for digest, path in (line.split() for line in lines)}
+    assert pinned.keys() == {f"{out}/{name}.csv" for out in CI_SPECIAL
+                             for name in ("rate", "coeffs")}
+    for out, options in CI_SPECIAL.items():
+        res = runner.invoke(main, ["special", *options, "--out", str(tmp_path / out)])
+        assert res.exit_code == 0, res.output
+        for name in ("rate", "coeffs"):
+            text = (tmp_path / out / f"{name}.csv").read_bytes()
+            assert hashlib.sha256(text).hexdigest() == pinned[f"{out}/{name}.csv"], (out, name)
 
 
 def test_simulate_rejects_special_scenario(runner, tmp_path):

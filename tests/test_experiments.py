@@ -115,8 +115,8 @@ def test_rate_fit_recovers_power_law():
 def test_rate_drivers_reject_a_short_grid_before_any_solve(monkeypatch, driver, scenario):
     calls = []
     monkeypatch.setattr(experiments, "run", lambda *a, **k: calls.append("run"))
-    monkeypatch.setattr(experiments, "solve_riemann",
-                        lambda *a, **k: calls.append("solve_riemann"))
+    monkeypatch.setattr(experiments, "_newton_riemann",
+                        lambda *a, **k: calls.append("_newton_riemann"))
     cfg = ExperimentConfig(scenario=scenario, tau_grid=(0.1, 0.05))
     with pytest.raises(ConfigError, match="^tau_grid needs >= 3 values for a rate fit, got 2$"):
         driver(cfg)
