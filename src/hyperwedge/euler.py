@@ -142,7 +142,7 @@ class GasParams:
         return replace(self, tau=tau)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class State:
     """Primitive state (rho, u, v, p).
 
@@ -150,6 +150,12 @@ class State:
     factor ``1 + tau^2*u`` must also be positive for the state to be
     meaningful.  Validity against a particular ``GasParams`` is checked by
     :func:`check_state` (constructors stay cheap).
+
+    A value: it compares and hashes by its fields and serves as a cache
+    key, so nothing assigns to one; a changed state comes from
+    ``dataclasses.replace``.  The class is not ``frozen``, whose
+    ``object.__setattr__`` per field made every construction several
+    times dearer; a test parses the package for assignments instead.
     """
 
     rho: float

@@ -96,7 +96,7 @@ _MAX_EVENTS = 200_000
 _MAX_NU = 1000
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Front:
     """One straight-line discontinuity.
 
@@ -107,6 +107,12 @@ class Front:
     divergent and the jump entropy-consistent.  ``family`` is 1..4 for
     physical fronts or ``NP_FAMILY`` for non-physical carriers, whose
     ``sigma`` is the Euclidean size of the state gap.
+
+    A value, like :class:`State`: slice lists, records and the slice
+    log share fronts, so nothing assigns to one, and a moved front comes
+    from ``dataclasses.replace``.  Not ``frozen``, since two are built
+    per event and a frozen construction costs several times as much; a
+    test parses the package for assignments instead.
     """
 
     family: int
@@ -321,14 +327,20 @@ class EngineConfig:
             raise ValueError(f"engine key rho_threshold={rho!r} must be null or a number >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Event:
+    """The event a scan picked: its kind, station and index.
+
+    A value built once per event and never assigned to (not ``frozen``,
+    for the cost of the construction; see :class:`Front`).
+    """
+
     kind: str  # 'interaction' | 'boundary' | 'corner' | 'end'
     x: float
     index: int = -1  # lower front index (interaction) or corner number
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EventRecord:
     """Bookkeeping for one resolved event (consumed by the functional tests).
 
@@ -340,6 +352,10 @@ class EventRecord:
     (None for every other event).  ``incoming`` and ``outgoing`` are the
     ``(family, sigma)`` pairs derived from these; a corner comes in as
     ``((0, omega),)``.
+
+    A value built once per event and never assigned to, hashed by every
+    field but ``new_fronts`` (not ``frozen``, for the cost of the
+    construction; see :class:`Front`).
     """
 
     kind: str
@@ -726,7 +742,7 @@ def _candidates(slice_: SolutionSlice, boundary: BoundaryPolyline, x_end: float)
         thr = min(math.inf if first is None else first, min(out)[0]) + 2.0 * _COINCIDENCE_TOL
         hits = []
         for i in (cols[1, :n - 1] <= thr).nonzero()[0].tolist():
-            xi = _collision_x(fronts[i], fronts[i + 1], x0)
+            xi = first if i == i0 else _collision_x(fronts[i], fronts[i + 1], x0)
             if xi is not None:
                 hits.append((xi, "interaction", i))
         if hits:

@@ -1,5 +1,6 @@
 """Front-tracking engine: geometry, events, determinism."""
 
+import ast
 import functools
 import hashlib
 import math
@@ -7,7 +8,8 @@ import sys
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +33,7 @@ from hyperwedge.riemann import SolverError, hugoniot_decompose, solve_riemann
 from hyperwedge.tracking import (
     EngineConfig,
     Event,
+    EventRecord,
     Front,
     InitialData,
     SolutionSlice,
@@ -854,17 +857,94 @@ def test_wall_and_corner_fronts_are_the_slip_solves_waves(monkeypatch):
 
 
 def test_per_event_dataclasses_have_no_instance_dict():
-    # one State, Front and EventRecord per front, per event: a field added
-    # without slots would bring a dict back to each of them
+    # one State, Front, EventRecord and Event per front, per event: a field
+    # added without slots would bring a dict back to each of them
     rec = next(r for r in _run_and_full_scan("curved")[0].records if r.new_fronts)
     front = rec.new_fronts[0]
     state = front.below
-    for obj, name, value in ((state, "rho", 2.0), (front, "speed", 0.5), (rec, "x", 0.25)):
+    event = Event("interaction", rec.x, 0)
+    for obj, name, value in ((state, "rho", 2.0), (front, "speed", 0.5), (rec, "x", 0.25),
+                             (event, "index", 3)):
         assert not hasattr(obj, "__dict__")
         moved = replace(obj, **{name: value})
         assert getattr(moved, name) == value
         assert replace(moved, **{name: getattr(obj, name)}) == obj
+    # values: built apart from equal fields they compare and hash equal,
+    # as the memo keyed by states in experiments._newton_riemann needs
+    twin_state = State(*astuple(state))
+    twin_front = Front(front.family, front.sigma, front.x0, front.y0, front.speed,
+                       State(*astuple(front.below)), State(*astuple(front.above)))
+    for obj, twin in ((state, twin_state), (front, twin_front), (event, replace(event))):
+        assert twin is not obj and twin == obj and hash(twin) == hash(obj)
+        assert {obj: 1}[twin] == 1
+    # a record's hash leaves out its list of new fronts, and equality does not
     assert hash(rec) == hash(replace(rec, new_fronts=list(rec.new_fronts)))
+    assert hash(replace(rec, new_fronts=[])) == hash(rec) and replace(rec, new_fronts=[]) != rec
+
+
+_VALUE_FIELDS = frozenset(f.name for cls in (State, Front, EventRecord, Event) for f in fields(cls))
+
+
+def _value_mutations(source: str) -> list:
+    """The lines of `source` that could change a State, Front, EventRecord
+    or Event: an assignment, augmented assignment, annotated assignment,
+    deletion or loop target that is an attribute named after one of their
+    fields, and a ``setattr`` or ``__setattr__`` call outside
+    ``InitialData.__post_init__``.  The four types are not frozen, so this
+    is what keeps them values."""
+    tree = ast.parse(source)
+    allowed = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "InitialData":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                    allowed.update(id(node) for node in ast.walk(fn))
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if id(node) not in allowed and (
+                    (isinstance(func, ast.Name) and func.id == "setattr")
+                    or (isinstance(func, ast.Attribute) and func.attr == "__setattr__")):
+                bad.append(node.lineno)
+            continue
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For, ast.AsyncFor)):
+            targets = [node.target]
+        else:
+            continue
+        while targets:
+            t = targets.pop()
+            if isinstance(t, (ast.Tuple, ast.List)):
+                targets.extend(t.elts)
+            elif isinstance(t, ast.Starred):
+                targets.append(t.value)
+            elif isinstance(t, ast.Attribute) and t.attr in _VALUE_FIELDS:
+                bad.append(node.lineno)
+    return sorted(bad)
+
+
+def test_value_types_are_never_assigned_to():
+    package = Path(tracking.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert {"euler.py", "tracking.py", "curves.py", "riemann.py"} <= {p.name for p in sources}
+    for path in sources:
+        assert _value_mutations(path.read_text()) == [], path.name
+    # the guard sees each kind of write it stands for
+    assert _value_mutations(
+        "f.speed = 0.0\n"
+        "s.rho += 1.0\n"
+        "rec.x: float = 0.0\n"
+        "del ev.index\n"
+        "a, (b.below, *c.sigma) = t\n"
+        "for e.kind in ks: pass\n"
+        "setattr(f, 'y0', 1.0)\n"
+        "object.__setattr__(f, 'x0', 1.0)\n"
+        "class InitialData:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'breaks', ())\n"
+        "slice_.columns = None\n") == [1, 2, 3, 4, 5, 5, 6, 7, 8]
 
 
 def test_nu_bound_keeps_the_threshold_normal_and_the_fans_small():
