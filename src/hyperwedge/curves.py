@@ -373,20 +373,22 @@ def _shock_secant(w: list, gas: GasParams, family: int, sigma: float, near):
     (:func:`_check_secant_exit`).  A zero mass flux or a secant that
     does not converge raises :class:`CurveError`, a state outside the
     hyperbolic region :class:`DomainError`.
+
+    Each pin residual, ``W(s)`` by :func:`_oblique_shock` and then
+    ``lam_j(W(s)) - lam_j(U) - sigma``, is written out at its two places
+    on purpose, with no closure between, for speed: most carrier
+    crossings transmit a shock through here.
     """
     lam0 = acoustic_slope(*w, gas, family)
-
-    def pin(s):  # W(s) and its slope residual
-        W = _oblique_shock(w, gas, s)
-        return W, acoustic_slope(*W, gas, family) - lam0 - sigma
-
     b = near.below
     s_prev = near.speed + (lam0 - acoustic_slope(b.rho, b.u, b.v, b.p, gas, family))
-    res_prev = pin(s_prev)[1]
+    W = _oblique_shock(w, gas, s_prev)
+    res_prev = acoustic_slope(*W, gas, family) - lam0 - sigma
     s = s_prev - 0.5 * res_prev
     best = (math.inf, None, None)
     for _ in range(_SECANT_MAXIT):
-        W, res = pin(s)
+        W = _oblique_shock(w, gas, s)
+        res = acoustic_slope(*W, gas, family) - lam0 - sigma
         step = 0.0 if res == res_prev else res * (s - s_prev) / (res - res_prev)
         if abs(step) <= 2.0 ** -52 * (1.0 + abs(s)):
             return State(*W), s
@@ -503,7 +505,9 @@ def secant_root(F, x0: float, x1: float, scale: float, what: str) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_strength(sigma: float) -> None:
-    if abs(sigma) > DELTA_TRUST:
+    """Raise :class:`CurveError` unless ``|sigma| <= DELTA_TRUST``; a NaN
+    strength fails the test too."""
+    if not abs(sigma) <= DELTA_TRUST:
         raise CurveError(
             f"wave strength {sigma} outside trust radius {DELTA_TRUST}"
         )
@@ -548,9 +552,26 @@ def wave_front(U: State, family: int, sigma: float, gas: GasParams,
     the Newton from the linear step stops at a 1e-12 residual, and the
     two states agree to 1e-11 (tested).  Without `near` the state
     equals ``wave_curve(U, family, sigma, gas)`` bit for bit.
+
+    The checks are those of :func:`_check_strength` and
+    :func:`check_state`, in their order and with their messages, written
+    out on purpose, with no further Python call, for speed: every
+    transmitted wave of a carrier crossing comes through here.  A
+    non-finite state still goes to :func:`check_state`, which names the
+    component.
     """
-    _check_strength(sigma)
-    check_state(U, gas, "wave_front input")
+    if not abs(sigma) <= DELTA_TRUST:
+        raise CurveError(f"wave strength {sigma} outside trust radius {DELTA_TRUST}")
+    rho, u, p = U.rho, U.u, U.p
+    if not math.isfinite(rho + u + U.v + p):
+        check_state(U, gas, "wave_front input")
+    if not rho > 0.0:
+        raise DomainError(f"nonpositive density {rho} (wave_front input)")
+    if not p > 0.0:
+        raise DomainError(f"nonpositive pressure {p} (wave_front input)")
+    t = gas.t2
+    if t > 0.0 and not 1.0 + t * u > 0.0:
+        raise DomainError(f"nonpositive mass-flux factor at u={u} (wave_front input)")
     if family in CONTACT_FAMILIES:
         W = U if sigma == 0.0 else _contact(U, gas, family, sigma)
         return W, flow_slope(U, gas)

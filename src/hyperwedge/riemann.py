@@ -234,8 +234,10 @@ def _second_pressure(U_b: State, U_a: State, gas: GasParams) -> float:
 
 
 def _check_strengths(sig) -> None:
+    """Raise :class:`CurveError` unless every ``|sigma| <= DELTA_TRUST``;
+    a NaN strength fails the test too."""
     for sigma in sig:
-        if abs(sigma) > DELTA_TRUST:
+        if not abs(sigma) <= DELTA_TRUST:
             raise CurveError(f"wave strength {sigma} outside trust radius {DELTA_TRUST}")
 
 

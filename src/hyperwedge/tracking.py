@@ -505,9 +505,14 @@ def _emit_wave(U_below: State, family: int, sigma: float, x: float, y: float,
     """
     if abs(sigma) <= _ZERO_STRENGTH:
         return [], U_below
-    pieces = _pieces(family, sigma, nu)
-    if pieces == 1 and solved is not None and solved[0] == U_below:
-        _, top, slope = solved
+    pieces = 1
+    if sigma > 0.0 and family in GENUINE_FAMILIES:
+        pieces = max(1, int(math.ceil(sigma * nu - 1.0e-12)))
+    if pieces == 1:  # one front of strength sigma (sigma / 1 is sigma)
+        if solved is not None and solved[0] == U_below:
+            _, top, slope = solved
+        else:
+            top, slope = wave_front(U_below, family, sigma, gas, near)
         return [Front(family, sigma, x, y, slope, U_below, top)], top
     ds = sigma / pieces
     fronts = []
@@ -532,13 +537,6 @@ def _np_front(U_below: State, U_above: State, x: float, y: float, lambda_hat: fl
     if gap <= _ZERO_STRENGTH:
         return None
     return Front(NP_FAMILY, gap, x, y, lambda_hat, U_below, U_above)
-
-
-def _pieces(family: int, sigma: float, nu: int) -> int:
-    """Number of fronts realising one wave: ceil(sigma*nu) for a rarefaction."""
-    if family in GENUINE_FAMILIES and sigma > 0.0:
-        return max(1, int(math.ceil(sigma * nu - 1.0e-12)))
-    return 1
 
 
 def _emit_riemann(sol, U_b: State, x: float, y: float, gas: GasParams, nu: int):
@@ -602,11 +600,15 @@ def _collision_x(lo: Front, up: Front, x: float) -> float | None:
     the same zero-width event forever, so a pair no more than
     ``_PARALLEL_TOL`` apart in speed is admitted only while its gap is
     open.
+
+    ``up.y_at(x) - lo.y_at(x)`` is written out on purpose, with no
+    further Python call, for speed: every scan computes one of these
+    stations for the pair of least bound and one for each pair it checks.
     """
     gap = lo.speed - up.speed
     if not gap > 0.0:
         return None
-    dy = up.y_at(x) - lo.y_at(x)
+    dy = up.y0 + up.speed * (x - up.x0) - (lo.y0 + lo.speed * (x - lo.x0))
     if dy < 0.0:
         dy = 0.0
     if dy > 0.0 or gap > _PARALLEL_TOL:
@@ -630,14 +632,23 @@ def _pair_row(lo: Front, up: Front, x: float) -> tuple:
     v less 64x the sum of these terms with |x| widened to |v|: it covers
     the error at `x` and at every later station short of v, and past v
     the scan never reads below x.
+
+    The station v is :func:`_collision_x`'s, written out on purpose, with
+    no further Python call, for speed: every event makes the rows of two
+    or three pairs.
     """
-    gap = lo.speed - up.speed
+    ls, us = lo.speed, up.speed
+    gap = ls - us
     if not gap > _PARALLEL_TOL:
         return math.inf, -math.inf if gap > 0.0 else math.inf
-    v = _collision_x(lo, up, x)
+    ly0, lx0, uy0, ux0 = lo.y0, lo.x0, up.y0, up.x0
+    dy = uy0 + us * (x - ux0) - (ly0 + ls * (x - lx0))
+    if dy < 0.0:
+        dy = 0.0
+    v = x + dy / gap
     reach = 1.0 + abs(x) + abs(v)
-    err = 2.0 * reach + (abs(lo.y0) + abs(up.y0) + (abs(lo.speed) + abs(up.speed))
-                         * (reach + abs(lo.x0) + abs(up.x0))) / gap
+    err = 2.0 * reach + (abs(ly0) + abs(uy0) + (abs(ls) + abs(us))
+                         * (reach + abs(lx0) + abs(ux0))) / gap
     bound = v - _BOUND_EPS * err
     return bound, bound
 
@@ -724,28 +735,37 @@ def _candidates(slice_: SolutionSlice, boundary: BoundaryPolyline, x_end: float)
     x0 = slice_.x
     fronts = slice_.fronts
     n = len(fronts)
+    # the least station in `out`, kept as it grows
+    least = x_end
     if fronts:
         xb = _wall_hit(fronts[-1], x0, boundary)
         if xb is not None:
             out.append((xb, "boundary", n - 1))
+            if xb < least:
+                least = xb
     corner_xs, corner_ks = boundary._turning_corners
     j = bisect_right(corner_xs, x0 + _COINCIDENCE_TOL)
     if j < len(corner_xs):
-        out.append((corner_xs[j], "corner", corner_ks[j]))
+        xc = corner_xs[j]
+        out.append((xc, "corner", corner_ks[j]))
+        if xc < least:
+            least = xc
     if n > 1:
         cols = slice_.columns
         if cols is None:
             cols = _pair_columns(fronts, x0)
-        bound = cols[0, :n - 1]
-        i0 = int(bound.argmin())
+        i0 = int(cols[0, :n - 1].argmin())
         first = _collision_x(fronts[i0], fronts[i0 + 1], x0)
-        thr = min(math.inf if first is None else first, min(out)[0]) + 2.0 * _COINCIDENCE_TOL
+        if first is not None and first < least:
+            least = first
         hits = []
-        for i in (cols[1, :n - 1] <= thr).nonzero()[0].tolist():
+        for i in (cols[1, :n - 1] <= least + 2.0 * _COINCIDENCE_TOL).nonzero()[0].tolist():
             xi = first if i == i0 else _collision_x(fronts[i], fronts[i + 1], x0)
             if xi is not None:
                 hits.append((xi, "interaction", i))
-        if hits:
+        if len(hits) == 1:
+            out.append(hits[0])
+        elif hits:
             least = min(hits)[0]
             out.extend(h for h in hits if h[0] - least <= _COINCIDENCE_TOL)
     return out
@@ -766,7 +786,7 @@ def _wall_hit(f: Front, x_now: float, boundary: BoundaryPolyline) -> float | Non
         x_hi = xs[k + 1] if k < boundary.k_star else math.inf
         if denom > 1.0e-15:
             gk = gs[k] + tanth * (x_lo - xs[k])
-            gap = gk - f.y_at(x_lo)
+            gap = gk - (f.y0 + f.speed * (x_lo - f.x0))  # f.y_at(x_lo)
             xh = x_lo + gap / denom
             if gap <= 0.0:
                 xh = x_lo  # already touching (roundoff); fire immediately
@@ -808,10 +828,15 @@ def next_event(slice_: SolutionSlice, boundary: BoundaryPolyline, cfg: EngineCon
     """
     for _attempt in range(64):
         cands = _candidates(slice_, boundary, cfg.x_end)
-        first = min(cands)
-        near = [c for c in cands if c[0] - first[0] <= _COINCIDENCE_TOL]
-        # a lone candidate needs no order and clashes with nothing
-        clash = _find_clash(sorted(near)) if len(near) > 1 else None
+        cands.sort()
+        first = cands[0]
+        # sorted, the candidates within _COINCIDENCE_TOL of the first come
+        # first: if the second is not one of them, the first is alone and
+        # clashes with nothing
+        if len(cands) == 1 or not cands[1][0] - first[0] <= _COINCIDENCE_TOL:
+            clash = None
+        else:
+            clash = _find_clash([c for c in cands if c[0] - first[0] <= _COINCIDENCE_TOL])
         if clash is None:
             x, kind, idx = first
             return Event(kind, x, idx), slice_
@@ -887,7 +912,7 @@ def _resolve_interaction(slice_, event, cfg, gas, rho_threshold, lambda_hat):
     i = event.index
     f_lo, f_up = slice_.fronts[i], slice_.fronts[i + 1]
     xh = event.x
-    yh = f_lo.y_at(xh)
+    yh = f_lo.y0 + f_lo.speed * (xh - f_lo.x0)  # f_lo.y_at(xh)
     U0, U2 = f_lo.below, f_up.above
     emech = pair_potential(f_lo, f_up)
     np_involved = NP_FAMILY in (f_lo.family, f_up.family)

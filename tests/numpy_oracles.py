@@ -26,7 +26,18 @@ keeps no second formulation of the gradient or the raw field, so the one
 here is the only reference for them.  ``interaction_potential`` is the
 pairwise double loop that ``functionals.interaction_potential`` replaced
 with running sums; the two agree to rounding (``test_functionals``).
+
+The per-event kernels are written out flat, and each helper chain they
+repeat is kept here: ``acoustic_slope`` with its state checks as the
+call to ``euler._check_values`` they were, ``checked_wave_front`` as
+``curves.wave_front`` after the calls to ``curves._check_strength`` and
+``euler.check_state`` it made, and ``collision_x`` and ``pair_row``,
+the scan's station and a pair's bound row through ``Front.y_at``.  The
+flat forms must match them in every float and error text
+(``test_euler``, ``test_curves``, ``test_tracking``).
 """
+
+import math
 
 import numpy as np
 
@@ -42,7 +53,7 @@ from hyperwedge.curves import (
     wave_curve,
     wave_front,
 )
-from hyperwedge import euler
+from hyperwedge import curves, euler, tracking
 from hyperwedge.euler import DomainError, State, bc_residual, check_state, flow_slope
 from hyperwedge.riemann import _background_boundary_gain
 from hyperwedge.tracking import _emit_wave, pair_potential
@@ -195,6 +206,49 @@ def flux_and_slope(rho, u, v, p, gas, family):
         raise ValueError(f"unknown family {family}")
     fx, fy = euler.flux_values(rho, u, v, p, gas)
     return fx, fy, euler.acoustic_slope(rho, u, v, p, gas, family)
+
+
+def acoustic_slope(rho, u, v, p, gas, family):
+    """``euler.acoustic_slope`` with its state checks as the call to
+    ``euler._check_values`` they were."""
+    if family not in euler.GENUINE_FAMILIES:
+        raise ValueError(f"unknown family {family}")
+    euler._check_values(rho, u, p, gas)
+    return euler.acoustic_slope(rho, u, v, p, gas, family)
+
+
+def checked_wave_front(U, family, sigma, gas, near=None):
+    """``curves.wave_front`` with its checks as the calls to
+    ``curves._check_strength`` and ``euler.check_state`` they were."""
+    curves._check_strength(sigma)
+    check_state(U, gas, "wave_front input")
+    return curves.wave_front(U, family, sigma, gas, near)
+
+
+def collision_x(lo, up, x):
+    """``tracking._collision_x`` through ``Front.y_at``."""
+    gap = lo.speed - up.speed
+    if not gap > 0.0:
+        return None
+    dy = up.y_at(x) - lo.y_at(x)
+    if dy < 0.0:
+        dy = 0.0
+    if dy > 0.0 or gap > tracking._PARALLEL_TOL:
+        return x + dy / gap
+    return None
+
+
+def pair_row(lo, up, x):
+    """``tracking._pair_row`` with its station from :func:`collision_x`."""
+    gap = lo.speed - up.speed
+    if not gap > tracking._PARALLEL_TOL:
+        return math.inf, -math.inf if gap > 0.0 else math.inf
+    v = collision_x(lo, up, x)
+    reach = 1.0 + abs(x) + abs(v)
+    err = 2.0 * reach + (abs(lo.y0) + abs(up.y0) + (abs(lo.speed) + abs(up.speed))
+                         * (reach + abs(lo.x0) + abs(up.x0))) / gap
+    bound = v - tracking._BOUND_EPS * err
+    return bound, bound
 
 
 def acoustic_field(rho, u, v, p, gas, family):

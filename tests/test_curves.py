@@ -478,6 +478,46 @@ def test_wave_curve_rejects_a_nonfinite_input(gas, sigma):
         wave_front(State(1.0, math.inf, 0.0, pb), 4, sigma, gas)
 
 
+@pytest.mark.parametrize("family", (1, 2, 3, 4))
+def test_nan_strength_fails_the_trust_check(gas, bg, family):
+    # abs(nan) > DELTA_TRUST is false: a NaN strength once passed the
+    # check and came out as a NaN state, or as a misleading rarefaction
+    # error at sound speed nan
+    for curve in (wave_front, wave_curve, hugoniot_curve):
+        with pytest.raises(CurveError, match=r"^wave strength nan outside trust radius 0\.1$"):
+            curve(bg, family, math.nan, gas)
+
+
+_PB = GasParams(gamma=1.4, a_inf=2.0, tau=0.1).p_background
+
+
+@pytest.mark.parametrize("w", [
+    pytest.param((math.nan, 0.0, 0.0, _PB), id="nan density"),
+    pytest.param((1.0, math.inf, 0.0, _PB), id="infinite u"),
+    pytest.param((1.0, 0.0, math.nan, _PB), id="nan v"),
+    pytest.param((1.0, 0.0, 0.0, -math.inf), id="infinite pressure"),
+    pytest.param((0.0, 0.0, 0.0, _PB), id="zero density"),
+    pytest.param((1.0, 0.0, 0.0, -0.1), id="negative pressure"),
+    pytest.param((1.0, -1.0e3, 0.0, _PB), id="negative mass-flux factor"),
+    # finite components whose sum overflows: check_state names none of
+    # them and goes on to the sign checks
+    pytest.param((1.0e308, 1.0e308, 0.0, -1.0), id="overflowing sum"),
+])
+@pytest.mark.parametrize("sigma", (-1e-3, 0.0, 1e-3, 0.2, math.nan))
+def test_wave_front_raises_its_check_chain_texts(gas, w, sigma):
+    # the checks are written out in wave_front: the strength first, then
+    # the state, with check_state's "(wave_front input)" texts
+    U = State(*w)
+    for j in (1, 2, 3, 4):
+        with pytest.raises((CurveError, DomainError)) as want:
+            oracle.checked_wave_front(U, j, sigma, gas)
+        with pytest.raises((CurveError, DomainError)) as got:
+            wave_front(U, j, sigma, gas)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert str(want.value).endswith("(wave_front input)") == (abs(sigma) <= DELTA_TRUST)
+
+
 def test_damped_newton_halves_past_domain_errors(gas0):
     # solve lam_4(rho) = 1/2 from rho = 4: the lam_4 curve is convex in
     # rho, so the full Newton step lands near rho = -4 and the first

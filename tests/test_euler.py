@@ -364,6 +364,36 @@ def test_flat_kernels_raise_their_helper_chains_texts(kernels, gas, w, text):
             assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("w, text", [
+    pytest.param((0.0, 0.0, 0.0, _PB), "nonpositive density 0.0", id="zero density"),
+    pytest.param((math.nan, 0.0, 0.0, _PB), "nonpositive density nan", id="nan density"),
+    pytest.param((1.0, 0.0, 0.0, -0.1), "nonpositive pressure -0.1", id="negative pressure"),
+    pytest.param((1.0, 0.0, 0.0, math.nan), "nonpositive pressure nan", id="nan pressure"),
+    pytest.param((1.0, -1.0 / _TAU.t2, 0.0, _PB), "mass-flux factor",
+                 id="mass-flux factor at rounding level"),
+    pytest.param((1.0, -1.0e3, 0.0, _PB), "mass-flux factor at u=-1000.0",
+                 id="negative mass-flux factor"),
+])
+def test_acoustic_slope_raises_its_state_check_texts(w, text):
+    # the checks are written out in acoustic_slope; _check_values's texts
+    for j in GENUINE_FAMILIES:
+        with pytest.raises(DomainError) as want:
+            oracle.acoustic_slope(*w, _TAU, j)
+        with pytest.raises(DomainError) as got:
+            acoustic_slope(*w, _TAU, j)
+        assert text in str(want.value)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("gas", _GASES)
+def test_acoustic_slope_equals_its_check_chain(gas):
+    for U in trust_box_states(gas, 40, seed=13):
+        for w in ((U.rho, U.u, U.v, U.p), tuple(np.float64(a) for a in (U.rho, U.u, U.v, U.p))):
+            for j in GENUINE_FAMILIES:
+                assert (_bits([acoustic_slope(*w, gas, j)])
+                        == _bits([oracle.acoustic_slope(*w, gas, j)]))
+
+
 # Dp = den*lam - m*v rounds to 0 at this state while D = m*lam - v = 16:
 # the gradient comes from differencing
 _DP_ZERO = (1.0, 6.222931879889604e+16, -9.051006296082482e+16, 1.0e-5)

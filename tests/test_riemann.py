@@ -12,7 +12,7 @@ import hyperwedge.experiments as experiments
 import hyperwedge.riemann as riemann
 import hyperwedge.tracking as tracking
 from hyperwedge.euler import GasParams, State, bc_residual, flow_slope, flux_values
-from hyperwedge.curves import compose_wave_curves, hugoniot_compose, wave_curve
+from hyperwedge.curves import CurveError, compose_wave_curves, hugoniot_compose, wave_curve
 from hyperwedge.experiments import _newton_riemann
 from hyperwedge.tracking import Front
 from hyperwedge.riemann import (
@@ -423,6 +423,23 @@ def test_slip_roots_return_plain_floats(tau):
                                        reflect_at_boundary(V, 3, theta, gas)):
             floats += [sigma, slope, *astuple(top)]
         assert all(type(x) is float for x in floats)
+
+
+def test_strength_checks_reject_a_nan(gas, bg, monkeypatch):
+    # abs(nan) > DELTA_TRUST is false, so a NaN strength once passed the
+    # check; here the family-1 slope behind the wave reads NaN
+    with pytest.raises(CurveError, match=r"^wave strength nan outside trust radius"):
+        riemann._check_strengths((1e-3, math.nan))
+    lam = riemann.eigenvalue
+    monkeypatch.setattr(riemann, "eigenvalue",
+                        lambda U, g, j: math.nan if j == 1 and U != bg else lam(U, g, j))
+    above = State(bg.rho + 1e-3, bg.u, bg.v, bg.p + 1e-3)
+    with pytest.raises(SolverError, match=r"^interior Riemann solve failed: wave strength nan "
+                                          r"outside trust radius 0\.1$"):
+        solve_riemann(bg, above, gas)
+    with pytest.raises(SolverError, match=r"^boundary Riemann solve failed: wave strength nan "
+                                          r"outside trust radius 0\.1$"):
+        solve_boundary_riemann(bg, -0.01, gas)
 
 
 def test_slip_roots_outside_the_trust_box_or_the_hyperbolic_region_raise(gas, bg):

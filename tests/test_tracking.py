@@ -45,6 +45,7 @@ from hyperwedge.tracking import (
     write_trajectory,
 )
 
+import numpy_oracles as oracle
 from conftest import assert_slice_invariants, count_residuals
 
 _GAS = GasParams(gamma=1.4, a_inf=2.0, tau=0.1)
@@ -952,7 +953,8 @@ def test_nu_bound_keeps_the_threshold_normal_and_the_fans_small():
     nu = tracking._MAX_NU
     assert EngineConfig(nu=nu).nu == nu
     assert 2.0 ** -nu >= sys.float_info.min
-    assert tracking._pieces(1, DELTA_TRUST, nu) == 100
+    fronts, _ = tracking._emit_wave(_GAS.background(), 1, DELTA_TRUST, 0.0, 0.0, _GAS, nu)
+    assert len(fronts) == 100
 
 
 def _scan_x(lo, up, x0):
@@ -1036,6 +1038,47 @@ def test_pair_bound_holds_at_later_stations(bg):
                 checked += 1
                 past += xl > v
     assert checked > 25000 and past > 5000
+
+
+def _hex(v):
+    """`v` bit for bit (the sign of a zero too), None as it is."""
+    return None if v is None else float.hex(v)
+
+
+def test_flat_station_and_row_equal_their_y_at_forms(bg):
+    # seeded pairs of every kind the scan meets: approaching, near-parallel
+    # (0 < gap <= _PARALLEL_TOL) with the gap open or shut, zero-width
+    # (crossed in floats, so dy is clamped to 0) and receding; the station
+    # and the bound row written out flat are the y_at forms' bit for bit
+    rng = np.random.default_rng(29)
+    tol = tracking._PARALLEL_TOL
+    seen = Counter()
+    for n in range(4000):
+        x, y, s_up = (float(v) for v in rng.uniform((0.0, -1.5, -0.6), (1.0, 0.0, 0.6)))
+        x_lo, x_up = (float(v) * x for v in rng.uniform(0.0, 1.0, 2))
+        dy = 10.0 ** float(rng.uniform(-17.0, 0.3))
+        if n % 4 == 0:
+            gap = 10.0 ** float(rng.uniform(-11.9, 0.0))
+        elif n % 4 == 1:
+            gap = tol * float(rng.uniform(0.0, 1.0))
+            if n % 8 == 1:  # one anchor, so dy is 0 exactly
+                x_lo = x_up = x
+                dy = 0.0
+        elif n % 4 == 2:
+            gap, dy = 10.0 ** float(rng.uniform(-15.0, 0.0)), -dy
+        else:
+            gap = -(10.0 ** float(rng.uniform(-17.0, 0.0)))
+        lo = Front(1, -1e-3, x_lo, y - (s_up + gap) * (x - x_lo), s_up + gap, bg, bg)
+        up = Front(4, 1e-3, x_up, y + dy - s_up * (x - x_up), s_up, bg, bg)
+        g, d = lo.speed - up.speed, up.y_at(x) - lo.y_at(x)
+        station = oracle.collision_x(lo, up, x)
+        seen["receding" if not g > 0.0 else "clamped" if d < 0.0
+             else "shut" if station is None else "near-parallel" if g <= tol
+             else "approaching"] += 1
+        assert _hex(tracking._collision_x(lo, up, x)) == _hex(station)
+        assert ([_hex(v) for v in tracking._pair_row(lo, up, x)]
+                == [_hex(v) for v in oracle.pair_row(lo, up, x)])
+    assert min(seen.values()) > 300 and len(seen) == 5, seen
 
 
 def test_near_parallel_pair_schedules_like_full_scan(gas, bg):
@@ -1307,6 +1350,21 @@ def _sha256(text):
 def _export_digest(traj):
     """sha256 of the export (see :func:`_sha256`)."""
     return _sha256(export_trajectory(traj))
+
+
+def test_curved_run_export_is_pinned(monkeypatch):
+    # 1,646 events of every kind, bit for bit: no LAPACK solve runs in
+    # them, so the digest does not depend on the host's BLAS core
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+    data, wall, cfg, gas = _curved_case()
+    traj = run(data, wall, cfg, gas)
+    assert len(traj.records) == 1646 and not solves
+    assert ({r.kind for r in traj.records}
+            == {"interaction", "boundary", "np_boundary", "corner"})
+    assert (_export_digest(traj)
+            == "8632d12bfaa27887d7b899d11ba00fbd3e1f925444a42bd0186ac312b22e9b77")
 
 
 def _short_curved_run_and_oracle_export():
